@@ -16,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import (CooccurrenceIndex, DegreeTestState, build_cooccurrence,
+from .constraints import (DegreeTestState, build_cooccurrence,
                           feature_addition_allowed, lambda_statistic,
                           DEFAULT_D_MIN, DEFAULT_TAU)
-from .graph import EDGE, FEATURE, AttributedGraph, GraphError, Perturbation
+from .graph import (EDGE, FEATURE, AttributedGraph, GraphError, Perturbation,
+                    nan_to_none, none_to_nan)
 from .surrogate import (NormalizedAdjacency, SurrogateModel, infer_old_class,
-                        loss_from_logits, updated_square_row,
+                        loss_from_logits, normalized_adjacency_matrix,
                         updated_square_row_from)
 
 DIRECT = "direct"
@@ -88,8 +89,8 @@ class AttackResult:
             "mode": self.mode,
             "constrained": bool(self.constrained),
             "perturbations": [p.to_dict() for p in self.perturbations],
-            "initial_loss": float(self.initial_loss),
-            "loss_trace": [float(v) for v in self.loss_trace],
+            "initial_loss": nan_to_none(self.initial_loss),
+            "loss_trace": [nan_to_none(v) for v in self.loss_trace],
             "lambda_trace": [float(v) for v in self.lambda_trace],
             "feature_checks": self.feature_checks,
             "starved": bool(self.starved),
@@ -102,15 +103,16 @@ class AttackResult:
             budget=int(d["budget"]), mode=d["mode"],
             constrained=bool(d["constrained"]),
             perturbations=[Perturbation.from_dict(p) for p in d["perturbations"]],
-            initial_loss=float(d["initial_loss"]),
-            loss_trace=[float(v) for v in d["loss_trace"]],
+            initial_loss=none_to_nan(d["initial_loss"]),
+            loss_trace=[none_to_nan(v) for v in d["loss_trace"]],
             lambda_trace=[float(v) for v in d["lambda_trace"]],
             feature_checks=list(d["feature_checks"]),
             starved=bool(d["starved"]),
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n")
+        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1,
+                                          allow_nan=False) + "\n")
 
 
 def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
@@ -176,69 +178,30 @@ def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
     return out
 
 
-def candidate_features(g: AttributedGraph, cfg: AttackConfig,
-                       coidx: CooccurrenceIndex | None = None,
-                       attackers: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
-    """Admissible feature flips (u, i): removals always, additions gated."""
-    if attackers is None:
-        attackers = resolve_attackers(g, cfg)
-    out = []
-    for a in attackers:
-        present = g.features_of(a)
-        allowed = coidx.allowed_additions(a) if coidx is not None else None
-        for i in range(g.n_features):
-            if i in present:
-                out.append((a, i))
-            elif allowed is None or allowed[i]:
-                out.append((a, i))
-    out.sort()
-    return out
+def candidate_features(present: np.ndarray,
+                       allowed: np.ndarray | None) -> np.ndarray:
+    """Admissible feature flips of one node as a mask over features.
 
-
-def score_structure(e: tuple[int, int], g: AttributedGraph, na: NormalizedAdjacency,
-                    model: SurrogateModel, v0: int, c_old: int) -> float:
-    """Surrogate loss of the target after flipping edge e, via the
-    incremental row update (no rebuild of the squared adjacency)."""
-    new_row = updated_square_row(na, g, e[0], e[1], v0)
-    cvals = g.feature_matrix() @ model.weights
-    return loss_from_logits(new_row @ cvals, c_old)
-
-
-def score_features(g: AttributedGraph, na: NormalizedAdjacency, model: SurrogateModel,
-                   v0: int, c_old: int, candidates) -> dict[tuple[int, int], float]:
-    """Gradient-based feature scores against the frozen best wrong class.
-
-    Each score is the current loss plus the absolute logit-gap gradient
-    when that gradient points in the direction the flip would move the
-    entry; flips the gradient argues against keep the current loss.
+    `present` marks the node's current features. Removals are always
+    admissible; additions only where `allowed` is set (every feature when
+    `allowed` is None, i.e. unconstrained).
     """
-    row = na.square_row(v0)
-    w = model.weights
-    cvals = g.feature_matrix() @ w
-    logits = row @ cvals
-    cur = loss_from_logits(logits, c_old)
-    masked = logits.copy()
-    masked[c_old] = -np.inf
-    c_best = int(np.argmax(masked))
-    scores = {}
-    for (u, i) in candidates:
-        x_ui = 1.0 if g.has_feature(u, i) else 0.0
-        grad = row[u] * (w[i, c_best] - w[i, c_old])
-        if (2.0 * x_ui - 1.0) * grad < 0.0:
-            scores[(u, i)] = cur + abs(grad)
-        else:
-            scores[(u, i)] = cur
-    return scores
+    if allowed is None:
+        return np.ones_like(present)
+    return present | allowed
 
 
-def _exact_feature_losses(row: np.ndarray, logits: np.ndarray, w: np.ndarray,
-                          u: int, feat_mask: np.ndarray, c_old: int) -> np.ndarray:
-    """Exact post-flip loss for every feature of node u, vectorized.
+def score_features(row: np.ndarray, logits: np.ndarray, w: np.ndarray,
+                   u: int, present: np.ndarray, c_old: int) -> np.ndarray:
+    """Exact post-flip loss of the target for every feature of node u.
 
-    The logit change of a single feature flip is linear, so the new loss
-    is re-evaluated exactly (including a possible best-class switch).
+    `row` is the target's squared-adjacency row, `logits` its current
+    logits and `present` marks u's current features. A single feature
+    flip moves the logits linearly, so the new loss is re-evaluated
+    exactly for the same cost as the paper's gradient score; unlike that
+    score it sees a switch of the best wrong class.
     """
-    direction = 1.0 - 2.0 * feat_mask.astype(np.float64)
+    direction = 1.0 - 2.0 * present.astype(np.float64)
     new_logits = logits[None, :] + row[u] * direction[:, None] * w
     masked = new_logits.copy()
     masked[:, c_old] = -np.inf
@@ -314,19 +277,13 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
         if cfg.perturb_features:
             logits = row @ cvals
             for a in attackers:
-                feat_mask = np.zeros(g.n_features, dtype=bool)
-                present = sorted(g.features_of(a))
-                feat_mask[present] = True
-                losses = _exact_feature_losses(row, logits, w, a, feat_mask, c_old)
-                candidate_mask = feat_mask.copy()  # removals always admissible
-                if allowed_add[a] is not None:
-                    candidate_mask |= allowed_add[a] & ~feat_mask
-                else:
-                    candidate_mask[:] = True
-                idx = np.flatnonzero(candidate_mask)
+                present = np.zeros(g.n_features, dtype=bool)
+                present[sorted(g.features_of(a))] = True
+                losses = score_features(row, logits, w, a, present, c_old)
+                idx = np.flatnonzero(candidate_features(present, allowed_add[a]))
                 for i in idx[np.argsort(-losses[idx], kind="stable")[:1]]:
                     cand = _Best(score=float(losses[i]), kind=FEATURE,
-                                 u=a, v=int(i), insert=not feat_mask[i])
+                                 u=a, v=int(i), insert=not present[i])
                     if cand.beats(best):
                         best = cand
 
@@ -408,15 +365,14 @@ def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig,
     return result
 
 
-def _structure_gradient(na: NormalizedAdjacency, row2: np.ndarray, q: np.ndarray,
+def _structure_gradient(ahat, d: np.ndarray, row2: np.ndarray, q: np.ndarray,
                         v0: int) -> np.ndarray:
     """d(loss-gap)/d a_{v0,x} for every x, treating entries as continuous.
 
-    Accounts for the degree renormalization that an edge change induces
-    on both endpoints.
+    `ahat` is the normalized adjacency, `d` the self-loop degrees and
+    `row2` the target's squared-adjacency row. Accounts for the degree
+    renormalization that an edge change induces on both endpoints.
     """
-    ahat = na.ahat
-    d = na.dtilde
     h1 = ahat @ q
     h2 = np.asarray(ahat[v0].todense()).ravel()
     lc = float(row2 @ q)
@@ -432,15 +388,17 @@ def _structure_gradient(na: NormalizedAdjacency, row2: np.ndarray, q: np.ndarray
 def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
                   na: NormalizedAdjacency | None = None) -> AttackResult:
     """Sign-gradient direct attack: flip the entry with the largest
-    usable gradient each step, then re-evaluate exactly."""
+    usable gradient each step, then re-evaluate exactly.
+
+    Only the normalized adjacency, the degrees and the target's
+    squared-adjacency row are tracked; edge flips advance the row with
+    the same update the greedy attack uses. `na` is only read.
+    """
     if cfg.mode != DIRECT:
         raise ValueError("the gradient baseline only runs as a direct attack")
     v0 = cfg.target
     if na is None:
         na = NormalizedAdjacency.build(g0)
-    else:
-        na = NormalizedAdjacency(ahat=na.ahat.copy(), ahat2=na.ahat2.copy(),
-                                 dtilde=na.dtilde.copy())
     g = g0.copy()
     w = model.weights
     cvals = g.feature_matrix() @ w
@@ -449,6 +407,7 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
                                               cfg.eq7_as_printed)
     result = AttackResult(target=v0, attackers=(v0,), budget=cfg.budget,
                           mode=DIRECT, constrained=False)
+    ahat, dtilde = na.ahat, na.dtilde
     row2 = na.square_row(v0)
     result.initial_loss = loss_from_logits(row2 @ cvals, c_old)
 
@@ -461,7 +420,7 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 
         best: _Best | None = None
         if cfg.perturb_structure:
-            grad = _structure_gradient(na, row2, q, v0)
+            grad = _structure_gradient(ahat, dtilde, row2, q, v0)
             a_row = g.adjacency_row(v0).astype(bool)
             usable = np.where(a_row, grad < 0.0, grad > 0.0)
             usable[v0] = False
@@ -491,9 +450,10 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
             m, n = best.u, best.v
             a_mn = int(g.has_edge(m, n))
             degree_state.commit_edge(int(g.degrees[m]), int(g.degrees[n]), a_mn)
-            na.apply_edge_flip(g, m, n)
+            row2 = updated_square_row_from(row2, dtilde, g, m, n, v0)
             g.flip_edge_inplace(m, n)
-            row2 = na.square_row(v0)
+            ahat = normalized_adjacency_matrix(g)
+            dtilde = g.degrees.astype(np.float64) + 1.0
         else:
             sign = 1.0 if best.insert else -1.0
             cvals[best.u] += sign * w[best.v]

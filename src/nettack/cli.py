@@ -17,7 +17,8 @@ from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import DataSplit, extract_lcc, load_bundle, load_bundle_stats, make_split, save_bundle
 from .experiment import ExperimentPlan, run_experiment, table3_csv
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
-from .surrogate import NormalizedAdjacency, SurrogateModel, train_surrogate
+from .surrogate import (NormalizedAdjacency, SurrogateModel, TrainingError,
+                        train_surrogate)
 from .synthetic import planted_partition
 
 
@@ -46,7 +47,7 @@ def _cmd_lcc(args) -> int:
     sub, mapping = extract_lcc(g)
     save_bundle(sub, args.output)
     map_path = Path(args.output) / "lcc_mapping.json"
-    map_path.write_text(json.dumps([int(x) for x in mapping]) + "\n")
+    map_path.write_text(json.dumps([int(x) for x in mapping], allow_nan=False) + "\n")
     print(f"largest component: {sub.n_nodes} nodes, {sub.n_edges} edges "
           f"(of {g.n_nodes}/{g.n_edges})")
     return 0
@@ -73,7 +74,7 @@ def _cmd_train_surrogate(args) -> int:
     na = NormalizedAdjacency.build(g)
     model = train_surrogate(g, na, split)
     Path(args.output).write_text(
-        json.dumps(model.to_dict(), sort_keys=True) + "\n")
+        json.dumps(model.to_dict(), sort_keys=True, allow_nan=False) + "\n")
     print(f"surrogate trained: epochs={model.epochs_run} "
           f"val_loss={model.validation_loss:.6f}")
     return 0
@@ -121,7 +122,7 @@ def _cmd_evaluate(args) -> int:
         report = poisoning_eval(g, split, targets, runs=args.runs,
                                 base_seed=args.seed, config=cfg)
     Path(args.output).write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+        json.dumps(report.to_dict(), sort_keys=True, indent=1, allow_nan=False) + "\n")
     print(f"{args.mode} fraction_correct={report.fraction_correct:.4f} "
           f"targets={len(targets)}")
     return 0
@@ -239,7 +240,11 @@ def main(argv=None) -> int:
         print("--structure-only and --features-only are mutually exclusive",
               file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (TrainingError, ValueError) as exc:  # GraphError and BundleError are ValueErrors
+        print(f"nettack: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -133,14 +133,6 @@ class DegreeTestState:
                    n_cur=n, log_sum_cur=log_sum, as_printed=as_printed)
 
     @property
-    def sample_size(self) -> int:
-        return self.n_cur
-
-    @property
-    def log_degree_sum(self) -> float:
-        return self.log_sum_cur
-
-    @property
     def alpha(self) -> float:
         return alpha_from_stats(self.n_cur, self.log_sum_cur, self.d_min)
 
@@ -186,16 +178,6 @@ class DegreeTestState:
 
     def edge_allowed(self, d_m: int, d_n: int, a_mn: int) -> bool:
         return self.evaluate_edge(d_m, d_n, a_mn).lam < self.tau
-
-    def clone(self) -> "DegreeTestState":
-        return DegreeTestState(**self.__dict__)
-
-
-def degree_test_incremental(state: DegreeTestState, d_m: int, d_n: int,
-                            a_mn: int) -> tuple[float, float, float]:
-    """(alpha', log-likelihood', lambda') for one candidate edge flip."""
-    c = state.evaluate_edge(d_m, d_n, a_mn)
-    return c.alpha_new, c.loglik_new, c.lam
 
 
 @dataclass

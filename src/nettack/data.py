@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import AttributedGraph, GraphError, connected_components
+from .graph import AttributedGraph, GraphError, connected_components, induced_subgraph
 
 log = logging.getLogger(__name__)
 
@@ -187,18 +187,7 @@ def extract_lcc(g: AttributedGraph) -> tuple[AttributedGraph, np.ndarray]:
         raise GraphError("cannot extract a component from an empty graph")
     comps = connected_components(g)
     best = max(comps, key=lambda c: (len(c), -c[0]))
-    mapping = np.asarray(best, dtype=np.int64)  # sorted ascending
-    inverse = {orig: new for new, orig in enumerate(mapping)}
-    sub = AttributedGraph(len(best), g.n_features, n_classes=g.n_classes,
-                          labels=g.labels[mapping])
-    for new_u, orig_u in enumerate(mapping):
-        for orig_v in g.neighbors(orig_u):
-            new_v = inverse.get(orig_v)
-            if new_v is not None and new_u < new_v:
-                sub.flip_edge_inplace(new_u, new_v)
-        for i in g.features_of(orig_u):
-            sub.flip_feature_inplace(new_u, i)
-    return sub, mapping
+    return induced_subgraph(g, best)
 
 
 def make_split(g: AttributedGraph, seed: int) -> DataSplit:

@@ -27,7 +27,7 @@ from .attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER, apply_resul
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import BUNDLE_FILES, DataSplit, load_bundle, make_split
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
-from .graph import AttributedGraph
+from .graph import AttributedGraph, induced_subgraph
 from .surrogate import (NormalizedAdjacency, SurrogateModel, softmax,
                         surrogate_logits, train_surrogate)
 
@@ -167,18 +167,7 @@ def limited_knowledge_subgraph(g: AttributedGraph, v0: int,
                 chosen.append(u)
                 if len(chosen) == target_n:
                     break
-    mapping = np.asarray(sorted(chosen), dtype=np.int64)
-    inverse = {orig: new for new, orig in enumerate(mapping)}
-    sub = AttributedGraph(len(mapping), g.n_features, n_classes=g.n_classes,
-                          labels=g.labels[mapping])
-    for new_u, orig_u in enumerate(mapping):
-        for orig_v in g.neighbors(orig_u):
-            new_v = inverse.get(orig_v)
-            if new_v is not None and new_u < new_v:
-                sub.flip_edge_inplace(new_u, new_v)
-        for i in g.features_of(orig_u):
-            sub.flip_feature_inplace(new_u, i)
-    return sub, mapping
+    return induced_subgraph(g, chosen)
 
 
 def degree_bucket_report(rows) -> list[dict]:
@@ -310,7 +299,8 @@ def _run_one_seed(plan: ExperimentPlan, seed: int) -> SeedOutcome:
                 "replay_audit": audit,
             }
             run_path = runs_dir / f"seed{seed}_{attack}_t{v0}.json"
-            run_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+            run_path.write_text(json.dumps(payload, sort_keys=True, indent=1,
+                                           allow_nan=False) + "\n")
     return out
 
 
@@ -365,10 +355,12 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     Honors NETTACK_WORKERS for seed-level parallelism; results are merged
     in seed order so outputs stay byte-identical either way.
     """
+    raw = os.environ.get("NETTACK_WORKERS", "1")
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"NETTACK_WORKERS must be an integer >= 1, got {raw!r}")
+    workers = int(raw)
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    workers = int(os.environ.get("NETTACK_WORKERS", "1"))
     seeds = list(plan.seeds)
     if workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -440,7 +432,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         "targets": {str(o.seed): o.targets.all for o in outcomes},
     }
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+        json.dumps(manifest, sort_keys=True, indent=1, allow_nan=False) + "\n")
     return manifest
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DataSplit
-from .graph import AttributedGraph
+from .graph import AttributedGraph, nan_to_none
 from .surrogate import TrainingError, normalized_adjacency_matrix, softmax
 
 
@@ -68,7 +68,7 @@ class MarginReport:
             "targets": [{"node": t.node, "margin": t.margin,
                          "correct_fraction": t.correct_fraction}
                         for t in self.targets],
-            "fraction_correct": self.fraction_correct,
+            "fraction_correct": nan_to_none(self.fraction_correct),
         }
 
 

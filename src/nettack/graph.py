@@ -23,6 +23,17 @@ class GraphError(ValueError):
     """Invalid graph operation or malformed graph data."""
 
 
+def nan_to_none(x: float) -> float | None:
+    """JSON form of a float: strict JSON has no NaN, so NaN becomes null."""
+    x = float(x)
+    return None if np.isnan(x) else x
+
+
+def none_to_nan(x: float | None) -> float:
+    """Inverse of `nan_to_none` for values read back from JSON."""
+    return float("nan") if x is None else float(x)
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """One applied flip: an edge (u, v) or a feature (u, v) where v is a feature id."""
@@ -49,14 +60,14 @@ class Perturbation:
             "u": int(self.u),
             "v": int(self.v),
             "insert": bool(self.insert),
-            "score": float(self.score),
+            "score": nan_to_none(self.score),
         }
 
     @staticmethod
     def from_dict(d: dict) -> "Perturbation":
         return Perturbation(
             kind=d["kind"], u=int(d["u"]), v=int(d["v"]),
-            insert=bool(d["insert"]), score=float(d.get("score", float("nan"))),
+            insert=bool(d["insert"]), score=none_to_nan(d.get("score")),
         )
 
 
@@ -310,3 +321,24 @@ def connected_components(g: AttributedGraph) -> list[list[int]]:
                     queue.append(v)
         comps.append(sorted(comp))
     return comps
+
+
+def induced_subgraph(g: AttributedGraph,
+                     nodes) -> tuple[AttributedGraph, np.ndarray]:
+    """Node-induced subgraph on `nodes` with densely remapped ids.
+
+    Returns the subgraph, whose node k is the k-th smallest of `nodes`,
+    and the array mapping new id -> original id.
+    """
+    mapping = np.asarray(sorted(nodes), dtype=np.int64)
+    inverse = {orig: new for new, orig in enumerate(mapping)}
+    sub = AttributedGraph(len(mapping), g.n_features, n_classes=g.n_classes,
+                          labels=g.labels[mapping])
+    for new_u, orig_u in enumerate(mapping):
+        for orig_v in g.neighbors(orig_u):
+            new_v = inverse.get(orig_v)
+            if new_v is not None and new_u < new_v:
+                sub.flip_edge_inplace(new_u, new_v)
+        for i in g.features_of(orig_u):
+            sub.flip_feature_inplace(new_u, i)
+    return sub, mapping

@@ -52,105 +52,25 @@ class NormalizedAdjacency:
         """Dense row u of the squared normalized adjacency."""
         return np.asarray(self.ahat2[u].todense()).ravel()
 
-    def verify_against(self, g: AttributedGraph, tol: float = 1e-10) -> None:
-        """Debug check: compare cached matrices with a fresh build."""
-        fresh = NormalizedAdjacency.build(g)
-        if not np.allclose(self.dtilde, fresh.dtilde):
-            raise TrainingError("degree cache inconsistent with graph")
-        if np.abs(self.ahat - fresh.ahat).max() > tol:
-            raise TrainingError("normalized adjacency inconsistent with graph")
-        if np.abs(self.ahat2 - fresh.ahat2).max() > tol:
-            raise TrainingError("squared normalized adjacency inconsistent with graph")
-
     def apply_edge_flip(self, g: AttributedGraph, m: int, n: int) -> None:
-        """Update all cached matrices for a flip of edge (m, n).
+        """Rebuild all cached matrices for a flip of edge (m, n).
 
-        `g` must be the graph *before* the flip. The square is updated
-        in place from its old entries (no re-multiplication); the
-        normalized adjacency itself is rescaled directly.
+        `g` must be the graph *before* the flip; it is left unchanged.
         """
-        if m == n:
-            raise ValueError("self-loops are not allowed")
-        nn = g.n_nodes
-        d = self.dtilde
-        a_mn = 1.0 if g.has_edge(m, n) else 0.0
-        x = 1.0 - 2.0 * a_mn
-        dp = d.copy()
-        dp[m] += x
-        dp[n] += x
-
-        # Rescale the stored square back to the unnormalized two-step sums.
-        sq = sp.diags(np.sqrt(d))
-        t = (sq @ self.ahat2 @ sq).tocsr()
-
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-
-        def add(r: int, c: int, v: float) -> None:
-            if v != 0.0:
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
-
-        for k, other in ((m, n), (n, m)):
-            nbrs = g.neighbors(k)
-            # Row term: self-loop row of k rescaled by its new degree.
-            touched = set(nbrs) | {k, other}
-            for v in touched:
-                atil = 1.0 if (v in nbrs or v == k) else 0.0
-                atil_new = atil if v != other else 1.0 - atil
-                add(k, v, atil_new / dp[k] - atil / d[k])
-            # Column term: plain adjacency column of k under its new degree.
-            for u in set(nbrs) | {other}:
-                a_uk = 1.0 if u in nbrs else 0.0
-                a_uk_new = a_uk if u != other else 1.0 - a_uk
-                add(u, k, a_uk_new / dp[k] - a_uk / d[k])
-            # Two-step-through-k term: outer product of k's neighbor set.
-            old = sorted(nbrs)
-            new = sorted((nbrs - {other}) if a_mn else (nbrs | {other}))
-            for u in old:
-                for v in old:
-                    add(u, v, -1.0 / d[k])
-            for u in new:
-                for v in new:
-                    add(u, v, 1.0 / dp[k])
-
-        if rows:
-            delta = sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn))
-            t = t + delta.tocsr()
-
-        inv = sp.diags(1.0 / np.sqrt(dp))
-        ahat2 = (inv @ t @ inv).tocsr()
-        ahat2.data[np.abs(ahat2.data) < PRUNE_EPS] = 0.0
-        ahat2.eliminate_zeros()
-        self.ahat2 = ahat2
-
-        # One-step matrix: exact rebuild from the post-flip adjacency
-        # (cheap relative to the square; avoids rescaling drift).
-        flip = sp.coo_matrix(([x, x], ([m, n], [n, m])), shape=(nn, nn))
-        atilde = (g.adjacency_matrix() + flip.tocsr()
-                  + sp.identity(nn, format="csr", dtype=np.float64))
-        self.ahat = (inv @ atilde @ inv).tocsr()
-        self.dtilde = dp
-
-
-def updated_square_row(na: NormalizedAdjacency, g: AttributedGraph,
-                       m: int, n: int, node: int) -> np.ndarray:
-    """Row `node` of the squared normalized adjacency after flipping (m, n).
-
-    Constant work per entry: the row is produced from the cached old row
-    plus corrections confined to the flip endpoints and their neighbors,
-    vectorized over columns. `g` must be the graph before the flip.
-    """
-    row = na.square_row(node)
-    return updated_square_row_from(row, na.dtilde, g, m, n, node)
+        fresh = NormalizedAdjacency.build(g.flip_edge(m, n))
+        self.ahat, self.ahat2, self.dtilde = fresh.ahat, fresh.ahat2, fresh.dtilde
 
 
 def updated_square_row_from(row: np.ndarray, dtilde: np.ndarray,
                             g: AttributedGraph, m: int, n: int,
                             node: int) -> np.ndarray:
-    """Same update as `updated_square_row` but from an explicit dense row."""
+    """Row `node` of the squared normalized adjacency after flipping (m, n).
+
+    Constant work per entry: the row is produced from its old dense value
+    `row` (under the self-loop degrees `dtilde`) plus corrections confined
+    to the flip endpoints and their neighbors, vectorized over columns.
+    `g` must be the graph before the flip.
+    """
     if m == n:
         raise ValueError("self-loops are not allowed")
     u = node
@@ -300,11 +220,6 @@ def surrogate_logits(na: NormalizedAdjacency, g: AttributedGraph,
                      model: SurrogateModel) -> np.ndarray:
     """Pre-softmax class scores for every node, shape (N, K)."""
     return propagated_features(na, g) @ model.weights
-
-
-def surrogate_predictions(na: NormalizedAdjacency, g: AttributedGraph,
-                          model: SurrogateModel) -> np.ndarray:
-    return np.argmax(surrogate_logits(na, g, model), axis=1)
 
 
 def loss_from_logits(logits_row: np.ndarray, c_old: int) -> float:

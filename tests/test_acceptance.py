@@ -27,7 +27,7 @@ from nettack.gcn import gcn_loss_and_grads
 from nettack.graph import AttributedGraph
 from nettack.surrogate import (NormalizedAdjacency, infer_old_class,
                                normalized_adjacency_matrix, train_surrogate,
-                               updated_square_row)
+                               updated_square_row_from)
 from nettack.synthetic import planted_partition
 from helpers import dense_square, random_graph, surrogate_loss_scratch, zeta_sample
 from test_attack import exhaustive_best_single_flip
@@ -58,7 +58,8 @@ def test_criterion_1_incremental_square_rows():
                 continue
             done += 1
             v0 = int(rng.integers(n_nodes))
-            got = updated_square_row(na, g, int(m), int(n), v0)
+            got = updated_square_row_from(na.square_row(v0), na.dtilde, g,
+                                          int(m), int(n), v0)
             want = dense_square(g.flip_edge(int(m), int(n)))[v0]
             worst = max(worst, float(np.abs(got - want).max()))
             checked += 1

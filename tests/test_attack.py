@@ -1,20 +1,35 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nettack.attack import (AttackConfig, DIRECT, INFLUENCER, apply_result,
-                            candidate_edges, candidate_features, fgsm_baseline,
-                            replay_constraints, resolve_attackers, rnd_baseline,
-                            run_nettack, score_features, score_structure)
+from nettack.attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER,
+                            apply_result, candidate_edges, candidate_features,
+                            fgsm_baseline, replay_constraints, resolve_attackers,
+                            rnd_baseline, run_nettack, score_features)
 from nettack.constraints import (DegreeTestState, build_cooccurrence,
                                  feature_addition_allowed, lambda_statistic)
 from nettack.data import make_split
 from nettack.graph import AttributedGraph, EDGE, FEATURE
 from nettack.surrogate import (NormalizedAdjacency, SurrogateModel,
                                infer_old_class, loss_from_logits,
-                               surrogate_logits, train_surrogate)
+                               surrogate_logits, train_surrogate,
+                               updated_square_row_from)
 from helpers import random_graph, surrogate_loss_scratch
+
+
+def edge_score(g, na, model, v0, c_old, m, n):
+    """Loss after flipping (m, n), scored the way the greedy loop does."""
+    row = updated_square_row_from(na.square_row(v0), na.dtilde, g, m, n, v0)
+    return loss_from_logits(row @ (g.feature_matrix() @ model.weights), c_old)
+
+
+def feature_mask(g, u):
+    present = np.zeros(g.n_features, dtype=bool)
+    present[sorted(g.features_of(u))] = True
+    return present
 
 
 def trained_instance(n=30, p=0.15, seed=1, n_features=8, n_classes=3):
@@ -92,20 +107,17 @@ def test_candidate_features_rules():
     g = random_graph(10, 0.2, seed=9, n_features=6, p_feat=0.3)
     coidx = build_cooccurrence(g)
     a = 4
-    cfg = AttackConfig(target=a, budget=1)
-    cands = set(candidate_features(g, cfg, coidx))
+    cands = candidate_features(feature_mask(g, a), coidx.allowed_additions(a))
     for i in range(6):
-        present = g.has_feature(a, i)
-        if present:
-            assert (a, i) in cands  # removal always legal
-        elif not feature_addition_allowed(coidx, a, i):
-            assert (a, i) not in cands
+        if g.has_feature(a, i):
+            assert cands[i]  # removal always legal
+        else:
+            assert cands[i] == feature_addition_allowed(coidx, a, i)
 
 
 def test_candidate_features_unconstrained_full_grid():
     g = random_graph(10, 0.2, seed=10, n_features=7)
-    cfg = AttackConfig(target=2, budget=1, constrained=False)
-    assert len(candidate_features(g, cfg, None)) == 7  # |A| * D with A = {v0}
+    assert candidate_features(feature_mask(g, 2), None).sum() == 7  # all of D
 
 
 # -- scoring ---------------------------------------------------------------
@@ -123,7 +135,7 @@ def test_score_structure_zero_effect_flip():
     v0, c_old = 0, 0
     cur = loss_from_logits(
         na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)
-    got = score_structure((8, 11), g, na, model, v0, c_old)
+    got = edge_score(g, na, model, v0, c_old, 8, 11)
     assert got == pytest.approx(cur, abs=1e-12)
 
 
@@ -136,7 +148,7 @@ def test_score_structure_matches_rebuild_oracle():
         m, n = rng.integers(30, size=2)
         if m == n:
             continue
-        got = score_structure((int(m), int(n)), g, na, model, v0, c_old)
+        got = edge_score(g, na, model, v0, c_old, int(m), int(n))
         want = surrogate_loss_scratch(g.flip_edge(int(m), int(n)),
                                       model.weights, v0, c_old)
         assert got == pytest.approx(want, abs=1e-9)
@@ -156,7 +168,7 @@ def test_best_structural_flip_strictly_improves():
     c_old = int(g.labels[v0] - 1)
     cur = loss_from_logits(
         na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)
-    best = max(score_structure((min(v0, x), max(v0, x)), g, na, model, v0, c_old)
+    best = max(edge_score(g, na, model, v0, c_old, min(v0, x), max(v0, x))
                for x in range(12) if x != v0)
     assert best > cur
 
@@ -169,65 +181,44 @@ def test_score_features_outside_two_hop_is_current_loss():
     na = NormalizedAdjacency.build(g)
     model = SurrogateModel(weights=np.array([[2.0, -2.0], [-2.0, 2.0]]), n_classes=2)
     v0, c_old = 0, 0
-    cur = loss_from_logits(
-        na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)
-    scores = score_features(g, na, model, v0, c_old, [(9, 0), (9, 1)])
-    assert scores[(9, 0)] == pytest.approx(cur, abs=1e-12)
-    assert scores[(9, 1)] == pytest.approx(cur, abs=1e-12)
+    row = na.square_row(v0)
+    logits = row @ (g.feature_matrix() @ model.weights)
+    cur = loss_from_logits(logits, c_old)
+    scores = score_features(row, logits, model.weights, 9, feature_mask(g, 9), c_old)
+    assert scores == pytest.approx([cur, cur], abs=1e-12)
 
 
-def test_score_features_exact_when_argmax_stable():
-    # The frozen-class score equals the re-evaluated loss whenever the
-    # flip does not change which wrong class is best (re-evaluation oracle).
+def test_score_features_match_rebuild_oracle():
+    # Every feature of the target and of a neighbor: the score is the
+    # loss of a full rebuild of the flipped graph.
     g, na, model = trained_instance(n=25, p=0.2, seed=6, n_features=10)
     v0 = 3
     c_old = infer_old_class(na, g, model, v0)
-    logits = surrogate_logits(na, g, model)[v0]
-    masked = logits.copy()
-    masked[c_old] = -np.inf
-    c_frozen = int(np.argmax(masked))
-    cands = [(u, i) for u in (v0, 4) for i in range(10)]
-    scores = score_features(g, na, model, v0, c_old, cands)
-    checked = 0
-    for (u, i), s in scores.items():
-        g2 = g.flip_feature(u, i)
-        logits2 = NormalizedAdjacency.build(g2).square_row(v0) \
-            @ (g2.feature_matrix() @ model.weights)
-        masked2 = np.asarray(logits2).ravel().copy()
-        masked2[c_old] = -np.inf
-        if int(np.argmax(masked2)) != c_frozen:
-            continue  # the score contract only binds when the argmax is stable
-        x_ui = 1.0 if g.has_feature(u, i) else 0.0
-        grad = na.square_row(v0)[u] * (model.weights[i, c_frozen]
-                                       - model.weights[i, c_old])
-        if (2 * x_ui - 1) * grad >= 0:
-            continue  # disallowed direction keeps the old score by contract
-        exact = surrogate_loss_scratch(g2, model.weights, v0, c_old)
-        assert s == pytest.approx(exact, abs=1e-9)
-        checked += 1
-    assert checked >= 3  # the instance must actually exercise the equality
-
-
-def test_score_features_disallowed_direction_keeps_current():
-    g, na, model = trained_instance(n=20, p=0.2, seed=7, n_features=8)
-    v0 = 2
-    c_old = infer_old_class(na, g, model, v0)
     row = na.square_row(v0)
-    w = model.weights
     logits = surrogate_logits(na, g, model)[v0]
-    cur = loss_from_logits(logits, c_old)
-    masked = logits.copy()
-    masked[c_old] = -np.inf
-    c = int(np.argmax(masked))
-    cands = [(v0, i) for i in range(8)]
-    scores = score_features(g, na, model, v0, c_old, cands)
-    for (u, i), s in scores.items():
-        x_ui = 1.0 if g.has_feature(u, i) else 0.0
-        grad = row[u] * (w[i, c] - w[i, c_old])
-        if (2 * x_ui - 1) * grad >= 0:
-            assert s == pytest.approx(cur, abs=1e-12)
-        else:
-            assert s == pytest.approx(cur + abs(grad), abs=1e-12)
+    for u in (v0, 4):
+        scores = score_features(row, logits, model.weights, u, feature_mask(g, u), c_old)
+        for i in range(10):
+            exact = surrogate_loss_scratch(g.flip_feature(u, i), model.weights, v0, c_old)
+            assert scores[i] == pytest.approx(exact, abs=1e-9)
+
+
+def test_score_features_best_wrong_class_switch_exact():
+    # Adding feature 1 at the target lifts class 2 above the best wrong
+    # class 1. A gradient score against the frozen class 1 sees no change
+    # (w[1, 1] == w[1, 0]); the exact score follows the switch.
+    g = AttributedGraph.from_edges(2, 2, [(0, 1)], [(0, 0), (1, 0)],
+                                   labels=np.array([1, 1]), n_classes=3)
+    na = NormalizedAdjacency.build(g)
+    w = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 5.0]])
+    v0, c_old = 0, 0
+    row = na.square_row(v0)
+    logits = row @ (g.feature_matrix() @ w)
+    assert int(np.argmax(logits[1:])) + 1 == 1  # best wrong class before
+    scores = score_features(row, logits, w, v0, feature_mask(g, v0), c_old)
+    exact = surrogate_loss_scratch(g.flip_feature(v0, 1), w, v0, c_old)
+    assert exact == pytest.approx(0.5, abs=1e-12)  # class 2 now leads
+    assert scores[1] == pytest.approx(exact, abs=1e-12)
 
 
 # -- greedy loop -----------------------------------------------------------
@@ -480,12 +471,26 @@ def test_attack_config_validation():
                      perturb_features=False)
 
 
+def test_rnd_without_model_strict_json_round_trip(tmp_path):
+    # No model means no losses: NaN values are written as null and read
+    # back as NaN.
+    g = random_graph(25, 0.1, seed=17)
+    res = rnd_baseline(g, AttackConfig(target=3, budget=2, seed=9))
+    res.save(tmp_path / "r.json")
+    d = json.loads((tmp_path / "r.json").read_text(),
+                   parse_constant=lambda t: pytest.fail(f"bare {t} in JSON"))
+    assert d["initial_loss"] is None
+    assert d["loss_trace"] == [None, None]
+    assert all(p["score"] is None for p in d["perturbations"])
+    back = AttackResult.from_dict(d)
+    assert np.isnan(back.initial_loss) and np.isnan(back.loss_trace).all()
+    assert np.isnan([p.score for p in back.perturbations]).all()
+
+
 def test_result_json_round_trip(tmp_path):
     g, na, model = trained_instance()
     res = run_nettack(g, model, AttackConfig(target=2, budget=2), na=na)
     res.save(tmp_path / "r.json")
-    import json
     loaded = json.loads((tmp_path / "r.json").read_text())
-    from nettack.attack import AttackResult
     back = AttackResult.from_dict(loaded)
     assert back.to_dict() == res.to_dict()

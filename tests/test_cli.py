@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nettack
 from nettack.cli import main
 from nettack.data import extract_lcc, load_bundle, save_bundle
 from nettack.synthetic import planted_partition
@@ -16,6 +21,21 @@ def bundle(tmp_path_factory):
     path = root / "bundle"
     save_bundle(g, path)
     return root, path, g
+
+
+def strict_loads(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def run_cli(args, **env):
+    """Run the CLI in a fresh process: (exit code, stderr lines)."""
+    src = str(Path(nettack.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "nettack.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, **env})
+    return proc.returncode, proc.stderr.splitlines()
 
 
 def test_synth_and_lcc(tmp_path):
@@ -87,6 +107,39 @@ def test_attack_baselines(bundle, tmp_path):
                      "--out", str(out)]) == 0
         res = json.loads(out.read_text())
         assert len(res["perturbations"]) <= 2
+
+
+def test_attack_rnd_output_is_strict_json(bundle, tmp_path):
+    root, path, _ = bundle
+    out = tmp_path / "rnd.json"
+    assert main(["attack", "--in", str(path), "--baseline", "rnd",
+                 "--target", "7", "--budget", "2", "--seed", "2",
+                 "--out", str(out)]) == 0
+    res = strict_loads(out.read_text())
+    assert res["perturbations"]
+    assert all(p["score"] is None for p in res["perturbations"])  # RND scores nothing
+
+
+def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
+    root, path, _ = bundle
+    rc, err = run_cli(["attack", "--in", str(path), "--target", "99999",
+                       "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("nettack: error: ")
+    assert "99999" in err[0]
+
+
+def test_experiment_bad_workers_clean_error(bundle, tmp_path):
+    root, path, _ = bundle
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"dataset": str(path), "seeds": [1],
+                                     "out_dir": str(tmp_path / "out")}))
+    rc, err = run_cli(["experiment", "--plan", str(plan_path)],
+                      NETTACK_WORKERS="abc")
+    assert rc == 2
+    assert len(err) == 1 and "NETTACK_WORKERS" in err[0] and "'abc'" in err[0]
+    assert not any("Traceback" in line for line in err)
+    assert not (tmp_path / "out").exists()  # rejected before any output
 
 
 def test_attack_mode_flags_mutually_exclusive(bundle, tmp_path):

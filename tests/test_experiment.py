@@ -155,6 +155,21 @@ def test_run_experiment_outputs_exist(tiny_experiment):
         assert (out / name).exists()
 
 
+def test_run_experiment_outputs_are_strict_json(tiny_experiment):
+    root, _, _, _ = tiny_experiment
+    out = root / "out"
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    rnd_files = sorted((out / "runs").glob("*_rnd_*.json"))
+    assert rnd_files
+    for path in sorted((out / "runs").glob("*.json")) + [out / "manifest.json"]:
+        json.loads(path.read_text(), parse_constant=reject)
+    for path in rnd_files:
+        res = json.loads(path.read_text())["result"]
+        assert all(p["score"] is None for p in res["perturbations"])
+
+
 def test_run_experiment_deterministic_reruns(tiny_experiment):
     root, plan, _, _ = tiny_experiment
     out = root / "out"
