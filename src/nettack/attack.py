@@ -115,6 +115,11 @@ class AttackResult:
                                           allow_nan=False) + "\n")
 
 
+def _check_target(g: AttributedGraph, v0: int) -> None:
+    if not 0 <= v0 < g.n_nodes:
+        raise GraphError(f"target {v0} out of range [0, {g.n_nodes})")
+
+
 def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
     """Attacker set for a run: the target itself, or seeded influencers.
 
@@ -126,7 +131,7 @@ def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
     if cfg.mode == DIRECT:
         return (cfg.target,)
     rng = np.random.default_rng(cfg.seed)
-    nbrs = sorted(g.neighbors(cfg.target))
+    nbrs = g.neighbors(cfg.target).tolist()
     want = cfg.n_influencers
     if len(nbrs) >= want:
         picked = sorted(rng.choice(nbrs, size=want, replace=False).tolist())
@@ -144,7 +149,7 @@ def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
 def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
                     degree_state: DegreeTestState | None = None,
                     attackers: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
-    """Admissible edge flips as sorted (m, n) pairs with m < v.
+    """Admissible edge flips as sorted (m, n) pairs with m < n.
 
     A pair is admissible when one endpoint is an attacker, the flip keeps
     the degree-test statistic under the threshold (when a state is given),
@@ -153,29 +158,23 @@ def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
     """
     if attackers is None:
         attackers = resolve_attackers(g, cfg)
-    v0 = cfg.target
-    degs = g.degrees
-    out = []
-    seen: set[tuple[int, int]] = set()
-    for a in attackers:
-        for b in range(g.n_nodes):
-            if b == a:
-                continue
-            pair = (a, b) if a < b else (b, a)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            if cfg.mode == INFLUENCER and v0 in pair:
-                continue
-            is_edge = b in g.neighbors(a)
-            if is_edge and v0 in pair and degs[v0] == 1:
-                continue  # removing the target's last edge degenerates its row
-            if degree_state is not None and not degree_state.edge_allowed(
-                    int(degs[pair[0]]), int(degs[pair[1]]), int(is_edge)):
-                continue
-            out.append(pair)
-    out.sort()
-    return out
+    v0, degs = cfg.target, g.degrees
+    others = np.arange(g.n_nodes)
+    pairs = np.concatenate([np.c_[np.minimum(a, others), np.maximum(a, others)]
+                            for a in attackers])
+    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    is_edge = np.asarray(g.adj[pairs[:, 0], pairs[:, 1]]).ravel()
+    at_target = (pairs == v0).any(axis=1)
+    if cfg.mode == INFLUENCER:
+        keep = ~at_target
+    else:  # removing the target's last edge degenerates its row
+        keep = ~(at_target & is_edge & (degs[v0] == 1))
+    pairs, is_edge = pairs[keep], is_edge[keep]
+    if degree_state is not None:
+        allowed = [degree_state.edge_allowed(int(degs[m]), int(degs[n]), int(e))
+                   for (m, n), e in zip(pairs.tolist(), is_edge.tolist())]
+        pairs = pairs[np.asarray(allowed, dtype=bool)]
+    return [(m, n) for m, n in pairs.tolist()]
 
 
 def candidate_features(present: np.ndarray,
@@ -236,11 +235,8 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     target and the degree-test state advance incrementally per step.
     """
     v0 = cfg.target
-    if not 0 <= v0 < g0.n_nodes:
-        raise GraphError(f"target {v0} out of range")
+    _check_target(g0, v0)
     attackers = resolve_attackers(g0, cfg)
-    if cfg.mode == DIRECT and set(attackers) != {v0}:
-        raise ValueError("direct mode requires attackers == {target}")
 
     if na is None:
         na = NormalizedAdjacency.build(g0)
@@ -269,16 +265,17 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
             gate = degree_state if cfg.constrained else None
             for (m, n) in candidate_edges(g, cfg, gate, attackers):
                 new_row = updated_square_row_from(row, dtilde, g, m, n, v0)
-                cand = _Best(score=loss_from_logits(new_row @ cvals, c_old),
-                             kind=EDGE, u=m, v=n, insert=not g.has_edge(m, n))
-                if cand.beats(best):
-                    best = cand
+                score = loss_from_logits(new_row @ cvals, c_old)
+                if best is None or score > best.score:  # pairs come sorted
+                    best = _Best(score=score, kind=EDGE, u=m, v=n, insert=False)
+            if best is not None:  # the direction is only needed for the winner
+                best.insert = not g.has_edge(best.u, best.v)
 
         if cfg.perturb_features:
             logits = row @ cvals
             for a in attackers:
                 present = np.zeros(g.n_features, dtype=bool)
-                present[sorted(g.features_of(a))] = True
+                present[g.features_of(a)] = True
                 losses = score_features(row, logits, w, a, present, c_old)
                 idx = np.flatnonzero(candidate_features(present, allowed_add[a]))
                 for i in idx[np.argsort(-losses[idx], kind="stable")[:1]]:
@@ -293,9 +290,9 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 
         if best.kind == EDGE:
             m, n = best.u, best.v
-            a_mn = int(g.has_edge(m, n))
             row = updated_square_row_from(row, dtilde, g, m, n, v0)
-            degree_state.commit_edge(int(g.degrees[m]), int(g.degrees[n]), a_mn)
+            degree_state.commit_edge(int(g.degrees[m]), int(g.degrees[n]),
+                                     int(not best.insert))
             g.flip_edge_inplace(m, n)
         else:
             a, i = best.u, best.v
@@ -322,6 +319,7 @@ def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig,
                  na: NormalizedAdjacency | None = None) -> AttackResult:
     """Random cross-class edge insertions at the target, no constraints."""
     v0 = cfg.target
+    _check_target(g0, v0)
     c0 = int(g0.labels[v0])
     if c0 == 0:
         raise GraphError("random baseline needs the target's ground-truth label")
@@ -343,10 +341,10 @@ def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig,
         result.initial_loss = loss_from_logits(row @ cvals, c_old)
 
     for _ in range(cfg.budget):
-        pool = [u for u in range(g.n_nodes)
-                if u != v0 and g.labels[u] != 0 and g.labels[u] != c0
-                and not g.has_edge(v0, u)]
-        if not pool:
+        # Labeled nodes of another class (so never v0) not yet linked to v0.
+        pool = np.flatnonzero((g.labels != 0) & (g.labels != c0)
+                              & (g.adjacency_row(v0) == 0))
+        if not len(pool):
             result.starved = True
             break
         u = int(pool[rng.integers(len(pool))])
@@ -397,6 +395,7 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     if cfg.mode != DIRECT:
         raise ValueError("the gradient baseline only runs as a direct attack")
     v0 = cfg.target
+    _check_target(g0, v0)
     if na is None:
         na = NormalizedAdjacency.build(g0)
     g = g0.copy()
@@ -432,7 +431,7 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
         if cfg.perturb_features:
             fgrad = row2[v0] * (w[:, c_best] - w[:, c_old])
             feat_mask = np.zeros(g.n_features, dtype=bool)
-            feat_mask[sorted(g.features_of(v0))] = True
+            feat_mask[g.features_of(v0)] = True
             usable = np.where(feat_mask, fgrad < 0.0, fgrad > 0.0)
             mag = np.where(usable, np.abs(fgrad), 0.0)
             if mag.max() > 0.0:
@@ -448,8 +447,8 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 
         if best.kind == EDGE:
             m, n = best.u, best.v
-            a_mn = int(g.has_edge(m, n))
-            degree_state.commit_edge(int(g.degrees[m]), int(g.degrees[n]), a_mn)
+            degree_state.commit_edge(int(g.degrees[m]), int(g.degrees[n]),
+                                     int(not best.insert))
             row2 = updated_square_row_from(row2, dtilde, g, m, n, v0)
             g.flip_edge_inplace(m, n)
             ahat = normalized_adjacency_matrix(g)
@@ -485,7 +484,7 @@ def replay_constraints(g0: AttributedGraph, result: AttackResult,
     """
     g = g0.copy()
     coidx = build_cooccurrence(g0)
-    deg0 = g0.degrees.copy()
+    deg0 = g0.degrees
     violations = []
     lam_trace = []
     for step, p in enumerate(result.perturbations):

@@ -242,7 +242,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (TrainingError, ValueError) as exc:  # GraphError and BundleError are ValueErrors
+    # GraphError and BundleError are ValueErrors; OSError covers unreadable paths.
+    except (TrainingError, ValueError, OSError) as exc:
         print(f"nettack: error: {exc}", file=sys.stderr)
         return 2
 

@@ -191,26 +191,22 @@ class CooccurrenceIndex:
 
     cooc: sp.csr_matrix          # binary feature-feature co-occurrence
     feature_degrees: np.ndarray  # degree of each feature in the co-occurrence graph
-    original_features: list[frozenset[int]]
+    features: sp.csr_matrix      # the clean graph's boolean node-feature matrix
     sigma: np.ndarray            # per-node acceptance threshold
     walk_rows: sp.csr_matrix     # cooc with row j scaled by 1/degree(j)
 
     def reach_probabilities(self, u: int) -> np.ndarray:
         """One-step reach probability from u's original features to each feature."""
-        s = self.original_features[u]
-        if not s:
+        idx = self.features[u].indices
+        if not len(idx):
             return np.zeros(self.cooc.shape[0], dtype=np.float64)
-        idx = sorted(s)
         p = np.asarray(self.walk_rows[idx].sum(axis=0)).ravel()
-        return p / len(s)
+        return p / len(idx)
 
     def allowed_additions(self, u: int) -> np.ndarray:
         """Boolean mask over features whose addition to u passes the test."""
-        s = self.original_features[u]
-        mask = np.zeros(self.cooc.shape[0], dtype=bool)
-        if s:
-            mask[self.reach_probabilities(u) > self.sigma[u]] = True
-            mask[sorted(s)] = True
+        mask = self.reach_probabilities(u) > self.sigma[u]
+        mask[self.features[u].indices] = True
         return mask
 
 
@@ -227,14 +223,11 @@ def build_cooccurrence(g0: AttributedGraph) -> CooccurrenceIndex:
     inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     walk_rows = (sp.diags(inv_deg) @ cooc).tocsr()
 
-    originals = [frozenset(g0.features_of(u)) for u in range(g0.n_nodes)]
-    sigma = np.zeros(g0.n_nodes, dtype=np.float64)
-    for u, s in enumerate(originals):
-        if s:
-            sigma[u] = 0.5 * sum(inv_deg[j] for j in s) / len(s)
-    return CooccurrenceIndex(cooc=cooc, feature_degrees=deg,
-                             original_features=originals, sigma=sigma,
-                             walk_rows=walk_rows)
+    n_feats = np.diff(g0.feat.indptr)
+    sigma = np.divide(0.5 * (g0.feat @ inv_deg), n_feats,
+                      out=np.zeros(g0.n_nodes), where=n_feats > 0)
+    return CooccurrenceIndex(cooc=cooc, feature_degrees=deg, features=g0.feat,
+                             sigma=sigma, walk_rows=walk_rows)
 
 
 def feature_addition_allowed(idx: CooccurrenceIndex, u: int, i: int) -> bool:
@@ -244,9 +237,4 @@ def feature_addition_allowed(idx: CooccurrenceIndex, u: int, i: int) -> bool:
     features admits no additions (the walk has nowhere to start).
     Removals are not gated and never reach this check.
     """
-    s = idx.original_features[u]
-    if i in s:
-        return True
-    if not s:
-        return False
-    return bool(idx.reach_probabilities(u)[i] > idx.sigma[u])
+    return bool(idx.allowed_additions(u)[i])

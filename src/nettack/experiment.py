@@ -17,7 +17,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +74,9 @@ class ExperimentPlan:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
+        unknown = sorted(set(d) - {f.name for f in fields(ExperimentPlan)})
+        if unknown:
+            raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
         d = dict(d)
         for key in ("seeds", "attacks", "limited_fractions"):
             if key in d:
@@ -154,7 +157,7 @@ def limited_knowledge_subgraph(g: AttributedGraph, v0: int,
     seen = {v0}
     ring = [v0]
     while len(chosen) < target_n and ring:
-        nxt = sorted({w for u in ring for w in g.neighbors(u)} - seen)
+        nxt = sorted(set(g.adj[ring].indices.tolist()) - seen)
         if not nxt:
             break
         take = nxt[:target_n - len(chosen)]
@@ -162,11 +165,8 @@ def limited_knowledge_subgraph(g: AttributedGraph, v0: int,
         seen.update(nxt)
         ring = nxt
     if len(chosen) < target_n:  # disconnected remainder, smallest ids first
-        for u in range(g.n_nodes):
-            if u not in seen:
-                chosen.append(u)
-                if len(chosen) == target_n:
-                    break
+        rest = np.setdiff1d(np.arange(g.n_nodes), list(seen))
+        chosen.extend(rest[:target_n - len(chosen)].tolist())
     return induced_subgraph(g, chosen)
 
 

@@ -1,19 +1,22 @@
-"""Sparse undirected attributed graph with constant-time flip bookkeeping.
+"""Sparse undirected attributed graph on two canonical boolean CSR matrices.
 
-The adjacency is kept as one neighbor set per node (row iteration in
-O(deg), membership in O(1)) together with a cached integer degree array,
-so the attack loops can read degrees without touching the sets. Features
-are binary and stored the same way. Labels are 1-based class ids with 0
-meaning "unlabeled".
+The adjacency (N x N, symmetric, zero diagonal) and the binary features
+(N x D) are each held as one boolean CSR matrix with sorted indices and
+no duplicates; nothing else is stored. Degrees and the edge count are
+read off the adjacency's `indptr`, matrix views are dtype casts, and a
+flip replaces the one matrix it changes by its XOR with the flipped
+entries, so copies can share matrices. Labels are 1-based class ids with
+0 meaning "unlabeled".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 EDGE = "edge"
 FEATURE = "feature"
@@ -71,10 +74,26 @@ class Perturbation:
         )
 
 
+def _bool_csr(rows, cols, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Canonical boolean CSR with True at each (row, col); repeats collapse."""
+    m = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
+    m.sum_duplicates()
+    return m
+
+
+def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise GraphError(f"{what} id {bad[0]} out of range [0, {n})")
+
+
 class AttributedGraph:
     """Undirected graph with binary node features and optional labels.
 
-    Invariants: adjacency symmetric, binary, zero diagonal; label ids in
+    `adj` and `feat` are canonical boolean CSR matrices. Treat them as
+    read-only: flips replace them, and copies share them.
+
+    Invariants: adjacency symmetric with zero diagonal; label ids in
     {0, 1..n_classes} where 0 marks an unlabeled node.
     """
 
@@ -85,10 +104,8 @@ class AttributedGraph:
         self.n_nodes = int(n_nodes)
         self.n_features = int(n_features)
         self.n_classes = int(n_classes)
-        self._adj: list[set[int]] = [set() for _ in range(n_nodes)]
-        self._feat: list[set[int]] = [set() for _ in range(n_nodes)]
-        self._degrees = np.zeros(n_nodes, dtype=np.int64)
-        self._n_edges = 0
+        self.adj = sp.csr_matrix((self.n_nodes, self.n_nodes), dtype=bool)
+        self.feat = sp.csr_matrix((self.n_nodes, self.n_features), dtype=bool)
         if labels is None:
             self.labels = np.zeros(n_nodes, dtype=np.int64)
         else:
@@ -104,28 +121,31 @@ class AttributedGraph:
 
     @classmethod
     def from_edges(cls, n_nodes: int, n_features: int,
-                   edges: Iterable[tuple[int, int]],
-                   features: Iterable[tuple[int, int]] = (),
+                   edges: Sequence[tuple[int, int]] | np.ndarray,
+                   features: Sequence[tuple[int, int]] | np.ndarray = (),
                    labels: np.ndarray | None = None,
                    n_classes: int = 0) -> "AttributedGraph":
+        """Graph with the given edges and (node, feature) pairs set.
+
+        Repeated and reversed pairs count once; self-loops and
+        out-of-range ids raise GraphError.
+        """
         g = cls(n_nodes, n_features, n_classes=n_classes, labels=labels)
-        for u, v in edges:
-            if not g.has_edge(u, v):
-                g.flip_edge_inplace(u, v)
-        for u, i in features:
-            if not g.has_feature(u, i):
-                g.flip_feature_inplace(u, i)
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        f = np.asarray(features, dtype=np.int64).reshape(-1, 2)
+        _check_ids(e.ravel(), g.n_nodes, "node")
+        _check_ids(f[:, 0], g.n_nodes, "node")
+        _check_ids(f[:, 1], g.n_features, "feature")
+        if np.any(e[:, 0] == e[:, 1]):
+            raise GraphError("self-loops are not allowed")
+        g.adj = _bool_csr(np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]],
+                          g.adj.shape)
+        g.feat = _bool_csr(f[:, 0], f[:, 1], g.feat.shape)
         return g
 
     def copy(self) -> "AttributedGraph":
         g = AttributedGraph.__new__(AttributedGraph)
-        g.n_nodes = self.n_nodes
-        g.n_features = self.n_features
-        g.n_classes = self.n_classes
-        g._adj = [set(s) for s in self._adj]
-        g._feat = [set(s) for s in self._feat]
-        g._degrees = self._degrees.copy()
-        g._n_edges = self._n_edges
+        g.__dict__.update(self.__dict__)
         g.labels = self.labels.copy()
         return g
 
@@ -141,53 +161,58 @@ class AttributedGraph:
 
     # -- queries ----------------------------------------------------------
 
+    @staticmethod
+    def _row(m: sp.csr_matrix, u: int) -> np.ndarray:
+        out = m.indices[m.indptr[u]:m.indptr[u + 1]]
+        out.flags.writeable = False
+        return out
+
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return v in self._adj[u]
+        return v in self._row(self.adj, u)
 
-    def neighbors(self, u: int) -> set[int]:
-        """Neighbor set of u. Treat as read-only."""
+    def neighbors(self, u: int) -> np.ndarray:
+        """Sorted neighbor ids of u (read-only)."""
         self._check_node(u)
-        return self._adj[u]
+        return self._row(self.adj, u)
 
     def degree(self, u: int) -> int:
         self._check_node(u)
-        return int(self._degrees[u])
+        return int(self.adj.indptr[u + 1] - self.adj.indptr[u])
 
     @property
     def degrees(self) -> np.ndarray:
-        """Cached degree array. Treat as read-only."""
-        return self._degrees
+        """Degree of every node."""
+        return np.diff(self.adj.indptr).astype(np.int64)
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
+        return self.adj.nnz // 2
 
     def has_feature(self, u: int, i: int) -> bool:
         self._check_node(u)
         self._check_feature(i)
-        return i in self._feat[u]
+        return i in self._row(self.feat, u)
 
-    def features_of(self, u: int) -> set[int]:
-        """Feature-id set of u. Treat as read-only."""
+    def features_of(self, u: int) -> np.ndarray:
+        """Sorted feature ids of u (read-only)."""
         self._check_node(u)
-        return self._feat[u]
+        return self._row(self.feat, u)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
-        return sorted((u, v) for u in range(self.n_nodes) for v in self._adj[u] if u < v)
+        a = sp.triu(self.adj, k=1, format="coo")
+        return list(zip(a.row.tolist(), a.col.tolist()))
 
     def feature_list(self) -> list[tuple[int, int]]:
-        return sorted((u, i) for u in range(self.n_nodes) for i in self._feat[u])
+        f = self.feat.tocoo()
+        return list(zip(f.row.tolist(), f.col.tolist()))
 
     def two_hop_neighborhood(self, u: int) -> set[int]:
         """Nodes reachable from u in at most two edges, including u itself."""
-        self._check_node(u)
-        out = {u} | self._adj[u]
-        for w in self._adj[u]:
-            out |= self._adj[w]
-        return out
+        nbrs = self.neighbors(u)
+        return set(np.r_[u, nbrs, self.adj[nbrs].indices].tolist())
 
     # -- flips ------------------------------------------------------------
 
@@ -197,18 +222,7 @@ class AttributedGraph:
         self._check_node(v)
         if u == v:
             raise GraphError("self-loops are not allowed")
-        if v in self._adj[u]:
-            self._adj[u].discard(v)
-            self._adj[v].discard(u)
-            self._degrees[u] -= 1
-            self._degrees[v] -= 1
-            self._n_edges -= 1
-        else:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-            self._degrees[u] += 1
-            self._degrees[v] += 1
-            self._n_edges += 1
+        self.adj = self.adj != _bool_csr([u, v], [v, u], self.adj.shape)
 
     def flip_edge(self, u: int, v: int) -> "AttributedGraph":
         g = self.copy()
@@ -218,10 +232,7 @@ class AttributedGraph:
     def flip_feature_inplace(self, u: int, i: int) -> None:
         self._check_node(u)
         self._check_feature(i)
-        if i in self._feat[u]:
-            self._feat[u].discard(i)
-        else:
-            self._feat[u].add(i)
+        self.feat = self.feat != _bool_csr([u], [i], self.feat.shape)
 
     def flip_feature(self, u: int, i: int) -> "AttributedGraph":
         g = self.copy()
@@ -237,51 +248,27 @@ class AttributedGraph:
     # -- matrix views -----------------------------------------------------
 
     def adjacency_matrix(self) -> sp.csr_matrix:
-        rows, cols = [], []
-        for u in range(self.n_nodes):
-            for v in self._adj[u]:
-                rows.append(u)
-                cols.append(v)
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
+        return self.adj.astype(np.float64)
 
     def feature_matrix(self) -> sp.csr_matrix:
-        rows, cols = [], []
-        for u in range(self.n_nodes):
-            for i in self._feat[u]:
-                rows.append(u)
-                cols.append(i)
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n_nodes, self.n_features))
+        return self.feat.astype(np.float64)
 
     def adjacency_row(self, u: int) -> np.ndarray:
         """Dense 0/1 row of the adjacency matrix."""
         self._check_node(u)
+        a = self.adj  # sliced inline: hot path, per scored candidate
         row = np.zeros(self.n_nodes, dtype=np.float64)
-        idx = list(self._adj[u])
-        if idx:
-            row[idx] = 1.0
+        row[a.indices[a.indptr[u]:a.indptr[u + 1]]] = 1.0
         return row
 
     # -- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
         """Raise GraphError if any structural invariant is broken."""
-        degs = np.zeros(self.n_nodes, dtype=np.int64)
-        n_edges = 0
-        for u in range(self.n_nodes):
-            if u in self._adj[u]:
-                raise GraphError(f"self-loop at node {u}")
-            for v in self._adj[u]:
-                if u not in self._adj[v]:
-                    raise GraphError(f"asymmetric edge ({u}, {v})")
-                if u < v:
-                    n_edges += 1
-            degs[u] = len(self._adj[u])
-        if not np.array_equal(degs, self._degrees):
-            raise GraphError("cached degrees out of sync")
-        if n_edges != self._n_edges:
-            raise GraphError("cached edge count out of sync")
+        if self.adj.diagonal().any():
+            raise GraphError("self-loop in the adjacency")
+        if (self.adj != self.adj.T).nnz:
+            raise GraphError("asymmetric adjacency")
         if self.labels.min(initial=0) < 0:
             raise GraphError("negative label id")
         if self.n_classes and self.labels.max(initial=0) > self.n_classes:
@@ -293,34 +280,25 @@ class AttributedGraph:
         return (self.n_nodes == other.n_nodes
                 and self.n_features == other.n_features
                 and self.n_classes == other.n_classes
-                and self._adj == other._adj
-                and self._feat == other._feat
+                and (self.adj != other.adj).nnz == 0
+                and (self.feat != other.feat).nnz == 0
                 and np.array_equal(self.labels, other.labels))
 
     def __repr__(self) -> str:
-        return (f"AttributedGraph(n_nodes={self.n_nodes}, n_edges={self._n_edges}, "
+        return (f"AttributedGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges}, "
                 f"n_features={self.n_features}, n_classes={self.n_classes})")
 
 
 def connected_components(g: AttributedGraph) -> list[list[int]]:
-    """BFS components, each sorted ascending, ordered by smallest contained id."""
-    seen = np.zeros(g.n_nodes, dtype=bool)
-    comps = []
-    for start in range(g.n_nodes):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
+    """Components, each sorted ascending, ordered by smallest contained id.
+
+    scipy numbers components in order of their smallest node id, so a
+    stable sort by component label yields both orders at once.
+    """
+    _, comp = csgraph.connected_components(g.adj, directed=False)
+    order = np.argsort(comp, kind="stable")
+    cuts = np.flatnonzero(np.diff(comp[order])) + 1
+    return [c.tolist() for c in np.split(order, cuts) if c.size]
 
 
 def induced_subgraph(g: AttributedGraph,
@@ -330,15 +308,9 @@ def induced_subgraph(g: AttributedGraph,
     Returns the subgraph, whose node k is the k-th smallest of `nodes`,
     and the array mapping new id -> original id.
     """
-    mapping = np.asarray(sorted(nodes), dtype=np.int64)
-    inverse = {orig: new for new, orig in enumerate(mapping)}
+    mapping = np.unique(np.fromiter(nodes, dtype=np.int64))
     sub = AttributedGraph(len(mapping), g.n_features, n_classes=g.n_classes,
                           labels=g.labels[mapping])
-    for new_u, orig_u in enumerate(mapping):
-        for orig_v in g.neighbors(orig_u):
-            new_v = inverse.get(orig_v)
-            if new_v is not None and new_u < new_v:
-                sub.flip_edge_inplace(new_u, new_v)
-        for i in g.features_of(orig_u):
-            sub.flip_feature_inplace(new_u, i)
+    sub.adj = g.adj[mapping][:, mapping]
+    sub.feat = g.feat[mapping]
     return sub, mapping

@@ -75,7 +75,10 @@ def updated_square_row_from(row: np.ndarray, dtilde: np.ndarray,
         raise ValueError("self-loops are not allowed")
     u = node
     d = dtilde
-    a_mn = 1.0 if g.has_edge(m, n) else 0.0
+    a_m = g.adjacency_row(m)
+    a_u = a_m if u == m else g.adjacency_row(u)
+    a_n = a_u if u == n else g.adjacency_row(n)
+    a_mn = a_m[n]
     x = 1.0 - 2.0 * a_mn
 
     dp = d.copy()
@@ -86,7 +89,6 @@ def updated_square_row_from(row: np.ndarray, dtilde: np.ndarray,
     # Unnormalized two-step sums for row u.
     total = row * np.sqrt(du * d)
 
-    a_u = g.adjacency_row(u)
     atil_u = a_u.copy()
     atil_u[u] = 1.0
     a_u_new = a_u.copy()
@@ -102,8 +104,7 @@ def updated_square_row_from(row: np.ndarray, dtilde: np.ndarray,
     total += a_u_new / dp - a_u / d
 
     # Two-step terms through each flip endpoint.
-    for k, other in ((m, n), (n, m)):
-        col_k = g.adjacency_row(k)
+    for k, other, col_k in ((m, n, a_m), (n, m, a_n)):
         col_k_new = col_k.copy()
         col_k_new[other] = 1.0 - col_k_new[other]
         total += (a_u_new[k] / dp[k]) * col_k_new - (a_u[k] / d[k]) * col_k

@@ -62,8 +62,6 @@ def planted_partition(n_nodes: int = 500, n_classes: int = 4,
     feat = rng.random((n_nodes, n_features)) < marker
 
     labels = classes + 1  # stored 1-based
-    return AttributedGraph.from_edges(
-        n_nodes, n_features,
-        [(int(u), int(v)) for u, v in zip(*np.nonzero(adj))],
-        [(int(u), int(i)) for u, i in zip(*np.nonzero(feat))],
-        labels=labels, n_classes=n_classes)
+    return AttributedGraph.from_edges(n_nodes, n_features, np.argwhere(adj),
+                                      np.argwhere(feat), labels=labels,
+                                      n_classes=n_classes)

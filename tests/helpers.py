@@ -44,7 +44,7 @@ def bfs_two_hop(g: AttributedGraph, u: int) -> set[int]:
     for _ in range(2):
         nxt = set()
         for w in frontier:
-            nxt |= g.neighbors(w)
+            nxt |= set(g.neighbors(w).tolist())
         nxt -= seen
         seen |= nxt
         frontier = nxt

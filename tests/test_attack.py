@@ -12,7 +12,7 @@ from nettack.attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER,
 from nettack.constraints import (DegreeTestState, build_cooccurrence,
                                  feature_addition_allowed, lambda_statistic)
 from nettack.data import make_split
-from nettack.graph import AttributedGraph, EDGE, FEATURE
+from nettack.graph import AttributedGraph, EDGE, FEATURE, GraphError
 from nettack.surrogate import (NormalizedAdjacency, SurrogateModel,
                                infer_old_class, loss_from_logits,
                                surrogate_logits, train_surrogate,
@@ -469,6 +469,19 @@ def test_attack_config_validation():
     with pytest.raises(ValueError):
         AttackConfig(target=0, budget=1, perturb_structure=False,
                      perturb_features=False)
+
+
+@pytest.mark.parametrize("attack", [run_nettack, fgsm_baseline, rnd_baseline])
+@pytest.mark.parametrize("past_end", [True, False])
+def test_out_of_range_target_rejected(attack, past_end):
+    # N is one past the last node; -1 must not index from the end.
+    g, na, model = trained_instance(n=12, p=0.3, seed=4)
+    cfg = AttackConfig(target=g.n_nodes if past_end else -1, budget=2)
+    with pytest.raises(GraphError, match="out of range"):
+        if attack is rnd_baseline:
+            attack(g, cfg, model=model, na=na)
+        else:
+            attack(g, model, cfg, na=na)
 
 
 def test_rnd_without_model_strict_json_round_trip(tmp_path):

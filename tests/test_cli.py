@@ -129,6 +129,30 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
     assert "99999" in err[0]
 
 
+@pytest.mark.parametrize("case", ["fgsm-target", "missing-model", "missing-report",
+                                  "unknown-plan-key"])
+def test_bad_input_clean_error(case, bundle, tmp_path):
+    root, path, _ = bundle
+    out = tmp_path / "x.json"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"dataset": str(path), "bogus": 1,
+                                "out_dir": str(tmp_path / "out")}))
+    args, needle = {
+        "fgsm-target": (["attack", "--in", str(path), "--baseline", "fgsm",
+                         "--target", "99999", "--budget", "3", "--out", str(out)], "99999"),
+        "missing-model": (["attack", "--in", str(path), "--target", "1", "--out", str(out),
+                           "--model", str(tmp_path / "nope.json")], "nope.json"),
+        "missing-report": (["report", "--in", str(tmp_path / "nowhere"), "--table", "3"],
+                           "nowhere"),
+        "unknown-plan-key": (["experiment", "--plan", str(plan)], "bogus"),
+    }[case]
+    rc, err = run_cli(args)
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("nettack: error: ")
+    assert needle in err[0]
+    assert not out.exists() and not (tmp_path / "out").exists()
+
+
 def test_experiment_bad_workers_clean_error(bundle, tmp_path):
     root, path, _ = bundle
     plan_path = tmp_path / "plan.json"

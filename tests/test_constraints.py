@@ -194,6 +194,33 @@ def test_cooccurrence_matches_brute_force():
     assert got == brute_cooccurrence(g)
 
 
+def test_cooccurrence_gate_matches_loop_reference():
+    # Per-node loops over the brute-force co-occurrence pairs. They sum in
+    # another order than the sparse products, so thresholds agree to
+    # rounding and the gate is compared away from exact ties.
+    g = random_graph(30, 0.0, seed=21, n_features=40, p_feat=0.15)
+    idx = build_cooccurrence(g)
+    nbrs = {i: set() for i in range(g.n_features)}
+    for i, j in brute_cooccurrence(g):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    inv = {i: 1.0 / len(s) if s else 0.0 for i, s in nbrs.items()}
+    for u in range(g.n_nodes):
+        s = g.features_of(u).tolist()
+        mask = idx.allowed_additions(u)
+        if not s:
+            assert idx.sigma[u] == 0.0 and not mask.any()
+            continue
+        sigma = 0.5 * sum(inv[j] for j in s) / len(s)
+        assert idx.sigma[u] == pytest.approx(sigma, rel=1e-12)
+        for i in range(g.n_features):
+            reach = sum(inv[j] for j in s if i in nbrs[j]) / len(s)
+            if i in s:
+                assert mask[i]
+            elif abs(reach - sigma) > 1e-9:
+                assert mask[i] == (reach > sigma)
+
+
 def test_feature_addition_original_always_allowed():
     g = AttributedGraph.from_edges(2, 4, [], [(0, 1), (0, 2), (1, 3)])
     idx = build_cooccurrence(g)

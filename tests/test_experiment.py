@@ -94,7 +94,7 @@ def test_limited_knowledge_induced_subgraph_correct(small_world):
         for orig_v in g.neighbors(int(orig_u)):
             if int(orig_v) in inverse:
                 assert sub.has_edge(new_u, inverse[int(orig_v)])
-        assert sub.features_of(new_u) == g.features_of(int(orig_u))
+        assert np.array_equal(sub.features_of(new_u), g.features_of(int(orig_u)))
         assert sub.labels[new_u] == g.labels[int(orig_u)]
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from nettack.graph import AttributedGraph, GraphError, Perturbation, EDGE, FEATURE
+from nettack.graph import (AttributedGraph, GraphError, Perturbation, EDGE, FEATURE,
+                           connected_components)
 from helpers import bfs_two_hop, random_graph
 
 
@@ -133,3 +134,32 @@ def test_copy_is_deep():
     g2.flip_feature_inplace(0, 0)
     assert g != g2
     g.validate()
+
+
+@pytest.mark.parametrize("edges, features", [
+    ([(1, 1)], []),          # self-loop
+    ([(0, 3)], []),          # node id past the end
+    ([(-1, 2)], []),         # negative node id
+    ([], [(0, 4)]),          # feature id past the end
+    ([], [(3, 0)]),          # feature row past the end
+])
+def test_from_edges_rejects_bad_ids(edges, features):
+    with pytest.raises(GraphError):
+        AttributedGraph.from_edges(3, 4, edges, features)
+
+
+def test_from_edges_counts_repeats_once():
+    g = AttributedGraph.from_edges(4, 3, [(0, 1), (1, 0), (0, 1), (2, 3)],
+                                   [(1, 2), (1, 2), (0, 0)])
+    assert g.n_edges == 2
+    assert g.edge_list() == [(0, 1), (2, 3)]
+    assert list(g.degrees) == [1, 1, 1, 1]
+    assert g.feature_list() == [(0, 0), (1, 2)]
+    g.validate()
+
+
+def test_connected_components_ordered_by_smallest_id():
+    # Node 0 is isolated and precedes the larger component {1, 2, 3};
+    # node 4 is isolated too, and {5, 6} comes last.
+    g = AttributedGraph.from_edges(7, 0, [(3, 1), (2, 3), (6, 5)])
+    assert connected_components(g) == [[0], [1, 2, 3], [4], [5, 6]]
