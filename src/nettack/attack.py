@@ -1,9 +1,11 @@
 """Greedy targeted perturbation search plus random and gradient baselines.
 
-Each greedy step scores every admissible edge flip through the
-constant-time row update of the squared normalized adjacency and every
-admissible feature flip through its exact (linear) effect on the target's
-logits, then applies the single best flip. Admissibility combines the
+Each greedy step scores every admissible edge flip in one closed-form
+array pass over the target's logits (constant work per candidate) and
+every admissible feature flip through its exact (linear) effect on the
+target's logits, then applies the single best flip; near-ties among edge
+flips are settled on the exact row update of the squared normalized
+adjacency, which also commits the winner. Admissibility combines the
 attacker locality rule, the budget, and (in constrained mode) the degree
 and co-occurrence unnoticeability gates.
 """
@@ -20,13 +22,16 @@ from .constraints import (DegreeTestState, build_cooccurrence,
                           feature_addition_allowed, lambda_statistic,
                           DEFAULT_D_MIN, DEFAULT_TAU)
 from .graph import (EDGE, FEATURE, AttributedGraph, GraphError, Perturbation,
-                    nan_to_none, none_to_nan)
-from .surrogate import (NormalizedAdjacency, SurrogateModel, infer_old_class,
-                        loss_from_logits, normalized_adjacency_matrix,
-                        updated_square_row_from)
+                    check_target, nan_to_none, none_to_nan)
+from .surrogate import (NormalizedAdjacency, SurrogateModel, edge_flip_logits,
+                        infer_old_class, loss_from_logits, losses_from_logits,
+                        normalized_adjacency_matrix, updated_square_row_from)
 
 DIRECT = "direct"
 INFLUENCER = "influencer"
+# Candidates whose batched score lies this close to the best are rescored
+# on the exact row; the two differ by rounding only (about 1e-15).
+NEAR_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,6 @@ class AttackResult:
                                           allow_nan=False) + "\n")
 
 
-def _check_target(g: AttributedGraph, v0: int) -> None:
-    if not 0 <= v0 < g.n_nodes:
-        raise GraphError(f"target {v0} out of range [0, {g.n_nodes})")
-
-
 def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
     """Attacker set for a run: the target itself, or seeded influencers.
 
@@ -146,23 +146,36 @@ def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
+@dataclass(frozen=True)
+class EdgeCandidates:
+    """Admissible edge flips: sorted (m, n) rows with m < n, and whether
+    each pair is currently an edge (the flip removes it) or not."""
+
+    pairs: np.ndarray    # (M, 2) int
+    is_edge: np.ndarray  # (M,) bool
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+
 def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
                     degree_state: DegreeTestState | None = None,
-                    attackers: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
-    """Admissible edge flips as sorted (m, n) pairs with m < n.
+                    attackers: tuple[int, ...] | None = None) -> EdgeCandidates:
+    """Admissible edge flips, sorted by (m, n) with m < n.
 
     A pair is admissible when one endpoint is an attacker, the flip keeps
     the degree-test statistic under the threshold (when a state is given),
     it would not isolate the target, and - in influencer mode - it does
-    not touch the target.
+    not touch the target. The degree test depends on a pair only through
+    (deg m, deg n, a_mn), so it runs once per distinct triple.
     """
     if attackers is None:
         attackers = resolve_attackers(g, cfg)
-    v0, degs = cfg.target, g.degrees
-    others = np.arange(g.n_nodes)
-    pairs = np.concatenate([np.c_[np.minimum(a, others), np.maximum(a, others)]
-                            for a in attackers])
-    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    v0, degs, n_nodes = cfg.target, g.degrees, g.n_nodes
+    att, others = np.asarray(attackers)[:, None], np.arange(n_nodes)[None, :]
+    lo, hi = np.minimum(att, others).ravel(), np.maximum(att, others).ravel()
+    key = np.unique((lo * n_nodes + hi)[lo != hi])
+    pairs = np.c_[key // n_nodes, key % n_nodes]
     is_edge = np.asarray(g.adj[pairs[:, 0], pairs[:, 1]]).ravel()
     at_target = (pairs == v0).any(axis=1)
     if cfg.mode == INFLUENCER:
@@ -171,10 +184,15 @@ def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
         keep = ~(at_target & is_edge & (degs[v0] == 1))
     pairs, is_edge = pairs[keep], is_edge[keep]
     if degree_state is not None:
-        allowed = [degree_state.edge_allowed(int(degs[m]), int(degs[n]), int(e))
-                   for (m, n), e in zip(pairs.tolist(), is_edge.tolist())]
-        pairs = pairs[np.asarray(allowed, dtype=bool)]
-    return [(m, n) for m, n in pairs.tolist()]
+        d_m, d_n = degs[pairs[:, 0]], degs[pairs[:, 1]]
+        triple = (d_m * (n_nodes + 1) + d_n) * 2 + is_edge
+        _, first, inverse = np.unique(triple, return_index=True, return_inverse=True)
+        allowed = np.array([degree_state.edge_allowed(int(d_m[i]), int(d_n[i]),
+                                                      int(is_edge[i]))
+                            for i in first], dtype=bool)
+        keep = allowed[inverse]
+        pairs, is_edge = pairs[keep], is_edge[keep]
+    return EdgeCandidates(pairs=pairs, is_edge=is_edge)
 
 
 def candidate_features(present: np.ndarray,
@@ -201,10 +219,8 @@ def score_features(row: np.ndarray, logits: np.ndarray, w: np.ndarray,
     score it sees a switch of the best wrong class.
     """
     direction = 1.0 - 2.0 * present.astype(np.float64)
-    new_logits = logits[None, :] + row[u] * direction[:, None] * w
-    masked = new_logits.copy()
-    masked[:, c_old] = -np.inf
-    return masked.max(axis=1) - new_logits[:, c_old]
+    return losses_from_logits(logits[None, :] + row[u] * direction[:, None] * w,
+                              c_old)
 
 
 @dataclass
@@ -235,7 +251,7 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     target and the degree-test state advance incrementally per step.
     """
     v0 = cfg.target
-    _check_target(g0, v0)
+    check_target(g0, v0)
     attackers = resolve_attackers(g0, cfg)
 
     if na is None:
@@ -263,13 +279,20 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 
         if cfg.perturb_structure:
             gate = degree_state if cfg.constrained else None
-            for (m, n) in candidate_edges(g, cfg, gate, attackers):
-                new_row = updated_square_row_from(row, dtilde, g, m, n, v0)
-                score = loss_from_logits(new_row @ cvals, c_old)
-                if best is None or score > best.score:  # pairs come sorted
-                    best = _Best(score=score, kind=EDGE, u=m, v=n, insert=False)
-            if best is not None:  # the direction is only needed for the winner
-                best.insert = not g.has_edge(best.u, best.v)
+            cands = candidate_edges(g, cfg, gate, attackers)
+            if len(cands):
+                losses = losses_from_logits(edge_flip_logits(
+                    row, dtilde, g, cvals, v0, cands.pairs, cands.is_edge), c_old)
+                # Settle the winner on the exact row: near-ties are rescored
+                # in sorted pair order, so an exact tie goes to the smaller pair.
+                for i in np.flatnonzero(losses >= losses.max() - NEAR_TIE):
+                    m, n = cands.pairs[i].tolist()
+                    new_row = updated_square_row_from(row, dtilde, g, m, n, v0)
+                    score = loss_from_logits(new_row @ cvals, c_old)
+                    if best is None or score > best.score:
+                        best = _Best(score=score, kind=EDGE, u=m, v=n,
+                                     insert=not cands.is_edge[i])
+                        best_row = new_row
 
         if cfg.perturb_features:
             logits = row @ cvals
@@ -290,7 +313,7 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 
         if best.kind == EDGE:
             m, n = best.u, best.v
-            row = updated_square_row_from(row, dtilde, g, m, n, v0)
+            row = best_row
             degree_state.commit_edge(int(g.degrees[m]), int(g.degrees[n]),
                                      int(not best.insert))
             g.flip_edge_inplace(m, n)
@@ -319,7 +342,7 @@ def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig,
                  na: NormalizedAdjacency | None = None) -> AttackResult:
     """Random cross-class edge insertions at the target, no constraints."""
     v0 = cfg.target
-    _check_target(g0, v0)
+    check_target(g0, v0)
     c0 = int(g0.labels[v0])
     if c0 == 0:
         raise GraphError("random baseline needs the target's ground-truth label")
@@ -395,7 +418,7 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     if cfg.mode != DIRECT:
         raise ValueError("the gradient baseline only runs as a direct attack")
     v0 = cfg.target
-    _check_target(g0, v0)
+    check_target(g0, v0)
     if na is None:
         na = NormalizedAdjacency.build(g0)
     g = g0.copy()

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DataSplit
-from .graph import AttributedGraph, nan_to_none
+from .graph import AttributedGraph, check_target, nan_to_none
 from .surrogate import TrainingError, normalized_adjacency_matrix, softmax
 
 
@@ -86,6 +86,29 @@ def gcn_forward(model: GcnModel, ahat: sp.csr_matrix,
     return softmax(logits)
 
 
+def _loss_forward(w1: np.ndarray, w2: np.ndarray, ahat: sp.csr_matrix,
+                  m1: sp.csr_matrix, y: np.ndarray, idx: np.ndarray,
+                  weight_decay: float = 0.0,
+                  hidden_mask: np.ndarray | None = None,
+                  ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Forward pass and mean cross-entropy over `idx`: (loss, h_pre, m2, probs).
+
+    The last three feed the backward pass; validation needs only the loss.
+    """
+    h_pre = m1 @ w1
+    h = np.maximum(h_pre, 0.0)
+    if hidden_mask is not None:
+        h = h * hidden_mask
+    m2 = ahat @ h
+    logits = m2 @ w2
+    probs = softmax(logits)
+    eps = 1e-12
+    loss = float(-np.mean(np.log(probs[idx, y[idx]] + eps)))
+    if weight_decay:
+        loss += 0.5 * weight_decay * (float(np.sum(w1 * w1)) + float(np.sum(w2 * w2)))
+    return loss, h_pre, m2, probs
+
+
 def gcn_loss_and_grads(w1: np.ndarray, w2: np.ndarray, ahat: sp.csr_matrix,
                        x: sp.csr_matrix, y: np.ndarray, idx: np.ndarray,
                        weight_decay: float = 0.0,
@@ -100,17 +123,8 @@ def gcn_loss_and_grads(w1: np.ndarray, w2: np.ndarray, ahat: sp.csr_matrix,
     """
     if m1 is None:
         m1 = ahat @ x  # sparse (N, D)
-    h_pre = m1 @ w1
-    h = np.maximum(h_pre, 0.0)
-    if hidden_mask is not None:
-        h = h * hidden_mask
-    m2 = ahat @ h
-    logits = m2 @ w2
-    probs = softmax(logits)
-    eps = 1e-12
-    loss = float(-np.mean(np.log(probs[idx, y[idx]] + eps)))
-    if weight_decay:
-        loss += 0.5 * weight_decay * (float(np.sum(w1 * w1)) + float(np.sum(w2 * w2)))
+    loss, h_pre, m2, probs = _loss_forward(w1, w2, ahat, m1, y, idx,
+                                           weight_decay, hidden_mask)
 
     grad_logits = np.zeros_like(probs)
     grad_logits[idx] = probs[idx]
@@ -182,7 +196,7 @@ def train_gcn(g: AttributedGraph, split: DataSplit, seed: int,
         w2 = w2 - cfg.learning_rate * (m_w2 / c1) / (np.sqrt(v_w2 / c2) + eps)
 
         if len(val):
-            val_loss, _, _ = gcn_loss_and_grads(w1, w2, ahat, x, y, val, m1=m1)
+            val_loss = _loss_forward(w1, w2, ahat, m1, y, val)[0]
         else:
             val_loss = loss
         if val_loss < best_val - 1e-12:
@@ -215,6 +229,8 @@ def evasion_eval(model_clean: GcnModel, g_attacked: AttributedGraph,
 
     Uses each target's ground-truth label as the reference class.
     """
+    for v0 in targets:
+        check_target(g_attacked, v0)
     probs = gcn_forward(model_clean, normalized_adjacency_matrix(g_attacked),
                         g_attacked.feature_matrix())
     report = MarginReport()
@@ -234,11 +250,15 @@ def poisoning_eval(g_attacked: AttributedGraph, split: DataSplit, targets,
     Per target we report the mean margin and the fraction of runs whose
     margin was positive (thresholded per run, then averaged).
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    for v0 in targets:
+        check_target(g_attacked, v0)
+    ahat, x = normalized_adjacency_matrix(g_attacked), g_attacked.feature_matrix()
     margins = np.zeros((runs, len(targets)))
     for r in range(runs):
         model = train_gcn(g_attacked, split, seed=base_seed + r, config=config)
-        probs = gcn_forward(model, normalized_adjacency_matrix(g_attacked),
-                            g_attacked.feature_matrix())
+        probs = gcn_forward(model, ahat, x)
         for j, v0 in enumerate(targets):
             c_old = int(g_attacked.labels[v0] - 1)
             margins[r, j] = margin_from_probs(probs[v0], c_old)

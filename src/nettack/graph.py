@@ -256,7 +256,7 @@ class AttributedGraph:
     def adjacency_row(self, u: int) -> np.ndarray:
         """Dense 0/1 row of the adjacency matrix."""
         self._check_node(u)
-        a = self.adj  # sliced inline: hot path, per scored candidate
+        a = self.adj  # sliced inline: hot path
         row = np.zeros(self.n_nodes, dtype=np.float64)
         row[a.indices[a.indptr[u]:a.indptr[u + 1]]] = 1.0
         return row
@@ -287,6 +287,12 @@ class AttributedGraph:
     def __repr__(self) -> str:
         return (f"AttributedGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges}, "
                 f"n_features={self.n_features}, n_classes={self.n_classes})")
+
+
+def check_target(g: AttributedGraph, v0: int) -> None:
+    """Reject a target id outside [0, N) (so -1 never indexes from the end)."""
+    if not 0 <= v0 < g.n_nodes:
+        raise GraphError(f"target {v0} out of range [0, {g.n_nodes})")
 
 
 def connected_components(g: AttributedGraph) -> list[list[int]]:

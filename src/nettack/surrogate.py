@@ -1,9 +1,12 @@
 """Linearized two-layer surrogate: normalized adjacency powers and training.
 
 The surrogate scores nodes with softmax(S X W) where S is the square of
-the symmetrically normalized self-loop adjacency. S admits a constant-time
-per-entry update under a single symmetric edge flip, which is what makes
-per-candidate attack scoring cheap; this module owns that update.
+the symmetrically normalized self-loop adjacency. Under a single
+symmetric edge flip a node's logits change in closed form with constant
+work per candidate, so the attack scores all candidates in one array
+pass (`edge_flip_logits`); the exact row update of S
+(`updated_square_row_from`) settles near-ties and commits flips. This
+module owns both.
 """
 
 from __future__ import annotations
@@ -61,6 +64,50 @@ class NormalizedAdjacency:
         self.ahat, self.ahat2, self.dtilde = fresh.ahat, fresh.ahat2, fresh.dtilde
 
 
+def edge_flip_logits(row: np.ndarray, dtilde: np.ndarray, g: AttributedGraph,
+                     cvals: np.ndarray, u: int, pairs: np.ndarray,
+                     a_mn: np.ndarray) -> np.ndarray:
+    """Logits of node `u` after each single edge flip, shape (M, K).
+
+    `row` is u's squared-adjacency row under the self-loop degrees
+    `dtilde` (d), `cvals` the X W product (C), `pairs` the (M, 2) flips
+    (m, n) and `a_mn` their current adjacency entries; `g` is the graph
+    before any of them. With G = C / sqrt(d) and H = (A + I) G built once,
+    sqrt(d_u) times u's logits is the sum over k of (A + I)[u, k] H_k / d_k.
+    A flip changes A + I only at (m, n), d only at m and n (by x = 1 - 2a),
+    so H_k moves by terms in G_m and G_n and the sum changes only through
+    H_m, H_n, C_m and C_n, with scalar weights per candidate: O(K) work per
+    candidate, whether or not u is an endpoint.
+    """
+    d = dtilde
+    m, n = pairs[:, 0], pairs[:, 1]
+    a = np.asarray(a_mn, dtype=np.float64)
+    x = 1.0 - 2.0 * a
+    gm = cvals / np.sqrt(d)[:, None]
+    h = g.adj @ gm + gm
+    a_u = g.adjacency_row(u)
+    d_m, d_n, d_u = d[m], d[n], d[u]
+    dp_m, dp_n = d_m + x, d_n + x
+    dp_u = d_u + x * ((m == u) | (n == u))
+    # (A + I)[u, k] / d_k for k = m, n, before (al) and after (ga) the flip.
+    at_m, at_n = a_u[m] + (m == u), a_u[n] + (n == u)
+    al_m, al_n = at_m / d_m, at_n / d_n
+    ga_m, ga_n = (at_m + x * (n == u)) / dp_m, (at_n + x * (m == u)) / dp_n
+    # Two-step sums u -> m, n other than through m and n themselves.
+    be_m = row[m] * np.sqrt(d_u * d_m) - al_m - a * al_n
+    be_n = row[n] * np.sqrt(d_u * d_n) - a * al_m - al_n
+    # G'_k - G_k = C_k r_k; the new H_m gains G'_m - G_m, a (G'_n - G_n)
+    # and x G'_n, and H_n likewise.
+    r_m = 1.0 / np.sqrt(dp_m) - 1.0 / np.sqrt(d_m)
+    r_n = 1.0 / np.sqrt(dp_n) - 1.0 / np.sqrt(d_n)
+    w_cm = (be_m + ga_m + a * ga_n) * r_m + x * ga_n / np.sqrt(dp_m)
+    w_cn = (be_n + ga_n + a * ga_m) * r_n + x * ga_m / np.sqrt(dp_n)
+    inv = 1.0 / np.sqrt(dp_u)
+    return (np.sqrt(d_u) * inv)[:, None] * (row @ cvals)[None, :] \
+        + ((ga_m - al_m) * inv)[:, None] * h[m] + ((ga_n - al_n) * inv)[:, None] * h[n] \
+        + (w_cm * inv)[:, None] * cvals[m] + (w_cn * inv)[:, None] * cvals[n]
+
+
 def updated_square_row_from(row: np.ndarray, dtilde: np.ndarray,
                             g: AttributedGraph, m: int, n: int,
                             node: int) -> np.ndarray:
@@ -69,7 +116,10 @@ def updated_square_row_from(row: np.ndarray, dtilde: np.ndarray,
     Constant work per entry: the row is produced from its old dense value
     `row` (under the self-loop degrees `dtilde`) plus corrections confined
     to the flip endpoints and their neighbors, vectorized over columns.
-    `g` must be the graph before the flip.
+    `g` must be the graph before the flip. The greedy attack scores its
+    candidates with `edge_flip_logits` and builds this row only to settle
+    near-ties exactly and to commit the winner; FGSM and RND advance
+    their row with it, and the tests use it as the reference.
     """
     if m == n:
         raise ValueError("self-loops are not allowed")
@@ -230,6 +280,13 @@ def loss_from_logits(logits_row: np.ndarray, c_old: int) -> float:
     mask = np.ones_like(logits_row, dtype=bool)
     mask[c_old] = False
     return float(logits_row[mask].max() - logits_row[c_old])
+
+
+def losses_from_logits(logits: np.ndarray, c_old: int) -> np.ndarray:
+    """`loss_from_logits` of every row of an (M, K) logits array."""
+    masked = logits.copy()
+    masked[:, c_old] = -np.inf
+    return masked.max(axis=1) - logits[:, c_old]
 
 
 def surrogate_loss(na: NormalizedAdjacency, g: AttributedGraph,

@@ -26,6 +26,10 @@ def edge_score(g, na, model, v0, c_old, m, n):
     return loss_from_logits(row @ (g.feature_matrix() @ model.weights), c_old)
 
 
+def pair_set(cands):
+    return set(map(tuple, cands.pairs.tolist()))
+
+
 def feature_mask(g, u):
     present = np.zeros(g.n_features, dtype=bool)
     present[sorted(g.features_of(u))] = True
@@ -49,14 +53,14 @@ def test_candidate_edges_unconstrained_direct_all_pairs():
     cfg = AttackConfig(target=v0, budget=1, constrained=False)
     cands = candidate_edges(g, cfg, None)
     assert len(cands) == g.n_nodes - 1
-    assert all(v0 in pair for pair in cands)
+    assert all(v0 in pair for pair in pair_set(cands))
 
 
 def test_candidate_edges_isolation_guard():
     g = AttributedGraph.from_edges(12, 0, [(0, 1)] + [(i, i + 1) for i in range(1, 11)])
     cfg = AttackConfig(target=0, budget=1, constrained=False)
     cands = candidate_edges(g, cfg, None)
-    assert (0, 1) not in cands  # only edge of the target: removing isolates it
+    assert (0, 1) not in pair_set(cands)  # only edge of the target: removing isolates it
     assert len(cands) == g.n_nodes - 2
 
 
@@ -64,8 +68,8 @@ def test_candidate_edges_lambda_gate_excludes():
     g = random_graph(40, 0.08, seed=5)
     cfg = AttackConfig(target=0, budget=1, constrained=True, tau=1e-6)
     state = DegreeTestState.from_graph(g, d_min=2, tau=1e-6)
-    gated = set(candidate_edges(g, cfg, state))
-    ungated = set(candidate_edges(g, cfg, None))
+    gated = pair_set(candidate_edges(g, cfg, state))
+    ungated = pair_set(candidate_edges(g, cfg, None))
     dropped = ungated - gated
     assert dropped  # a tiny threshold must exclude something
     for (m, n) in dropped:
@@ -74,21 +78,32 @@ def test_candidate_edges_lambda_gate_excludes():
 
 
 def test_candidate_edges_match_scratch_filter():
+    # Direct mode, and influencer mode with two adjacent attackers (their
+    # shared pair must appear once): the gate runs once per distinct
+    # degree triple, the scratch filter once per pair.
     g = random_graph(100, 0.05, seed=7)
     v0 = max(range(100), key=g.degree)
-    cfg = AttackConfig(target=v0, budget=1)
     state = DegreeTestState.from_graph(g, d_min=2, tau=0.004)
-    got = set(candidate_edges(g, cfg, state))
-    want = set()
-    for x in range(100):
-        if x == v0:
-            continue
-        pair = (min(v0, x), max(v0, x))
-        if g.has_edge(v0, x) and g.degree(v0) == 1:
-            continue
-        if lambda_statistic(g.degrees, g.flip_edge(v0, x).degrees, 2) < 0.004:
-            want.add(pair)
-    assert got == want
+    nbrs = g.neighbors(v0).tolist()
+    a, b = next((a, b) for a in nbrs for b in nbrs if a < b and g.has_edge(a, b))
+    for cfg in (AttackConfig(target=v0, budget=1),
+                AttackConfig(target=v0, budget=1, mode=INFLUENCER,
+                             attackers=(a, b, nbrs[0]))):
+        cands = candidate_edges(g, cfg, state)
+        want = set()
+        for att in resolve_attackers(g, cfg):
+            for x in range(100):
+                if x == att:
+                    continue
+                pair = (min(att, x), max(att, x))
+                if cfg.mode == INFLUENCER and v0 in pair:
+                    continue
+                if g.has_edge(*pair) and v0 in pair and g.degree(v0) == 1:
+                    continue
+                if lambda_statistic(g.degrees, g.flip_edge(*pair).degrees, 2) < 0.004:
+                    want.add(pair)
+        assert cands.pairs.tolist() == [list(p) for p in sorted(want)]  # each once
+        assert cands.is_edge.tolist() == [g.has_edge(*p) for p in sorted(want)]
 
 
 def test_candidate_edges_influencer_excludes_target():
@@ -97,7 +112,7 @@ def test_candidate_edges_influencer_excludes_target():
     attackers = tuple(sorted(g.neighbors(v0)))[:2]
     cfg = AttackConfig(target=v0, budget=1, mode=INFLUENCER,
                        attackers=attackers, constrained=False)
-    cands = candidate_edges(g, cfg, None)
+    cands = pair_set(candidate_edges(g, cfg, None))
     assert cands
     assert all(v0 not in pair for pair in cands)
     assert all(pair[0] in attackers or pair[1] in attackers for pair in cands)
@@ -222,6 +237,25 @@ def test_score_features_best_wrong_class_switch_exact():
 
 
 # -- greedy loop -----------------------------------------------------------
+
+
+def test_exact_tie_goes_to_smaller_pair():
+    # Leaves 4 and 6 hang off featureless nodes 3 and 5 and carry the same
+    # wrong-class feature, so linking the target to either gives the same
+    # exact loss; the smaller pair wins, with its exact score.
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)]
+    feats = [(0, 0), (1, 0), (2, 0), (4, 1), (6, 1)]
+    g = AttributedGraph.from_edges(7, 2, edges, feats, n_classes=2,
+                                   labels=np.array([1, 1, 1, 2, 2, 2, 2]))
+    na = NormalizedAdjacency.build(g)
+    model = SurrogateModel(weights=np.array([[1.0, -1.0], [-1.0, 1.0]]), n_classes=2)
+    scores = {x: edge_score(g, na, model, 0, 0, 0, x) for x in range(1, 7)}
+    assert scores[4] == scores[6] == max(scores.values())
+    res = run_nettack(g, model, AttackConfig(target=0, budget=1, constrained=False,
+                                             perturb_features=False), na=na)
+    [p] = res.perturbations
+    assert (p.u, p.v, p.insert) == (0, 4, True)
+    assert p.score == scores[4]
 
 
 def test_run_nettack_budget_semantics():

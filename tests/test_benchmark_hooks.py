@@ -8,8 +8,11 @@ someone runs the traced benchmark.
 import types
 from pathlib import Path
 
+import numpy as np
+
 import nettack
 import nettack.experiment  # noqa: F401  (makes every patched module an attribute)
+from helpers import random_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -42,3 +45,30 @@ def test_tracer_patches_resolve_and_uninstall_restores():
 
     for (owner, attr), orig in zip(targets, before):
         assert raw_attr(owner, attr) is orig, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_attacks_feed_hot_counters():
+    # One small constrained Nettack call and one FGSM call under the
+    # tracer: the hot wrappers must see calls (a renamed function would
+    # leave its counter at zero) and their results must be countable (an
+    # `edge_allowed` returning an array fails `bool`).
+    tracer = load_tracer()
+    g = random_graph(30, 0.15, seed=1)
+    na = nettack.surrogate.NormalizedAdjacency.build(g)
+    model = nettack.surrogate.train_surrogate(g, na, nettack.data.make_split(g, seed=1))
+    v0 = int(np.argmax(g.degrees))
+    t = tracer.Tracer()
+    t.install(nettack)
+    try:
+        t.phase = "round"
+        cfg = nettack.attack.AttackConfig(target=v0, budget=2)
+        nettack.attack.run_nettack(g, model, cfg, na=na)
+        nettack.attack.fgsm_baseline(g, model, cfg, na=na)
+    finally:
+        t.uninstall()
+    for name in ("row_update", "degree_gate", "candidate_edges"):
+        assert t.stats[("round", name)].calls > 0, name
+    metrics = t.layer_metrics(n_setups=0, n_rounds=1)
+    assert metrics["attack.edge_candidates_per_step"] > 0
+    assert metrics["attack.steps"] > 0
+    assert all(np.isfinite(v) for v in metrics.values())

@@ -200,6 +200,28 @@ def test_evaluate_both_modes(bundle, tmp_path):
         assert 0.0 <= rep["fraction_correct"] <= 1.0
 
 
+@pytest.mark.parametrize("targets,runs,needle",
+                         [([999], 2, "999"), ([-1], 2, "-1"), ([1], 0, "runs")],
+                         ids=["past-end", "negative", "zero-runs"])
+def test_evaluate_bad_targets_and_runs_clean_error(targets, runs, needle, bundle,
+                                                   tmp_path):
+    # A target past the end, a negative target (which would index from the
+    # end) and zero poisoning runs (whose mean margin is NaN).
+    root, path, _ = bundle
+    split_path, targets_path = tmp_path / "split.json", tmp_path / "targets.json"
+    main(["split", "--in", str(path), "--seed", "1", "--out", str(split_path)])
+    targets_path.write_text(json.dumps(targets))
+    out = tmp_path / "rep.json"
+    for mode in ("evasion", "poisoning") if runs else ("poisoning",):
+        rc, err = run_cli(["evaluate", "--graph", str(path), "--split", str(split_path),
+                           "--targets", str(targets_path), "--mode", mode,
+                           "--runs", str(runs), "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("nettack: error: ")
+        assert needle in err[0]
+        assert not out.exists()
+
+
 def test_experiment_and_report(bundle, tmp_path):
     root, path, _ = bundle
     plan = {

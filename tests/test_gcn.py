@@ -5,7 +5,7 @@ from nettack.data import make_split
 from nettack.gcn import (GcnConfig, MarginReport, TargetMargin,
                          evasion_eval, gcn_forward, gcn_loss_and_grads, margin,
                          margin_from_probs, poisoning_eval, train_gcn)
-from nettack.graph import AttributedGraph
+from nettack.graph import AttributedGraph, GraphError
 from nettack.surrogate import normalized_adjacency_matrix
 from helpers import random_graph
 
@@ -130,6 +130,27 @@ def test_poisoning_reports_per_run_thresholds():
         assert -1.0 <= t.margin <= 1.0
     assert report.fraction_correct == pytest.approx(
         np.mean([t.correct_fraction for t in report.targets]))
+
+
+@pytest.mark.parametrize("target", [20, -1])  # one past the end; not from the end
+def test_evasion_eval_rejects_out_of_range_target(target):
+    g = random_graph(20, 0.2, seed=6)
+    model = train_gcn(g, make_split(g, seed=1), seed=4)
+    with pytest.raises(GraphError, match="out of range"):
+        evasion_eval(model, g, [0, target])
+
+
+@pytest.mark.parametrize("target", [20, -1])
+def test_poisoning_eval_rejects_out_of_range_target(target):
+    g = random_graph(20, 0.25, seed=7)
+    with pytest.raises(GraphError, match="out of range"):
+        poisoning_eval(g, make_split(g, seed=2), [1, target], runs=1)
+
+
+def test_poisoning_eval_rejects_zero_runs():
+    g = random_graph(20, 0.25, seed=7)
+    with pytest.raises(ValueError, match="runs"):
+        poisoning_eval(g, make_split(g, seed=2), [1], runs=0)
 
 
 def test_margin_helper_on_model():

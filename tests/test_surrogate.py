@@ -6,8 +6,9 @@ import hypothesis.strategies as st
 from nettack.data import make_split
 from nettack.graph import AttributedGraph
 from nettack.surrogate import (NormalizedAdjacency, SurrogateModel, TrainingError,
-                               infer_old_class, loss_from_logits, softmax,
-                               surrogate_logits, surrogate_loss, train_surrogate,
+                               edge_flip_logits, infer_old_class, loss_from_logits,
+                               losses_from_logits, softmax, surrogate_logits,
+                               surrogate_loss, train_surrogate,
                                updated_square_row_from)
 from helpers import dense_normalized, dense_square, random_graph
 
@@ -117,6 +118,74 @@ def test_pruning_drift_does_not_move_scores():
             exact = loss_from_logits(dense_square(g)[v0] @ cvals, 0)
             worst = max(worst, abs(pruned - exact))
     assert worst < 1e-8
+
+
+def batched_and_loop_losses(g, w, v0, pairs, c_old=0):
+    """Loss of every flip from the batched pass and from a row-update loop."""
+    na = NormalizedAdjacency.build(g)
+    row, cvals = na.square_row(v0), g.feature_matrix() @ w
+    pairs = np.asarray(pairs)
+    a_mn = np.array([g.has_edge(m, n) for m, n in pairs.tolist()])
+    got = losses_from_logits(
+        edge_flip_logits(row, na.dtilde, g, cvals, v0, pairs, a_mn), c_old)
+    want = [loss_from_logits(updated_square_row_from(row, na.dtilde, g, m, n, v0)
+                             @ cvals, c_old) for m, n in pairs.tolist()]
+    return got, np.array(want), a_mn
+
+
+def flips_of(attacker, n_nodes, skip=()):
+    return [(min(attacker, x), max(attacker, x)) for x in range(n_nodes)
+            if x != attacker and x not in skip]
+
+
+def test_edge_flip_losses_match_row_update_direct():
+    g = random_graph(40, 0.12, seed=21, n_features=10)
+    w = np.random.default_rng(21).normal(size=(10, 3))
+    v0 = int(np.argmax(g.degrees))
+    got, want, a_mn = batched_and_loop_losses(g, w, v0, flips_of(v0, 40))
+    assert a_mn.any() and not a_mn.all()  # removals and insertions
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_edge_flip_losses_match_row_update_degree_one_target():
+    # Includes the removal of the target's only edge, which leaves its
+    # row as the unit vector (the attack excludes that flip; the pass
+    # must still score it right).
+    g = random_graph(30, 0.1, seed=4, n_features=6)
+    for x in g.neighbors(0).tolist() + [1]:
+        g.flip_edge_inplace(0, x)
+    assert g.neighbors(0).tolist() == [1]
+    w = np.random.default_rng(4).normal(size=(6, 3))
+    got, want, _ = batched_and_loop_losses(g, w, 0, flips_of(0, 30), c_old=2)
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_edge_flip_losses_match_row_update_influencers():
+    # Attackers adjacent and not adjacent to the target; no flip touches it.
+    g = random_graph(40, 0.1, seed=5, n_features=8)
+    w = np.random.default_rng(5).normal(size=(8, 3))
+    v0 = int(np.argmax(g.degrees))
+    near = int(g.neighbors(v0)[0])
+    far = next(x for x in range(40) if x != v0 and not g.has_edge(v0, x))
+    pairs = sorted(set(flips_of(near, 40, skip=(v0,)) + flips_of(far, 40, skip=(v0,))))
+    got, want, a_mn = batched_and_loop_losses(g, w, v0, pairs, c_old=1)
+    assert a_mn.any()
+    assert np.abs(got - want).max() < 1e-12
+
+
+@given(st.integers(0, 10 ** 6))
+def test_edge_flip_losses_property(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 16))
+    g = random_graph(n, float(rng.uniform(0.05, 0.5)), seed=seed % 997, n_features=5)
+    w = rng.normal(size=(5, 3))
+    v0, attacker = (int(k) for k in rng.integers(n, size=2))
+    skip = () if attacker == v0 else (v0,)  # direct or influencer mode
+    pairs = flips_of(attacker, n, skip)
+    if not pairs:
+        return
+    got, want, _ = batched_and_loop_losses(g, w, v0, pairs, c_old=int(rng.integers(3)))
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_two_cliques_trivially_separable():
