@@ -8,6 +8,11 @@ flips are settled on the exact row update of the squared normalized
 adjacency, which also commits the winner. Admissibility combines the
 attacker locality rule, the budget, and (in constrained mode) the degree
 and co-occurrence unnoticeability gates.
+
+All three attacks advance one running state (`_Run`): the target's
+squared-adjacency row, the self-loop degrees, C = X W, the degree test
+and the result log, moved past each flip by one `commit`. They read the
+clean graph's context (`NormalizedAdjacency`) and never write to it.
 """
 
 from __future__ import annotations
@@ -223,23 +228,67 @@ def score_features(row: np.ndarray, logits: np.ndarray, w: np.ndarray,
                               c_old)
 
 
-@dataclass
-class _Best:
-    score: float
-    kind: str
-    u: int
-    v: int
-    insert: bool
+def _beats(p: Perturbation, best: Perturbation | None) -> bool:
+    """Higher score wins; exact ties go to structure, then the smaller (u, v)."""
+    if best is None:
+        return True
+    if p.score != best.score:
+        return p.score > best.score
+    if p.kind != best.kind:
+        return p.kind == EDGE
+    return (p.u, p.v) < (best.u, best.v)
 
-    def beats(self, other: "_Best | None") -> bool:
-        if other is None:
-            return True
-        if self.score != other.score:
-            return self.score > other.score
-        # Exact ties: structure first, then smallest (u, v).
-        if self.kind != other.kind:
-            return self.kind == EDGE
-        return (self.u, self.v) < (other.u, other.v)
+
+class _Run:
+    """Running state of one attack on a private copy of the clean graph.
+
+    Holds the target's squared-adjacency row, the self-loop degrees, the
+    X W product C, the degree-test state and the result log; `commit`
+    advances all of them past one flip. The clean graph's context `na`
+    (built here when not given) is only read.
+    """
+
+    def __init__(self, g0: AttributedGraph, model: SurrogateModel,
+                 cfg: AttackConfig, na: NormalizedAdjacency | None,
+                 attackers: tuple[int, ...] | None = None, mode: str = DIRECT,
+                 constrained: bool = False):
+        if na is None:
+            na = NormalizedAdjacency.build(g0)
+        self.na = na
+        self.v0 = v0 = cfg.target
+        self.g = g0.copy()
+        self.w = model.weights
+        self.row = na.square_row(v0)
+        self.dtilde = na.dtilde  # shared with `na`: replaced, never updated in place
+        self.cvals = self.g.feature_matrix() @ self.w  # one row moves per feature flip
+        self.c_old = infer_old_class(na, g0, model, v0)
+        self.degree_state = DegreeTestState.from_graph(g0, cfg.d_min, cfg.tau,
+                                                       cfg.eq7_as_printed)
+        self.result = AttackResult(target=v0, attackers=attackers or (v0,),
+                                   budget=cfg.budget, mode=mode,
+                                   constrained=constrained)
+        self.result.initial_loss = self.loss()
+
+    def loss(self) -> float:
+        return loss_from_logits(self.row @ self.cvals, self.c_old)
+
+    def commit(self, p: Perturbation, row: np.ndarray | None = None) -> None:
+        """Apply and log one flip; `row` is the target's row after an edge
+        flip when the caller already has it."""
+        g = self.g
+        if p.kind == EDGE:
+            self.row = row if row is not None else updated_square_row_from(
+                self.row, self.dtilde, g, p.u, p.v, self.v0)
+            self.degree_state.commit_edge(int(g.degrees[p.u]), int(g.degrees[p.v]),
+                                          int(not p.insert))
+            g.flip_edge_inplace(p.u, p.v)
+            self.dtilde = g.degrees.astype(np.float64) + 1.0
+        else:
+            self.cvals[p.u] += (1.0 if p.insert else -1.0) * self.w[p.v]
+            g.flip_feature_inplace(p.u, p.v)
+        self.result.perturbations.append(p)
+        self.result.loss_trace.append(self.loss())
+        self.result.lambda_trace.append(self.degree_state.lambda_current())
 
 
 def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
@@ -250,95 +299,61 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     with the highest surrogate loss; the squared-adjacency row of the
     target and the degree-test state advance incrementally per step.
     """
-    v0 = cfg.target
-    check_target(g0, v0)
+    check_target(g0, cfg.target)
     attackers = resolve_attackers(g0, cfg)
-
-    if na is None:
-        na = NormalizedAdjacency.build(g0)
-    g = g0.copy()
-    w = model.weights
-    row = na.square_row(v0)
-    cvals = g.feature_matrix() @ w  # dense (N, K); one row moves per feature flip
-    c_old = infer_old_class(na, g0, model, v0)
-
-    degree_state = DegreeTestState.from_graph(g0, cfg.d_min, cfg.tau,
-                                              cfg.eq7_as_printed)
-    coidx = build_cooccurrence(g0) if cfg.constrained else None
-    allowed_add = {a: (coidx.allowed_additions(a) if coidx is not None else None)
+    run = _Run(g0, model, cfg, na, attackers, cfg.mode, cfg.constrained)
+    g, v0, c_old = run.g, run.v0, run.c_old
+    allowed_add = {a: (run.na.cooc.allowed_additions(a) if cfg.constrained else None)
                    for a in attackers}
 
-    result = AttackResult(target=v0, attackers=attackers, budget=cfg.budget,
-                          mode=cfg.mode, constrained=cfg.constrained)
-    logits = row @ cvals
-    result.initial_loss = loss_from_logits(logits, c_old)
-
-    while len(result.perturbations) < cfg.budget:
-        dtilde = g.degrees.astype(np.float64) + 1.0
-        best: _Best | None = None
+    while len(run.result.perturbations) < cfg.budget:
+        best = best_row = None
 
         if cfg.perturb_structure:
-            gate = degree_state if cfg.constrained else None
+            gate = run.degree_state if cfg.constrained else None
             cands = candidate_edges(g, cfg, gate, attackers)
             if len(cands):
                 losses = losses_from_logits(edge_flip_logits(
-                    row, dtilde, g, cvals, v0, cands.pairs, cands.is_edge), c_old)
+                    run.row, run.dtilde, g, run.cvals, v0, cands.pairs, cands.is_edge),
+                    c_old)
                 # Settle the winner on the exact row: near-ties are rescored
                 # in sorted pair order, so an exact tie goes to the smaller pair.
                 for i in np.flatnonzero(losses >= losses.max() - NEAR_TIE):
                     m, n = cands.pairs[i].tolist()
-                    new_row = updated_square_row_from(row, dtilde, g, m, n, v0)
-                    score = loss_from_logits(new_row @ cvals, c_old)
-                    if best is None or score > best.score:
-                        best = _Best(score=score, kind=EDGE, u=m, v=n,
-                                     insert=not cands.is_edge[i])
-                        best_row = new_row
+                    new_row = updated_square_row_from(run.row, run.dtilde, g, m, n, v0)
+                    cand = Perturbation(kind=EDGE, u=m, v=n, insert=not cands.is_edge[i],
+                                        score=loss_from_logits(new_row @ run.cvals, c_old))
+                    if _beats(cand, best):
+                        best, best_row = cand, new_row
 
         if cfg.perturb_features:
-            logits = row @ cvals
+            logits = run.row @ run.cvals
             for a in attackers:
                 present = np.zeros(g.n_features, dtype=bool)
                 present[g.features_of(a)] = True
-                losses = score_features(row, logits, w, a, present, c_old)
+                losses = score_features(run.row, logits, run.w, a, present, c_old)
                 idx = np.flatnonzero(candidate_features(present, allowed_add[a]))
                 for i in idx[np.argsort(-losses[idx], kind="stable")[:1]]:
-                    cand = _Best(score=float(losses[i]), kind=FEATURE,
-                                 u=a, v=int(i), insert=not present[i])
-                    if cand.beats(best):
+                    cand = Perturbation(kind=FEATURE, u=a, v=int(i),
+                                        insert=not present[i], score=float(losses[i]))
+                    if _beats(cand, best):
                         best = cand
 
         if best is None:
-            result.starved = True
+            run.result.starved = True
             break
-
-        if best.kind == EDGE:
-            m, n = best.u, best.v
-            row = best_row
-            degree_state.commit_edge(int(g.degrees[m]), int(g.degrees[n]),
-                                     int(not best.insert))
-            g.flip_edge_inplace(m, n)
-        else:
-            a, i = best.u, best.v
-            sign = 1.0 if best.insert else -1.0
-            cvals[a] += sign * w[i]
-            g.flip_feature_inplace(a, i)
+        if best.kind == FEATURE:
             check = "removal" if not best.insert else (
                 "cooccurrence_pass" if cfg.constrained else "unconstrained")
-            result.feature_checks.append(
-                {"step": len(result.perturbations), "u": int(a), "i": int(i),
-                 "insert": bool(best.insert), "test": check})
+            run.result.feature_checks.append(
+                {"step": len(run.result.perturbations), "u": int(best.u),
+                 "i": int(best.v), "insert": bool(best.insert), "test": check})
+        run.commit(best, best_row)
 
-        result.perturbations.append(Perturbation(
-            kind=best.kind, u=best.u, v=best.v, insert=best.insert, score=best.score))
-        logits = row @ cvals
-        result.loss_trace.append(loss_from_logits(logits, c_old))
-        result.lambda_trace.append(degree_state.lambda_current())
-
-    return result
+    return run.result
 
 
-def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig,
-                 model: SurrogateModel | None = None,
+def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig, model: SurrogateModel,
                  na: NormalizedAdjacency | None = None) -> AttackResult:
     """Random cross-class edge insertions at the target, no constraints."""
     v0 = cfg.target
@@ -347,43 +362,18 @@ def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig,
     if c0 == 0:
         raise GraphError("random baseline needs the target's ground-truth label")
     rng = np.random.default_rng(cfg.seed)
-    g = g0.copy()
-    degree_state = DegreeTestState.from_graph(g0, cfg.d_min, cfg.tau,
-                                              cfg.eq7_as_printed)
-    result = AttackResult(target=v0, attackers=(v0,), budget=cfg.budget,
-                          mode=DIRECT, constrained=False)
-
-    row = cvals = None
-    c_old = 0
-    if model is not None:
-        if na is None:
-            na = NormalizedAdjacency.build(g0)
-        row = na.square_row(v0)
-        cvals = g.feature_matrix() @ model.weights
-        c_old = infer_old_class(na, g0, model, v0)
-        result.initial_loss = loss_from_logits(row @ cvals, c_old)
-
+    run = _Run(g0, model, cfg, na)
+    g = run.g
     for _ in range(cfg.budget):
         # Labeled nodes of another class (so never v0) not yet linked to v0.
         pool = np.flatnonzero((g.labels != 0) & (g.labels != c0)
                               & (g.adjacency_row(v0) == 0))
         if not len(pool):
-            result.starved = True
+            run.result.starved = True
             break
         u = int(pool[rng.integers(len(pool))])
-        dtilde = g.degrees.astype(np.float64) + 1.0
-        if row is not None:
-            row = updated_square_row_from(row, dtilde, g, v0, u, v0)
-        degree_state.commit_edge(int(g.degrees[v0]), int(g.degrees[u]), 0)
-        g.flip_edge_inplace(v0, u)
-        result.perturbations.append(Perturbation(kind=EDGE, u=min(v0, u),
-                                                 v=max(v0, u), insert=True))
-        if row is not None:
-            result.loss_trace.append(loss_from_logits(row @ cvals, c_old))
-        else:
-            result.loss_trace.append(float("nan"))
-        result.lambda_trace.append(degree_state.lambda_current())
-    return result
+        run.commit(Perturbation(kind=EDGE, u=min(v0, u), v=max(v0, u), insert=True))
+    return run.result
 
 
 def _structure_gradient(ahat, d: np.ndarray, row2: np.ndarray, q: np.ndarray,
@@ -411,81 +401,55 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     """Sign-gradient direct attack: flip the entry with the largest
     usable gradient each step, then re-evaluate exactly.
 
-    Only the normalized adjacency, the degrees and the target's
-    squared-adjacency row are tracked; edge flips advance the row with
-    the same update the greedy attack uses. `na` is only read.
+    Besides the running state every attack keeps, only the normalized
+    adjacency is tracked, rebuilt after each edge flip. `na` is only read.
     """
     if cfg.mode != DIRECT:
         raise ValueError("the gradient baseline only runs as a direct attack")
     v0 = cfg.target
     check_target(g0, v0)
-    if na is None:
-        na = NormalizedAdjacency.build(g0)
-    g = g0.copy()
-    w = model.weights
-    cvals = g.feature_matrix() @ w
-    c_old = infer_old_class(na, g0, model, v0)
-    degree_state = DegreeTestState.from_graph(g0, cfg.d_min, cfg.tau,
-                                              cfg.eq7_as_printed)
-    result = AttackResult(target=v0, attackers=(v0,), budget=cfg.budget,
-                          mode=DIRECT, constrained=False)
-    ahat, dtilde = na.ahat, na.dtilde
-    row2 = na.square_row(v0)
-    result.initial_loss = loss_from_logits(row2 @ cvals, c_old)
+    run = _Run(g0, model, cfg, na)
+    g, w, c_old = run.g, run.w, run.c_old
+    ahat = run.na.ahat
 
     for _ in range(cfg.budget):
-        logits = row2 @ cvals
+        logits = run.row @ run.cvals
         masked = logits.copy()
         masked[c_old] = -np.inf
         c_best = int(np.argmax(masked))
-        q = cvals[:, c_best] - cvals[:, c_old]
+        q = run.cvals[:, c_best] - run.cvals[:, c_old]
 
-        best: _Best | None = None
+        best = None
         if cfg.perturb_structure:
-            grad = _structure_gradient(ahat, dtilde, row2, q, v0)
+            grad = _structure_gradient(ahat, run.dtilde, run.row, q, v0)
             a_row = g.adjacency_row(v0).astype(bool)
             usable = np.where(a_row, grad < 0.0, grad > 0.0)
             usable[v0] = False
             mag = np.where(usable, np.abs(grad), 0.0)
             if mag.max() > 0.0:
                 x = int(np.argmax(mag))
-                best = _Best(score=float(mag[x]), kind=EDGE,
-                             u=min(v0, x), v=max(v0, x), insert=not a_row[x])
+                best = Perturbation(kind=EDGE, u=min(v0, x), v=max(v0, x),
+                                    insert=not a_row[x], score=float(mag[x]))
         if cfg.perturb_features:
-            fgrad = row2[v0] * (w[:, c_best] - w[:, c_old])
+            fgrad = run.row[v0] * (w[:, c_best] - w[:, c_old])
             feat_mask = np.zeros(g.n_features, dtype=bool)
             feat_mask[g.features_of(v0)] = True
             usable = np.where(feat_mask, fgrad < 0.0, fgrad > 0.0)
             mag = np.where(usable, np.abs(fgrad), 0.0)
             if mag.max() > 0.0:
                 i = int(np.argmax(mag))
-                cand = _Best(score=float(mag[i]), kind=FEATURE, u=v0, v=i,
-                             insert=not feat_mask[i])
-                if best is None or cand.score > best.score:
+                cand = Perturbation(kind=FEATURE, u=v0, v=i, insert=not feat_mask[i],
+                                    score=float(mag[i]))
+                if _beats(cand, best):
                     best = cand
 
         if best is None:
-            result.starved = True
+            run.result.starved = True
             break
-
+        run.commit(best)
         if best.kind == EDGE:
-            m, n = best.u, best.v
-            degree_state.commit_edge(int(g.degrees[m]), int(g.degrees[n]),
-                                     int(not best.insert))
-            row2 = updated_square_row_from(row2, dtilde, g, m, n, v0)
-            g.flip_edge_inplace(m, n)
             ahat = normalized_adjacency_matrix(g)
-            dtilde = g.degrees.astype(np.float64) + 1.0
-        else:
-            sign = 1.0 if best.insert else -1.0
-            cvals[best.u] += sign * w[best.v]
-            g.flip_feature_inplace(best.u, best.v)
-
-        result.perturbations.append(Perturbation(
-            kind=best.kind, u=best.u, v=best.v, insert=best.insert, score=best.score))
-        result.loss_trace.append(loss_from_logits(row2 @ cvals, c_old))
-        result.lambda_trace.append(degree_state.lambda_current())
-    return result
+    return run.result
 
 
 def apply_result(g0: AttributedGraph, result: AttackResult) -> AttributedGraph:

@@ -42,7 +42,7 @@ def alpha_from_stats(n: int, log_sum: float, d_min: int) -> float:
 
 def estimate_alpha(degrees, d_min: int = DEFAULT_D_MIN) -> float:
     """Power-law scaling parameter of a degree multiset (entries >= d_min)."""
-    n, log_sum = _filtered_stats(np.asarray(list(degrees)), d_min)
+    n, log_sum = _filtered_stats(degrees, d_min)
     return alpha_from_stats(n, log_sum, d_min)
 
 
@@ -65,7 +65,7 @@ def loglik_from_stats(n: int, log_sum: float, alpha: float, d_min: int,
 def powerlaw_loglikelihood(degrees, alpha: float, d_min: int = DEFAULT_D_MIN,
                            as_printed: bool = False) -> float:
     """Log-likelihood of a degree multiset under a fitted power law."""
-    n, log_sum = _filtered_stats(np.asarray(list(degrees)), d_min)
+    n, log_sum = _filtered_stats(degrees, d_min)
     return loglik_from_stats(n, log_sum, alpha, d_min, as_printed)
 
 
@@ -89,8 +89,8 @@ def lambda_from_stats(n0: int, r0: float, n1: int, r1: float, d_min: int,
 def lambda_statistic(deg0, deg1, d_min: int = DEFAULT_D_MIN,
                      as_printed: bool = False) -> float:
     """Two-sample degree-distribution test statistic (multiset inputs)."""
-    n0, r0 = _filtered_stats(np.asarray(list(deg0)), d_min)
-    n1, r1 = _filtered_stats(np.asarray(list(deg1)), d_min)
+    n0, r0 = _filtered_stats(deg0, d_min)
+    n1, r1 = _filtered_stats(deg1, d_min)
     if n0 == 0 or n1 == 0:
         raise DegreeTestError("both degree samples need entries at or above d_min")
     return lambda_from_stats(n0, r0, n1, r1, d_min, as_printed)
@@ -111,15 +111,16 @@ class CandidateDegreeTest:
 class DegreeTestState:
     """Running degree-test statistics of the evolving graph.
 
-    Carries the frozen reference-sample statistics (the clean graph)
-    alongside the current ones, so the two-sample statistic against the
-    clean graph updates in constant time per candidate edge.
+    Carries the frozen reference-sample statistics (the clean graph),
+    fitted once, alongside the current ones, so the two-sample statistic
+    against the clean graph updates in constant time per candidate edge.
     """
 
     d_min: int
     tau: float
     n_ref: int
     log_sum_ref: float
+    loglik_ref: float
     n_cur: int
     log_sum_cur: float
     as_printed: bool = False
@@ -129,8 +130,11 @@ class DegreeTestState:
                    tau: float = DEFAULT_TAU,
                    as_printed: bool = False) -> "DegreeTestState":
         n, log_sum = _filtered_stats(g.degrees, d_min)
+        alpha = alpha_from_stats(n, log_sum, d_min) if n else 1.0
+        loglik = loglik_from_stats(n, log_sum, alpha, d_min, as_printed)
         return cls(d_min=d_min, tau=tau, n_ref=n, log_sum_ref=log_sum,
-                   n_cur=n, log_sum_cur=log_sum, as_printed=as_printed)
+                   loglik_ref=loglik, n_cur=n, log_sum_cur=log_sum,
+                   as_printed=as_printed)
 
     @property
     def alpha(self) -> float:
@@ -152,6 +156,14 @@ class DegreeTestState:
                 r_new += math.log(dk + x)
         return n_new, r_new
 
+    def _lambda(self, n: int, log_sum: float, loglik: float) -> float:
+        """`lambda_from_stats` against the reference, given the other
+        sample's own log-likelihood: only the pooled sample is fitted."""
+        nc, rc = self.n_ref + n, self.log_sum_ref + log_sum
+        ac = alpha_from_stats(nc, rc, self.d_min) if nc else 1.0
+        lc = loglik_from_stats(nc, rc, ac, self.d_min, self.as_printed)
+        return -2.0 * lc + 2.0 * (self.loglik_ref + loglik)
+
     def evaluate_edge(self, d_m: int, d_n: int, a_mn: int) -> CandidateDegreeTest:
         """Test statistics if the edge between degrees (d_m, d_n) flipped.
 
@@ -161,10 +173,9 @@ class DegreeTestState:
         alpha_new = alpha_from_stats(n_new, r_new, self.d_min) if n_new else float("nan")
         ll_new = (loglik_from_stats(n_new, r_new, alpha_new, self.d_min, self.as_printed)
                   if n_new else 0.0)
-        lam = lambda_from_stats(self.n_ref, self.log_sum_ref, n_new, r_new,
-                                self.d_min, self.as_printed)
         return CandidateDegreeTest(n_new=n_new, log_sum_new=r_new,
-                                   alpha_new=alpha_new, loglik_new=ll_new, lam=lam)
+                                   alpha_new=alpha_new, loglik_new=ll_new,
+                                   lam=self._lambda(n_new, r_new, ll_new))
 
     def commit_edge(self, d_m: int, d_n: int, a_mn: int) -> None:
         """Advance the current statistics past an applied edge flip."""

@@ -240,13 +240,19 @@ class SeedOutcome:
     failures: list = field(default_factory=list)
 
 
-def _run_one_seed(plan: ExperimentPlan, seed: int) -> SeedOutcome:
+def _set_up(plan: ExperimentPlan, seed: int):
+    """Graph, split, clean-graph context, surrogate and targets of one seed."""
     g = load_bundle(plan.dataset)
     split = make_split(g, seed)
     na = NormalizedAdjacency.build(g)
     model = train_surrogate(g, na, split)
     targets = select_targets(model, g, na, split, seed=seed, n_high=plan.n_high,
                              n_low=plan.n_low, n_random=plan.n_random)
+    return g, split, na, model, targets
+
+
+def _run_one_seed(plan: ExperimentPlan, seed: int) -> SeedOutcome:
+    g, split, na, model, targets = _set_up(plan, seed)
     out = SeedOutcome(seed=seed, targets=targets)
     cfg_gcn = plan.gcn_config()
     runs_dir = Path(plan.out_dir) / "runs"
@@ -314,13 +320,8 @@ def run_limited_knowledge(plan: ExperimentPlan) -> list[list]:
     analysis, not part of the seed-averaged headline protocol); budgets
     still follow the full-graph degree rule.
     """
-    g = load_bundle(plan.dataset)
     seed = plan.seeds[0]
-    split = make_split(g, seed)
-    na = NormalizedAdjacency.build(g)
-    model = train_surrogate(g, na, split)
-    targets = select_targets(model, g, na, split, seed=seed, n_high=plan.n_high,
-                             n_low=plan.n_low, n_random=plan.n_random)
+    g, split, _, _, targets = _set_up(plan, seed)
     cfg_gcn = plan.gcn_config()
     rows = []
     for fraction in plan.limited_fractions:

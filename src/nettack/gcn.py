@@ -211,13 +211,8 @@ def train_gcn(g: AttributedGraph, split: DataSplit, seed: int,
     return GcnModel(w1=best[0], w2=best[1], seed=seed, epochs_run=epoch)
 
 
-def margin(model: GcnModel, g: AttributedGraph, v0: int, c_old: int) -> float:
-    """Probability of class c_old minus the best other class, in [-1, 1]."""
-    probs = gcn_forward(model, normalized_adjacency_matrix(g), g.feature_matrix())
-    return margin_from_probs(probs[v0], c_old)
-
-
 def margin_from_probs(prob_row: np.ndarray, c_old: int) -> float:
+    """Probability of class c_old minus the best other class, in [-1, 1]."""
     mask = np.ones_like(prob_row, dtype=bool)
     mask[c_old] = False
     return float(prob_row[c_old] - prob_row[mask].max())

@@ -1,10 +1,13 @@
-"""Linearized two-layer surrogate: normalized adjacency powers and training.
+"""Linearized two-layer surrogate: the per-graph context and training.
 
 The surrogate scores nodes with softmax(S X W) where S is the square of
-the symmetrically normalized self-loop adjacency. Under a single
-symmetric edge flip a node's logits change in closed form with constant
-work per candidate, so the attack scores all candidates in one array
-pass (`edge_flip_logits`); the exact row update of S
+the symmetrically normalized self-loop adjacency Â. `NormalizedAdjacency`
+is the context of one clean graph (Â, the self-loop degrees and the
+feature co-occurrence index); S is never stored, since an attack reads
+one row of it (`square_row`). Under a single symmetric edge flip a
+node's logits change in closed form with constant work per candidate,
+so the attack scores all candidates in one array pass
+(`edge_flip_logits`); the exact row update of S
 (`updated_square_row_from`) settles near-ties and commits flips. This
 module owns both.
 """
@@ -16,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .constraints import CooccurrenceIndex, build_cooccurrence
 from .data import DataSplit
 from .graph import AttributedGraph
 
-PRUNE_EPS = 1e-12  # drop squared-adjacency entries below this after updates
+PRUNE_EPS = 1e-12  # drop row-update entries below this (cancellation residue)
 
 
 class TrainingError(RuntimeError):
@@ -37,31 +41,31 @@ def normalized_adjacency_matrix(g: AttributedGraph) -> sp.csr_matrix:
 
 @dataclass
 class NormalizedAdjacency:
-    """Normalized self-loop adjacency, its square, and the degree cache."""
+    """Context of one clean graph, built once and only read by attacks:
+    the normalized self-loop adjacency Â, the self-loop degrees d̃ and the
+    feature co-occurrence index."""
 
     ahat: sp.csr_matrix
-    ahat2: sp.csr_matrix
     dtilde: np.ndarray
+    cooc: CooccurrenceIndex
 
     @classmethod
     def build(cls, g: AttributedGraph) -> "NormalizedAdjacency":
-        ahat = normalized_adjacency_matrix(g)
-        ahat2 = (ahat @ ahat).tocsr()
-        ahat2.data[np.abs(ahat2.data) < PRUNE_EPS] = 0.0
-        ahat2.eliminate_zeros()
-        return cls(ahat=ahat, ahat2=ahat2, dtilde=g.degrees.astype(np.float64) + 1.0)
+        return cls(ahat=normalized_adjacency_matrix(g),
+                   dtilde=g.degrees.astype(np.float64) + 1.0,
+                   cooc=build_cooccurrence(g))
 
     def square_row(self, u: int) -> np.ndarray:
-        """Dense row u of the squared normalized adjacency."""
-        return np.asarray(self.ahat2[u].todense()).ravel()
+        """Dense row u of the squared normalized adjacency, Â[u] Â."""
+        return np.asarray((self.ahat[u] @ self.ahat).todense()).ravel()
 
     def apply_edge_flip(self, g: AttributedGraph, m: int, n: int) -> None:
-        """Rebuild all cached matrices for a flip of edge (m, n).
+        """Rebuild Â and d̃ for a flip of edge (m, n); the feature index stays.
 
         `g` must be the graph *before* the flip; it is left unchanged.
         """
-        fresh = NormalizedAdjacency.build(g.flip_edge(m, n))
-        self.ahat, self.ahat2, self.dtilde = fresh.ahat, fresh.ahat2, fresh.dtilde
+        g = g.flip_edge(m, n)
+        self.ahat, self.dtilde = normalized_adjacency_matrix(g), g.degrees + 1.0
 
 
 def edge_flip_logits(row: np.ndarray, dtilde: np.ndarray, g: AttributedGraph,
@@ -203,7 +207,7 @@ def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
 
 def propagated_features(na: NormalizedAdjacency, g: AttributedGraph) -> sp.csr_matrix:
     """Two-hop propagated feature matrix S X used by the surrogate."""
-    return (na.ahat2 @ g.feature_matrix()).tocsr()
+    return ((na.ahat @ na.ahat) @ g.feature_matrix()).tocsr()
 
 
 def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency, split: DataSplit,
@@ -289,31 +293,10 @@ def losses_from_logits(logits: np.ndarray, c_old: int) -> np.ndarray:
     return masked.max(axis=1) - logits[:, c_old]
 
 
-def surrogate_loss(na: NormalizedAdjacency, g: AttributedGraph,
-                   model: SurrogateModel, v0: int, c_old: int) -> float:
-    """Attack objective for node v0: positive iff the argmax left c_old.
-
-    `c_old` is a 0-based class column.
-    """
-    if model.n_classes < 2:
-        raise ValueError("need at least two classes")
-    row = na.square_row(v0)
-    logits = row @ feature_class_scores(g, model)
-    return loss_from_logits(logits, c_old)
-
-
-def feature_class_scores(g: AttributedGraph,
-                         model: SurrogateModel) -> np.ndarray:
-    """Dense X W product, shape (N, K); one row changes per feature flip."""
-    return g.feature_matrix() @ model.weights
-
-
 def infer_old_class(na: NormalizedAdjacency, g: AttributedGraph,
                     model: SurrogateModel, v0: int) -> int:
     """Reference class for a target: its label when known, else the
     surrogate's clean-graph prediction. Returned 0-based."""
     if g.labels[v0] > 0:
         return int(g.labels[v0] - 1)
-    row = na.square_row(v0)
-    logits = row @ feature_class_scores(g, model)
-    return int(np.argmax(logits))
+    return int(np.argmax(na.square_row(v0) @ (g.feature_matrix() @ model.weights)))

@@ -424,7 +424,7 @@ def model_for(g):
 def test_rnd_all_same_class_starves():
     g = AttributedGraph.from_edges(12, 1, [(i, i + 1) for i in range(11)], [],
                                    labels=np.ones(12, dtype=np.int64), n_classes=2)
-    res = rnd_baseline(g, AttackConfig(target=0, budget=3, seed=1))
+    res = rnd_baseline(g, AttackConfig(target=0, budget=3, seed=1), model=model_for(g))
     assert res.starved
     assert res.perturbations == []
 
@@ -432,7 +432,7 @@ def test_rnd_all_same_class_starves():
 def test_rnd_inserts_cross_class_edges():
     g = random_graph(25, 0.1, seed=16)
     v0 = 4
-    res = rnd_baseline(g, AttackConfig(target=v0, budget=5, seed=2))
+    res = rnd_baseline(g, AttackConfig(target=v0, budget=5, seed=2), model=model_for(g))
     assert len(res.perturbations) == 5
     c0 = g.labels[v0]
     for p in res.perturbations:
@@ -444,8 +444,8 @@ def test_rnd_inserts_cross_class_edges():
 
 def test_rnd_deterministic():
     g = random_graph(25, 0.1, seed=17)
-    a = rnd_baseline(g, AttackConfig(target=3, budget=4, seed=9))
-    b = rnd_baseline(g, AttackConfig(target=3, budget=4, seed=9))
+    a = rnd_baseline(g, AttackConfig(target=3, budget=4, seed=9), model=model_for(g))
+    b = rnd_baseline(g, AttackConfig(target=3, budget=4, seed=9), model=model_for(g))
     assert [p.to_dict() for p in a.perturbations] == [p.to_dict() for p in b.perturbations]
 
 
@@ -518,20 +518,72 @@ def test_out_of_range_target_rejected(attack, past_end):
             attack(g, model, cfg, na=na)
 
 
+def strict_json(path):
+    return json.loads(path.read_text(),
+                      parse_constant=lambda t: pytest.fail(f"bare {t} in JSON"))
+
+
 def test_rnd_without_model_strict_json_round_trip(tmp_path):
-    # No model means no losses: NaN values are written as null and read
-    # back as NaN.
+    # RND picks its flips without scoring them: NaN scores are written as
+    # null and read back as NaN, while its losses (from the model) are finite.
     g = random_graph(25, 0.1, seed=17)
-    res = rnd_baseline(g, AttackConfig(target=3, budget=2, seed=9))
+    res = rnd_baseline(g, AttackConfig(target=3, budget=2, seed=9), model=model_for(g))
     res.save(tmp_path / "r.json")
-    d = json.loads((tmp_path / "r.json").read_text(),
-                   parse_constant=lambda t: pytest.fail(f"bare {t} in JSON"))
-    assert d["initial_loss"] is None
-    assert d["loss_trace"] == [None, None]
+    d = strict_json(tmp_path / "r.json")
     assert all(p["score"] is None for p in d["perturbations"])
+    assert np.isfinite([d["initial_loss"]] + d["loss_trace"]).all()
+    back = AttackResult.from_dict(d)
+    assert np.isnan([p.score for p in back.perturbations]).all()
+    assert back.to_dict() == res.to_dict()
+    # A result without losses round-trips its NaN losses the same way.
+    bare = AttackResult(target=3, attackers=(3,), budget=2, mode=DIRECT,
+                        constrained=False, loss_trace=[float("nan")] * 2)
+    bare.save(tmp_path / "bare.json")
+    d = strict_json(tmp_path / "bare.json")
+    assert d["initial_loss"] is None and d["loss_trace"] == [None, None]
     back = AttackResult.from_dict(d)
     assert np.isnan(back.initial_loss) and np.isnan(back.loss_trace).all()
-    assert np.isnan([p.score for p in back.perturbations]).all()
+
+
+def all_attacks(g, model, na, v0):
+    """Every attack on one target, each run twice on the given context."""
+    out = []
+    for _ in range(2):
+        for mode in (DIRECT, INFLUENCER):
+            cfg = AttackConfig(target=v0, budget=4, mode=mode, seed=3)
+            out.append(run_nettack(g, model, cfg, na=na).to_dict())
+        cfg = AttackConfig(target=v0, budget=4, seed=3)
+        out.append(fgsm_baseline(g, model, cfg, na=na).to_dict())
+        out.append(rnd_baseline(g, cfg, model, na=na).to_dict())
+    return out
+
+
+def test_attacks_leave_shared_context_unchanged():
+    # The context is built once per graph and shared by every attack call:
+    # no call may write to it, so reusing it gives fresh-context results.
+    g, na, model = trained_instance(n=30, p=0.15, seed=6)
+    ahat, dtilde, sigma = na.ahat.copy(), na.dtilde.copy(), na.cooc.sigma.copy()
+    v0 = int(np.argsort(g.degrees)[len(g.degrees) // 2])
+    shared = all_attacks(g, model, na, v0)
+    fresh = all_attacks(g, model, NormalizedAdjacency.build(g), v0)
+    assert shared[:4] == shared[4:]
+    assert shared == fresh
+    assert any(p["kind"] == EDGE for r in shared for p in r["perturbations"])
+    assert (na.ahat != ahat).nnz == 0
+    assert np.array_equal(na.dtilde, dtilde)
+    assert np.array_equal(na.cooc.sigma, sigma)
+
+
+def test_context_cooccurrence_matches_fresh_build():
+    g = random_graph(30, 0.15, seed=8, n_features=12)
+    got, want = NormalizedAdjacency.build(g).cooc, build_cooccurrence(g)
+    assert np.array_equal(got.sigma, want.sigma)
+    assert np.array_equal(got.feature_degrees, want.feature_degrees)
+    for a, b in ((got.cooc, want.cooc), (got.walk_rows, want.walk_rows),
+                 (got.features, want.features)):
+        assert (a != b).nnz == 0
+    for u in range(g.n_nodes):
+        assert np.array_equal(got.allowed_additions(u), want.allowed_additions(u))
 
 
 def test_result_json_round_trip(tmp_path):

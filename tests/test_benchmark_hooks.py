@@ -72,3 +72,30 @@ def test_traced_attacks_feed_hot_counters():
     assert metrics["attack.edge_candidates_per_step"] > 0
     assert metrics["attack.steps"] > 0
     assert all(np.isfinite(v) for v in metrics.values())
+
+
+def test_traced_benchmark_call_forms():
+    # The set-up and attack calls exactly as perfbench/workloads.py makes
+    # them (positional `run_attack_by_name`, keyword `na=`), so that a
+    # signature change which would break the benchmark fails here first.
+    tracer = load_tracer()
+    g = random_graph(30, 0.15, seed=2)
+    t = tracer.Tracer()
+    t.install(nettack)
+    try:
+        split = nettack.data.make_split(g, 2)
+        na = nettack.surrogate.NormalizedAdjacency.build(g)
+        model = nettack.surrogate.train_surrogate(g, na, split)
+        targets = nettack.experiment.select_targets(model, g, na, split, seed=2,
+                                                    n_high=1, n_low=1, n_random=1)
+        t.phase = "round"
+        v = targets.all[0]
+        for name in ("nettack", "fgsm", "rnd", "nettack-u"):
+            nettack.experiment.run_attack_by_name(name, g, model, na, v,
+                                                  g.degree(v) + 2, 0)
+    finally:
+        t.uninstall()
+    for name, calls in (("na_build", 1), ("train_surrogate", 1), ("select_targets", 1)):
+        assert t.stats[("setup", name)].calls == calls, name
+    for name, calls in (("run_nettack", 2), ("fgsm_baseline", 1), ("rnd_baseline", 1)):
+        assert t.stats[("round", name)].calls == calls, name

@@ -3,7 +3,7 @@ import pytest
 
 from nettack.data import make_split
 from nettack.gcn import (GcnConfig, MarginReport, TargetMargin,
-                         evasion_eval, gcn_forward, gcn_loss_and_grads, margin,
+                         evasion_eval, gcn_forward, gcn_loss_and_grads,
                          margin_from_probs, poisoning_eval, train_gcn)
 from nettack.graph import AttributedGraph, GraphError
 from nettack.surrogate import normalized_adjacency_matrix
@@ -159,7 +159,7 @@ def test_margin_helper_on_model():
     v0 = 4
     c_old = int(g.labels[v0] - 1)
     probs = gcn_forward(model, normalized_adjacency_matrix(g), g.feature_matrix())
-    assert margin(model, g, v0, c_old) == pytest.approx(
+    assert evasion_eval(model, g, [v0]).targets[0].margin == pytest.approx(
         margin_from_probs(probs[v0], c_old))
 
 
