@@ -61,6 +61,7 @@ class ExperimentPlan:
         for a in self.attacks:
             if a not in ATTACK_NAMES:
                 raise ValueError(f"unknown attack {a!r}; choose from {ATTACK_NAMES}")
+        self.gcn_config()  # rejects GCN settings that cannot train
 
     def gcn_config(self) -> GcnConfig:
         return GcnConfig(hidden=self.gcn_hidden, learning_rate=self.gcn_learning_rate,
@@ -258,10 +259,16 @@ def _run_one_seed(plan: ExperimentPlan, seed: int) -> SeedOutcome:
     runs_dir = Path(plan.out_dir) / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    model_clean = train_gcn(g, split, seed=9000 + seed, config=cfg_gcn)
-    clean_poison = poisoning_eval(g, split, targets.all, runs=plan.poisoning_runs,
-                                  base_seed=seed * 100000, config=cfg_gcn)
-    clean_evasion = evasion_eval(model_clean, g, targets.all)
+    try:
+        model_clean = train_gcn(g, split, seed=9000 + seed, config=cfg_gcn)
+        clean_poison = poisoning_eval(g, split, targets.all, runs=plan.poisoning_runs,
+                                      base_seed=seed * 100000, config=cfg_gcn)
+        clean_evasion = evasion_eval(model_clean, g, targets.all)
+    except Exception as exc:  # every run of the seed needs the clean model
+        log.exception("clean model failed: seed=%s", seed)
+        out.failures += [{"seed": seed, "attack": attack, "target": v0, "error": repr(exc)}
+                         for attack in plan.attacks for v0 in targets.all]
+        return out
     for t in clean_poison.targets:
         out.margin_rows.append([seed, "clean", "poisoning", t.node,
                                 g.degree(t.node), t.margin, t.correct_fraction])

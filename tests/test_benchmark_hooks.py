@@ -99,3 +99,27 @@ def test_traced_benchmark_call_forms():
         assert t.stats[("setup", name)].calls == calls, name
     for name, calls in (("run_nettack", 2), ("fgsm_baseline", 1), ("rnd_baseline", 1)):
         assert t.stats[("round", name)].calls == calls, name
+
+
+def test_traced_victim_training_feeds_gcn_metrics():
+    # `train_gcn` and `poisoning_eval` called as `experiment._run_one_seed`
+    # calls them: the tracer's gcn metrics must see them.
+    tracer = load_tracer()
+    g = random_graph(30, 0.15, seed=3)
+    split = nettack.data.make_split(g, 1)
+    cfg = nettack.gcn.GcnConfig(max_epochs=40)
+    t = tracer.Tracer()
+    t.install(nettack)
+    try:
+        t.phase = "round"
+        nettack.experiment.train_gcn(g, split, seed=9001, config=cfg)
+        nettack.experiment.poisoning_eval(g, split, [0, 4], runs=3, base_seed=100000,
+                                          config=cfg)
+    finally:
+        t.uninstall()
+    for name in ("train_gcn", "poisoning_eval"):
+        assert t.stats[("round", name)].calls > 0, name
+    metrics = t.layer_metrics(n_setups=0, n_rounds=1)
+    assert metrics["gcn.epochs"] > 0
+    assert metrics["gcn.poisoning_eval_s"] > 0
+    assert all(np.isfinite(v) for v in metrics.values())

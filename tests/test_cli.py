@@ -166,6 +166,18 @@ def test_experiment_bad_workers_clean_error(bundle, tmp_path):
     assert not (tmp_path / "out").exists()  # rejected before any output
 
 
+def test_experiment_untrainable_gcn_setting_clean_error(bundle, tmp_path):
+    root, path, _ = bundle
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"dataset": str(path), "seeds": [1], "gcn_max_epochs": 0,
+                                     "out_dir": str(tmp_path / "out")}))
+    rc, err = run_cli(["experiment", "--plan", str(plan_path)])
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("nettack: error: ")
+    assert "max_epochs" in err[0]
+    assert not (tmp_path / "out").exists()  # rejected before any output
+
+
 def test_attack_mode_flags_mutually_exclusive(bundle, tmp_path):
     root, path, _ = bundle
     rc = main(["attack", "--in", str(path), "--target", "1", "--budget", "1",

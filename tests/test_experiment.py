@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import nettack.experiment
 from nettack.data import extract_lcc, make_split, save_bundle
 from nettack.experiment import (ExperimentPlan, degree_bucket_report,
                                 limited_knowledge_subgraph, run_experiment,
                                 select_targets, table3_csv)
 from nettack.graph import AttributedGraph
-from nettack.surrogate import NormalizedAdjacency, train_surrogate
+from nettack.surrogate import NormalizedAdjacency, TrainingError, train_surrogate
 from nettack.synthetic import planted_partition
 
 
@@ -196,6 +197,34 @@ def test_run_experiment_worker_pool_matches_sequential(tiny_experiment, monkeypa
         if name == "manifest.json":
             continue  # embeds the differing out_dir path
         assert par[name] == seq[name], name
+
+
+def test_clean_model_failure_is_recorded_per_skipped_run(tiny_experiment, monkeypatch):
+    # The clean fit of seed 2 raises: each of that seed's attack runs is one
+    # failure carrying the clean step's error, seed 1 runs as before and the
+    # manifest is still written.
+    root, plan, manifest, _ = tiny_experiment
+    train_gcn = nettack.experiment.train_gcn
+
+    def failing_for_seed_2(g, split, seed, config=None):
+        if seed == 9000 + 2:
+            raise TrainingError("non-finite training loss at epoch 7")
+        return train_gcn(g, split, seed=seed, config=config)
+
+    monkeypatch.setattr(nettack.experiment, "train_gcn", failing_for_seed_2)
+    out = root / "out_clean_failure"
+    got = run_experiment(ExperimentPlan.from_dict({**plan.to_dict(), "out_dir": str(out)}))
+    assert got == json.loads((out / "manifest.json").read_text())
+    assert got["targets"] == manifest["targets"]
+    runs = {p.name: p.read_bytes() for p in (out / "runs").iterdir()}
+    expected = {p.name: p.read_bytes() for p in (root / "out" / "runs").glob("seed1_*")}
+    assert runs == expected
+    skipped = [(a, v) for a in plan.attacks for v in manifest["targets"]["2"]]
+    assert [(f["attack"], f["target"]) for f in got["failures"]] == skipped
+    assert len(got["failures"]) == 2 * 4 * len(plan.attacks) - len(runs)
+    for f in got["failures"]:
+        assert f["seed"] == 2
+        assert f["error"] == "TrainingError('non-finite training loss at epoch 7')"
 
 
 def test_table3_csv_order(tiny_experiment):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from nettack.data import make_split
-from nettack.gcn import (GcnConfig, MarginReport, TargetMargin,
-                         evasion_eval, gcn_forward, gcn_loss_and_grads,
-                         margin_from_probs, poisoning_eval, train_gcn)
+from nettack.data import DataSplit, extract_lcc, make_split
+from nettack.gcn import (GcnConfig, GcnModel, MarginReport, TargetMargin, _fit,
+                         _propagated_features, evasion_eval, gcn_forward,
+                         gcn_loss_and_grads, margin_from_probs, poisoning_eval,
+                         train_gcn)
 from nettack.graph import AttributedGraph, GraphError
-from nettack.surrogate import normalized_adjacency_matrix
+from nettack.surrogate import normalized_adjacency_matrix, softmax
+from nettack.synthetic import planted_partition
 from helpers import random_graph
 
 
@@ -176,3 +178,127 @@ def test_report_serialization():
     d = rep.to_dict()
     assert d["fraction_correct"] == 1.0
     assert d["targets"][0]["node"] == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden", 0), ("hidden", 2.5), ("max_epochs", 0), ("patience", 0),
+    ("learning_rate", 0.0), ("learning_rate", float("inf")), ("learning_rate", "fast"),
+    ("dropout", 1.0), ("dropout", -0.1), ("weight_decay", -1e-4),
+    ("weight_decay", float("nan")),
+])
+def test_config_rejects_settings_that_cannot_train(field, value):
+    with pytest.raises(ValueError, match=f"GcnConfig.{field} must be"):
+        GcnConfig(**{field: value})
+
+
+def sequential_fit(g, split, seed, cfg):
+    """One model at a time over all N rows: the training loop `_fit` batches."""
+    rng = np.random.default_rng(seed)
+    w1, w2 = (rng.uniform(-np.sqrt(6.0 / (a + b)), np.sqrt(6.0 / (a + b)), size=(a, b))
+              for a, b in ((g.n_features, cfg.hidden), (cfg.hidden, g.n_classes)))
+    ahat = normalized_adjacency_matrix(g)
+    m1 = (ahat @ g.feature_matrix()).tocsr()
+    y = g.labels - 1
+    train, val = split.train_ids, split.validation_ids
+    wd = cfg.weight_decay
+
+    def forward(w1, w2, mask=None):
+        h_pre = m1 @ w1
+        h = np.maximum(h_pre, 0.0)
+        if mask is not None:
+            h = h * mask
+        m2 = ahat @ h
+        return h_pre, m2, softmax(m2 @ w2)
+
+    def mean_loss(probs, idx):
+        return float(-np.mean(np.log(probs[idx, y[idx]] + 1e-12)))
+
+    m_w1, v_w1, m_w2, v_w2 = (np.zeros_like(w) for w in (w1, w1, w2, w2))
+    best, best_val, stale, epoch = (w1.copy(), w2.copy()), np.inf, 0, 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        mask = None
+        if cfg.dropout > 0.0:
+            keep = 1.0 - cfg.dropout
+            mask = (rng.random((g.n_nodes, cfg.hidden)) < keep) / keep
+        h_pre, m2, probs = forward(w1, w2, mask)
+        loss = mean_loss(probs, train)
+        if wd:
+            loss += 0.5 * wd * (float(np.sum(w1 * w1)) + float(np.sum(w2 * w2)))
+        grad_logits = np.zeros_like(probs)
+        grad_logits[train] = probs[train]
+        grad_logits[train, y[train]] -= 1.0
+        grad_logits /= len(train)
+        g2 = m2.T @ grad_logits
+        grad_h = ahat.T @ (grad_logits @ w2.T)
+        if mask is not None:
+            grad_h = grad_h * mask
+        g1 = m1.T @ (grad_h * (h_pre > 0.0))
+        if wd:
+            g1, g2 = g1 + wd * w1, g2 + wd * w2
+        m_w1 = 0.9 * m_w1 + (1 - 0.9) * g1
+        v_w1 = 0.999 * v_w1 + (1 - 0.999) * g1 * g1
+        m_w2 = 0.9 * m_w2 + (1 - 0.9) * g2
+        v_w2 = 0.999 * v_w2 + (1 - 0.999) * g2 * g2
+        c1, c2 = 1 - 0.9 ** epoch, 1 - 0.999 ** epoch
+        w1 = w1 - cfg.learning_rate * (m_w1 / c1) / (np.sqrt(v_w1 / c2) + 1e-8)
+        w2 = w2 - cfg.learning_rate * (m_w2 / c1) / (np.sqrt(v_w2 / c2) + 1e-8)
+        val_loss = mean_loss(forward(w1, w2)[2], val) if len(val) else loss
+        if val_loss < best_val - 1e-12:
+            best_val, best, stale = val_loss, (w1.copy(), w2.copy()), 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best[0], best[1], epoch
+
+
+def ten_train_rows():
+    # 10 training and 10 validation rows of 3 classes: row counts for which
+    # a BLAS kernel rounds the class scores of a row subset differently, and
+    # long enough for a 2-D mean to sum in another order than a 1-D one.
+    g, _ = extract_lcc(planted_partition(n_nodes=100, n_classes=3, n_features=24,
+                                         markers_per_class=6, seed=3))
+    return g, make_split(g, seed=3)
+
+
+def no_validation(split):
+    return DataSplit(train_ids=split.train_ids, validation_ids=np.array([], dtype=np.int64),
+                     unlabeled_ids=split.unlabeled_ids, rng_seed=split.rng_seed)
+
+
+@pytest.mark.parametrize("case", ["staggered-stops", "dropout-decay", "no-validation"])
+def test_batched_fit_bit_identical_to_sequential(case):
+    g, split = ten_train_rows()
+    cfg, seeds = {
+        "staggered-stops": (GcnConfig(patience=3, max_epochs=80), [5, 6, 7, 8]),
+        "dropout-decay": (GcnConfig(dropout=0.3, weight_decay=5e-4, max_epochs=60), [1, 2, 3]),
+        "no-validation": (GcnConfig(weight_decay=1e-3, learning_rate=0.05, patience=5,
+                                    max_epochs=60), [4, 9]),
+    }[case]
+    if case == "no-validation":
+        split = no_validation(split)
+    models = _fit(g, split, seeds, cfg, *_propagated_features(g))
+    for seed, model in zip(seeds, models):
+        w1, w2, epochs = sequential_fit(g, split, seed, cfg)
+        assert np.array_equal(model.w1, w1) and np.array_equal(model.w2, w2), seed
+        assert model.epochs_run == epochs and model.seed == seed
+    if case == "staggered-stops":
+        assert len({m.epochs_run for m in models}) > 1  # replicas left the stack apart
+
+
+def test_poisoning_eval_reads_margins_of_sequential_models():
+    g, split = ten_train_rows()
+    cfg = GcnConfig(patience=3, max_epochs=80)
+    targets = [7, 2, 7, 30]
+    report = poisoning_eval(g, split, targets, runs=3, base_seed=5, config=cfg)
+    ahat, x = normalized_adjacency_matrix(g), g.feature_matrix()
+    margins = []
+    for seed in (5, 6, 7):
+        w1, w2, _ = sequential_fit(g, split, seed, cfg)
+        probs = gcn_forward(GcnModel(w1=w1, w2=w2), ahat, x)
+        margins.append([margin_from_probs(probs[v], int(g.labels[v] - 1)) for v in targets])
+    margins = np.array(margins)
+    assert [t.node for t in report.targets] == targets
+    for j, t in enumerate(report.targets):
+        assert t.margin == float(margins[:, j].mean())
+        assert t.correct_fraction == float(np.mean(margins[:, j] > 0))
