@@ -29,8 +29,8 @@ from .constraints import (DegreeTestState, build_cooccurrence,
 from .graph import (EDGE, FEATURE, AttributedGraph, GraphError, Perturbation,
                     check_target, nan_to_none, none_to_nan)
 from .surrogate import (NormalizedAdjacency, SurrogateModel, edge_flip_logits,
-                        infer_old_class, loss_from_logits, losses_from_logits,
-                        normalized_adjacency_matrix, updated_square_row_from)
+                        infer_old_class, margin, normalized_adjacency_matrix,
+                        updated_square_row_from)
 
 DIRECT = "direct"
 INFLUENCER = "influencer"
@@ -213,6 +213,11 @@ def candidate_features(present: np.ndarray,
     return present | allowed
 
 
+def _loss(logits: np.ndarray, c_old: int) -> np.ndarray:
+    """Surrogate loss per row of logits: the best wrong class minus `c_old`."""
+    return 0.0 - margin(logits, c_old)[0]
+
+
 def score_features(row: np.ndarray, logits: np.ndarray, w: np.ndarray,
                    u: int, present: np.ndarray, c_old: int) -> np.ndarray:
     """Exact post-flip loss of the target for every feature of node u.
@@ -224,8 +229,7 @@ def score_features(row: np.ndarray, logits: np.ndarray, w: np.ndarray,
     score it sees a switch of the best wrong class.
     """
     direction = 1.0 - 2.0 * present.astype(np.float64)
-    return losses_from_logits(logits[None, :] + row[u] * direction[:, None] * w,
-                              c_old)
+    return _loss(logits[None, :] + row[u] * direction[:, None] * w, c_old)
 
 
 def _beats(p: Perturbation, best: Perturbation | None) -> bool:
@@ -269,8 +273,9 @@ class _Run:
                                    constrained=constrained)
         self.result.initial_loss = self.loss()
 
-    def loss(self) -> float:
-        return loss_from_logits(self.row @ self.cvals, self.c_old)
+    def loss(self, row: np.ndarray | None = None) -> float:
+        """Surrogate loss of the target with `row` (its current row by default)."""
+        return float(_loss((self.row if row is None else row) @ self.cvals, self.c_old))
 
     def commit(self, p: Perturbation, row: np.ndarray | None = None) -> None:
         """Apply and log one flip; `row` is the target's row after an edge
@@ -313,7 +318,7 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
             gate = run.degree_state if cfg.constrained else None
             cands = candidate_edges(g, cfg, gate, attackers)
             if len(cands):
-                losses = losses_from_logits(edge_flip_logits(
+                losses = _loss(edge_flip_logits(
                     run.row, run.dtilde, g, run.cvals, v0, cands.pairs, cands.is_edge),
                     c_old)
                 # Settle the winner on the exact row: near-ties are rescored
@@ -322,7 +327,7 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
                     m, n = cands.pairs[i].tolist()
                     new_row = updated_square_row_from(run.row, run.dtilde, g, m, n, v0)
                     cand = Perturbation(kind=EDGE, u=m, v=n, insert=not cands.is_edge[i],
-                                        score=loss_from_logits(new_row @ run.cvals, c_old))
+                                        score=run.loss(new_row))
                     if _beats(cand, best):
                         best, best_row = cand, new_row
 
@@ -413,10 +418,7 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     ahat = run.na.ahat
 
     for _ in range(cfg.budget):
-        logits = run.row @ run.cvals
-        masked = logits.copy()
-        masked[c_old] = -np.inf
-        c_best = int(np.argmax(masked))
+        c_best = int(margin(run.row @ run.cvals, c_old)[1])
         q = run.cvals[:, c_best] - run.cvals[:, c_old]
 
         best = None

@@ -14,7 +14,8 @@ from pathlib import Path
 from .attack import (AttackConfig, DIRECT, fgsm_baseline, rnd_baseline,
                      run_nettack)
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
-from .data import DataSplit, extract_lcc, load_bundle, load_bundle_stats, make_split, save_bundle
+from .data import (DataSplit, extract_lcc, load_bundle, load_bundle_stats, make_split,
+                   node_ids, save_bundle)
 from .experiment import ExperimentPlan, run_experiment, table3_csv
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
 from .surrogate import (NormalizedAdjacency, SurrogateModel, TrainingError,
@@ -64,7 +65,9 @@ def _cmd_split(args) -> int:
 
 def _load_or_make_split(g, args) -> DataSplit:
     if getattr(args, "split", None):
-        return DataSplit.load(args.split)
+        split = DataSplit.load(args.split)
+        split.check(g.n_nodes)
+        return split
     return make_split(g, args.seed)
 
 
@@ -111,8 +114,8 @@ def _cmd_attack(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     g = load_bundle(args.graph)
-    split = DataSplit.load(args.split)
-    targets = json.loads(Path(args.targets).read_text())
+    split = _load_or_make_split(g, args)
+    targets = node_ids(json.loads(Path(args.targets).read_text()), "--targets")
     cfg = GcnConfig()
     if args.mode == "evasion":
         clean = load_bundle(args.clean_graph) if args.clean_graph else g

@@ -56,12 +56,32 @@ class DataSplit:
 
     @staticmethod
     def from_dict(d: dict) -> "DataSplit":
+        if not isinstance(d, dict):
+            raise BundleError("a split must be a JSON object")
+        missing = [k for k in ("train_ids", "validation_ids", "unlabeled_ids", "rng_seed")
+                   if k not in d]
+        if missing:
+            raise BundleError(f"split missing key {missing[0]!r}")
+        if not isinstance(d["rng_seed"], int):
+            raise BundleError("split rng_seed must be an integer")
         return DataSplit(
-            train_ids=np.asarray(d["train_ids"], dtype=np.int64),
-            validation_ids=np.asarray(d["validation_ids"], dtype=np.int64),
-            unlabeled_ids=np.asarray(d["unlabeled_ids"], dtype=np.int64),
+            train_ids=node_ids(d["train_ids"], "split train_ids"),
+            validation_ids=node_ids(d["validation_ids"], "split validation_ids"),
+            unlabeled_ids=node_ids(d["unlabeled_ids"], "split unlabeled_ids"),
             rng_seed=int(d["rng_seed"]),
         )
+
+    def check(self, n_nodes: int) -> None:
+        """Reject ids outside [0, n_nodes) and ids held twice: the three
+        sets must be disjoint, and no set may repeat an id."""
+        ids = np.concatenate([self.train_ids, self.validation_ids, self.unlabeled_ids])
+        out = ids[(ids < 0) | (ids >= n_nodes)]
+        if len(out):
+            raise BundleError(f"split id {out[0]} out of range [0, {n_nodes})")
+        values, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise BundleError(f"split id {values[counts > 1][0]} is listed more than once; "
+                              "train, validation and unlabeled ids must be disjoint")
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n")
@@ -69,6 +89,14 @@ class DataSplit:
     @staticmethod
     def load(path: str | Path) -> "DataSplit":
         return DataSplit.from_dict(json.loads(Path(path).read_text()))
+
+
+def node_ids(values, what: str) -> np.ndarray:
+    """Node ids read from JSON: a list of integers, else a BundleError."""
+    if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise BundleError(f"{what} must be a list of integer node ids")
+    return np.asarray(values, dtype=np.int64)
 
 
 def _parse_int_pair(line: str, path: Path, lineno: int) -> tuple[int, int, list[str]]:

@@ -3,7 +3,10 @@
 One experiment sweeps split seeds; per seed it trains the surrogate,
 picks margin-extreme plus random targets, runs each attack in the roster
 with a degree-plus-two budget, and evaluates evasion and poisoning
-margins of the victim. Everything is seeded, and all emitted files are
+margins of the victim. Target selection ranks the surrogate's margins
+with `surrogate.margin`, the rule behind the attack loss and the victim's
+margins too, and the limited-knowledge sweep takes the nodes nearest the
+target by hop count. Everything is seeded, and all emitted files are
 byte-stable across reruns.
 """
 
@@ -15,12 +18,14 @@ import io
 import json
 import logging
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from .attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER, apply_result,
                      fgsm_baseline, replay_constraints, rnd_baseline, run_nettack)
@@ -28,7 +33,7 @@ from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import BUNDLE_FILES, DataSplit, load_bundle, make_split
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
 from .graph import AttributedGraph, induced_subgraph
-from .surrogate import (NormalizedAdjacency, SurrogateModel, softmax,
+from .surrogate import (NormalizedAdjacency, SurrogateModel, margin, softmax,
                         surrogate_logits, train_surrogate)
 
 log = logging.getLogger(__name__)
@@ -58,6 +63,10 @@ class ExperimentPlan:
     gcn_patience: int = 30
 
     def __post_init__(self):
+        if not self.seeds or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                                     for s in self.seeds):
+            raise ValueError(f"plan seeds must be a non-empty list of integers, "
+                             f"got {list(self.seeds)!r}")
         for a in self.attacks:
             if a not in ATTACK_NAMES:
                 raise ValueError(f"unknown attack {a!r}; choose from {ATTACK_NAMES}")
@@ -75,12 +84,16 @@ class ExperimentPlan:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
+        if not isinstance(d, dict):
+            raise ValueError("a plan must be a JSON object")
         unknown = sorted(set(d) - {f.name for f in fields(ExperimentPlan)})
         if unknown:
             raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
         d = dict(d)
         for key in ("seeds", "attacks", "limited_fractions"):
             if key in d:
+                if not isinstance(d[key], list):
+                    raise ValueError(f"plan key {key!r} must be a list, got {d[key]!r}")
                 d[key] = tuple(d[key])
         return ExperimentPlan(**d)
 
@@ -113,32 +126,25 @@ def select_targets(model: SurrogateModel, g: AttributedGraph,
     """
     probs = softmax(surrogate_logits(na, g, model))
     y = g.labels - 1
-    pool = [int(u) for u in split.unlabeled_ids if y[u] >= 0]
-    correct = []
-    for u in pool:
-        p = probs[u]
-        if int(np.argmax(p)) != y[u]:
-            continue
-        mask = np.ones(len(p), dtype=bool)
-        mask[y[u]] = False
-        correct.append((float(p[y[u]] - p[mask].max()), u))
+    pool = split.unlabeled_ids[y[split.unlabeled_ids] >= 0]
+    pool = pool[probs[pool].argmax(axis=1) == y[pool]]
+    m = margin(probs[pool], y[pool])[0]
 
     want = n_high + n_low + n_random
-    if len(correct) < want:
+    if len(pool) < want:
         log.warning("only %d correctly classified test nodes; wanted %d",
-                    len(correct), want)
-    by_margin_desc = sorted(correct, key=lambda t: (-t[0], t[1]))
-    high = [u for _, u in by_margin_desc[:n_high]]
-    rest = [t for t in correct if t[1] not in set(high)]
-    by_margin_asc = sorted(rest, key=lambda t: (t[0], t[1]))
-    low = [u for _, u in by_margin_asc[:n_low]]
-    remainder = sorted(u for _, u in rest if u not in set(low))
+                    len(pool), want)
+    by_margin_desc = np.lexsort((pool, -m))
+    high, rest = by_margin_desc[:n_high], by_margin_desc[n_high:]
+    by_margin_asc = rest[np.lexsort((pool[rest], m[rest]))]
+    low = by_margin_asc[:n_low]
+    remainder = np.sort(pool[by_margin_asc[n_low:]])
     rng = np.random.default_rng(seed)
     n_rand = min(n_random, len(remainder))
     rand = sorted(int(u) for u in rng.choice(remainder, size=n_rand, replace=False)) \
         if n_rand else []
-    return TargetSelection(high_margin=sorted(high), low_margin=sorted(low),
-                           random=rand)
+    return TargetSelection(high_margin=sorted(pool[high].tolist()),
+                           low_margin=sorted(pool[low].tolist()), random=rand)
 
 
 def limited_knowledge_subgraph(g: AttributedGraph, v0: int,
@@ -153,22 +159,9 @@ def limited_knowledge_subgraph(g: AttributedGraph, v0: int,
     if fraction <= 0:
         raise ValueError("fraction must be positive")
     fraction = min(fraction, 1.0)
-    target_n = math.ceil(fraction * g.n_nodes)
-    chosen: list[int] = [v0]
-    seen = {v0}
-    ring = [v0]
-    while len(chosen) < target_n and ring:
-        nxt = sorted(set(g.adj[ring].indices.tolist()) - seen)
-        if not nxt:
-            break
-        take = nxt[:target_n - len(chosen)]
-        chosen.extend(take)
-        seen.update(nxt)
-        ring = nxt
-    if len(chosen) < target_n:  # disconnected remainder, smallest ids first
-        rest = np.setdiff1d(np.arange(g.n_nodes), list(seen))
-        chosen.extend(rest[:target_n - len(chosen)].tolist())
-    return induced_subgraph(g, chosen)
+    hops = shortest_path(g.adj, directed=False, unweighted=True, indices=v0)
+    nearest = np.lexsort((np.arange(g.n_nodes), hops))[:math.ceil(fraction * g.n_nodes)]
+    return induced_subgraph(g, nearest)
 
 
 def degree_bucket_report(rows) -> list[dict]:
@@ -460,12 +453,11 @@ def reproduction_summary(bundle_path: str | Path, out_dir: str | Path,
                           n_high=n_high, n_low=n_low, n_random=n_random,
                           poisoning_runs=runs, limited_fractions=())
     run_experiment(plan)
-    with (Path(out_dir) / "margin_scatter.csv").open() as fh:
-        rows = [r for r in csv.DictReader(fh) if r["mode"] == "poisoning"]
-    fractions = {}
-    for name in ("clean",) + tuple(attacks):
-        sub = [float(r["correct_fraction"]) for r in rows if r["attack"] == name]
-        fractions[name] = float(np.mean(sub)) if sub else float("nan")
+    with (Path(out_dir) / "aggregate.csv").open() as fh:
+        poisoned = {r["attack"]: float(r["fraction_correct"])
+                    for r in csv.DictReader(fh) if r["mode"] == "poisoning"}
+    fractions = {name: poisoned.get(name, float("nan"))
+                 for name in ("clean",) + tuple(attacks)}
     crossings = []
     for path in sorted((Path(out_dir) / "runs").glob("*_nettack_*.json")):
         result = json.loads(path.read_text())["result"]
@@ -483,7 +475,8 @@ def reproduction_summary(bundle_path: str | Path, out_dir: str | Path,
 def table3_csv(results_dir: str | Path, out_path: str | Path | None = None) -> str:
     """Summary table: poisoning fraction-correct per attack, clean first."""
     agg = Path(results_dir) / "aggregate.csv"
-    rows = list(csv.DictReader(agg.open()))
+    with agg.open() as fh:
+        rows = list(csv.DictReader(fh))
     order = ["clean", "nettack", "fgsm", "rnd", "nettack-in", "nettack-u"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -18,6 +18,12 @@ to a model trained alone: a CSR product sums each output row in stored
 order whatever rows or columns are sliced and however many columns the
 dense operand has, the terms left out are exact zeros, and the dense
 products keep the shapes of a one-model, full-graph pass.
+
+Evaluation reads the victim at the target rows only, through the same
+row-sliced pass: `poisoning_eval` averages the margins of its R retrained
+replicas and `evasion_eval` is the R = 1 case with the clean model. Both
+take margins from `surrogate.margin`. `gcn_forward`, the plain full-graph
+pass, is kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DataSplit
-from .graph import AttributedGraph, check_target, nan_to_none
-from .surrogate import TrainingError, normalized_adjacency_matrix, softmax
+from .graph import AttributedGraph, GraphError, check_target, nan_to_none
+from .surrogate import TrainingError, margin, normalized_adjacency_matrix, softmax
 
 
 @dataclass
@@ -91,12 +97,6 @@ class MarginReport:
             return float("nan")
         return float(np.mean([t.correct_fraction for t in self.targets]))
 
-    def margin_of(self, node: int) -> float:
-        for t in self.targets:
-            if t.node == node:
-                return t.margin
-        raise KeyError(node)
-
     def to_dict(self) -> dict:
         return {
             "targets": [{"node": t.node, "margin": t.margin,
@@ -113,7 +113,8 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 def gcn_forward(model: GcnModel, ahat: sp.csr_matrix,
                 x: sp.csr_matrix) -> np.ndarray:
-    """Class probabilities for every node, shape (N, K)."""
+    """Class probabilities for every node, shape (N, K): the full-graph
+    reference that the tests hold the row-sliced passes to."""
     h_pre = (ahat @ x) @ model.w1
     h = np.maximum(h_pre, 0.0)
     logits = (ahat @ h) @ model.w2
@@ -345,30 +346,40 @@ def train_gcn(g: AttributedGraph, split: DataSplit, seed: int,
     return _fit(g, split, [seed], config or GcnConfig(), *_propagated_features(g))[0]
 
 
-def margin_from_probs(prob_row: np.ndarray, c_old: int) -> float:
-    """Probability of class c_old minus the best other class, in [-1, 1]."""
-    mask = np.ones_like(prob_row, dtype=bool)
-    mask[c_old] = False
-    return float(prob_row[c_old] - prob_row[mask].max())
+def _target_rows(g: AttributedGraph, targets) -> np.ndarray:
+    """Evaluation targets as an array, each in range and labeled."""
+    for v0 in targets:
+        check_target(g, v0)
+        if g.labels[v0] == 0:
+            raise GraphError(f"target {v0} has no ground-truth label")
+    return np.asarray(targets, dtype=np.int64)
+
+
+def _target_report(g: AttributedGraph, models: list[GcnModel], rows: np.ndarray,
+                   ahat: sp.csr_matrix, m1: sp.csr_matrix) -> MarginReport:
+    """Margins of R models at the target rows, averaged over the models.
+
+    Per target the report holds the mean margin (ground-truth class minus
+    the best other class) and the fraction of models whose margin is
+    positive. Only the target rows are propagated, by the pass training
+    uses.
+    """
+    nb = np.unique(ahat[rows].indices)
+    w1 = np.hstack([m.w1 for m in models])
+    _, probs = _Rows(ahat, rows, nb).forward(np.maximum(m1[nb] @ w1, 0.0),
+                                             np.stack([m.w2 for m in models]))
+    margins = margin(probs, g.labels[rows] - 1)[0]  # (R, targets)
+    return MarginReport([TargetMargin(node=int(v0), margin=float(margins[:, j].mean()),
+                                      correct_fraction=float(np.mean(margins[:, j] > 0)))
+                         for j, v0 in enumerate(rows)])
 
 
 def evasion_eval(model_clean: GcnModel, g_attacked: AttributedGraph,
                  targets) -> MarginReport:
-    """Margins under clean-graph weights evaluated on the perturbed graph.
-
-    Uses each target's ground-truth label as the reference class.
-    """
-    for v0 in targets:
-        check_target(g_attacked, v0)
-    probs = gcn_forward(model_clean, normalized_adjacency_matrix(g_attacked),
-                        g_attacked.feature_matrix())
-    report = MarginReport()
-    for v0 in targets:
-        c_old = int(g_attacked.labels[v0] - 1)
-        m = margin_from_probs(probs[v0], c_old)
-        report.targets.append(TargetMargin(node=int(v0), margin=m,
-                                           correct_fraction=float(m > 0)))
-    return report
+    """Margins under clean-graph weights evaluated on the perturbed graph:
+    the one-model case of the poisoning report."""
+    return _target_report(g_attacked, [model_clean], _target_rows(g_attacked, targets),
+                          *_propagated_features(g_attacked))
 
 
 def poisoning_eval(g_attacked: AttributedGraph, split: DataSplit, targets,
@@ -381,21 +392,8 @@ def poisoning_eval(g_attacked: AttributedGraph, split: DataSplit, targets,
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    for v0 in targets:
-        check_target(g_attacked, v0)
+    rows = _target_rows(g_attacked, targets)
     ahat, m1 = _propagated_features(g_attacked)
     models = _fit(g_attacked, split, [base_seed + r for r in range(runs)],
                   config or GcnConfig(), ahat, m1)
-    rows = np.asarray(targets, dtype=np.int64)
-    nb = np.unique(ahat[rows].indices)
-    w1 = np.hstack([m.w1 for m in models])
-    _, probs = _Rows(ahat, rows, nb).forward(np.maximum(m1[nb] @ w1, 0.0),
-                                             np.stack([m.w2 for m in models]))
-    margins = np.array([[margin_from_probs(probs[r, j], int(g_attacked.labels[v0] - 1))
-                         for j, v0 in enumerate(targets)] for r in range(runs)])
-    report = MarginReport()
-    for j, v0 in enumerate(targets):
-        report.targets.append(TargetMargin(
-            node=int(v0), margin=float(margins[:, j].mean()),
-            correct_fraction=float(np.mean(margins[:, j] > 0))))
-    return report
+    return _target_report(g_attacked, models, rows, ahat, m1)

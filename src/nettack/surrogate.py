@@ -9,7 +9,8 @@ node's logits change in closed form with constant work per candidate,
 so the attack scores all candidates in one array pass
 (`edge_flip_logits`); the exact row update of S
 (`updated_square_row_from`) settles near-ties and commits flips. This
-module owns both.
+module owns both, and the one margin rule (`margin`) that the attack loss,
+target selection and victim evaluation share.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .data import DataSplit
 from .graph import AttributedGraph
 
 PRUNE_EPS = 1e-12  # drop row-update entries below this (cancellation residue)
+# Surrogate fit: gradient step, epoch cap, and validation epochs without
+# improvement before stopping.
+STEP, MAX_EPOCHS, PATIENCE = 0.1, 500, 20
 
 
 class TrainingError(RuntimeError):
@@ -188,10 +192,20 @@ class SurrogateModel:
 
     @staticmethod
     def from_dict(d: dict) -> "SurrogateModel":
-        shape = tuple(d["shape"])
-        w = np.asarray(d["weights"], dtype=np.float64).reshape(shape)
-        return SurrogateModel(weights=w, n_classes=int(d["n_classes"]),
-                              epochs_run=int(d.get("epochs_run", 0)))
+        if not isinstance(d, dict):
+            raise ValueError("a surrogate model must be a JSON object")
+        missing = [k for k in ("shape", "weights", "n_classes") if k not in d]
+        if missing:
+            raise ValueError(f"surrogate model missing key {missing[0]!r}")
+        try:
+            w = np.asarray(d["weights"], dtype=np.float64).reshape(tuple(d["shape"]))
+            model = SurrogateModel(weights=w, n_classes=int(d["n_classes"]),
+                                   epochs_run=int(d.get("epochs_run", 0)))
+        except TypeError as exc:
+            raise ValueError(f"malformed surrogate model: {exc}") from exc
+        if w.ndim != 2:
+            raise ValueError(f"surrogate model shape must be [D, K], got {list(w.shape)}")
+        return model
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -210,9 +224,8 @@ def propagated_features(na: NormalizedAdjacency, g: AttributedGraph) -> sp.csr_m
     return ((na.ahat @ na.ahat) @ g.feature_matrix()).tocsr()
 
 
-def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency, split: DataSplit,
-                    step: float = 0.1, max_epochs: int = 500,
-                    patience: int = 20) -> SurrogateModel:
+def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
+                    split: DataSplit) -> SurrogateModel:
     """Fit the absorbed weight matrix by full-batch gradient descent.
 
     The objective (mean cross-entropy of softmax(S X W) over the training
@@ -237,11 +250,10 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency, split: DataSpli
 
     best_w = w.copy()
     best_val = np.inf
-    best_epoch = 0
     stale = 0
     train_loss = np.nan
     epoch = 0
-    for epoch in range(1, max_epochs + 1):
+    for epoch in range(1, MAX_EPOCHS + 1):
         logits = m_train @ w
         probs = softmax(logits)
         train_loss = _cross_entropy(probs, y_train)
@@ -250,7 +262,7 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency, split: DataSpli
         grad_out = probs.copy()
         grad_out[np.arange(len(y_train)), y_train] -= 1.0
         grad = (m_train.T @ grad_out) / len(y_train)
-        w -= step * grad
+        w -= STEP * grad
 
         if m_val is not None and len(y_val):
             val_loss = _cross_entropy(softmax(m_val @ w), y_val)
@@ -259,11 +271,10 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency, split: DataSpli
         if val_loss < best_val - 1e-12:
             best_val = val_loss
             best_w = w.copy()
-            best_epoch = epoch
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= PATIENCE:
                 break
 
     return SurrogateModel(weights=best_w, n_classes=k, epochs_run=epoch,
@@ -277,20 +288,25 @@ def surrogate_logits(na: NormalizedAdjacency, g: AttributedGraph,
     return propagated_features(na, g) @ model.weights
 
 
-def loss_from_logits(logits_row: np.ndarray, c_old: int) -> float:
-    """Best wrong-class logit minus the reference-class logit."""
-    if logits_row.shape[0] < 2:
+def margin(scores: np.ndarray, ref) -> tuple[np.ndarray, np.ndarray]:
+    """Reference-class score minus the best other score, and that other class.
+
+    `scores` is (..., K) with K >= 2, and `ref` holds one class per row (an
+    array of the leading shape, or one class for every row). On the
+    victim's probabilities this is its evaluation margin; the paper's
+    surrogate loss (best wrong class minus reference class) is `0.0 -
+    margin` of the logits, which keeps an exact tie at +0.0.
+    """
+    k = scores.shape[-1]
+    if k < 2:
         raise ValueError("need at least two classes")
-    mask = np.ones_like(logits_row, dtype=bool)
-    mask[c_old] = False
-    return float(logits_row[mask].max() - logits_row[c_old])
-
-
-def losses_from_logits(logits: np.ndarray, c_old: int) -> np.ndarray:
-    """`loss_from_logits` of every row of an (M, K) logits array."""
-    masked = logits.copy()
-    masked[:, c_old] = -np.inf
-    return masked.max(axis=1) - logits[:, c_old]
+    ref = np.asarray(ref)
+    others = np.where(np.arange(k) == ref[..., None], -np.inf, scores)
+    best = others.argmax(axis=-1)[..., None]
+    # One class for every row is a plain index, much cheaper on one row.
+    own = scores[..., ref] if ref.ndim == 0 else np.take_along_axis(
+        scores, np.broadcast_to(ref, scores.shape[:-1])[..., None], -1)[..., 0]
+    return own - np.take_along_axis(others, best, -1)[..., 0], best[..., 0]
 
 
 def infer_old_class(na: NormalizedAdjacency, g: AttributedGraph,

@@ -260,7 +260,8 @@ def test_criterion_7_desk_scale_ordering(desk_scale):
     assert (mean_margin["nettack"] < mean_margin["fgsm"]
             < mean_margin["rnd"] < mean_margin["clean"])
 
-    buckets = list(csv.DictReader((Path(out_dir) / "degree_buckets.csv").open()))
+    with (Path(out_dir) / "degree_buckets.csv").open() as fh:
+        buckets = list(csv.DictReader(fh))
     nett = [b for b in buckets if b["attack"] == "nettack"]
     assert nett
     for b in nett:

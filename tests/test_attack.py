@@ -14,7 +14,7 @@ from nettack.constraints import (DegreeTestState, build_cooccurrence,
 from nettack.data import make_split
 from nettack.graph import AttributedGraph, EDGE, FEATURE, GraphError
 from nettack.surrogate import (NormalizedAdjacency, SurrogateModel,
-                               infer_old_class, loss_from_logits,
+                               infer_old_class, margin,
                                surrogate_logits, train_surrogate,
                                updated_square_row_from)
 from helpers import random_graph, surrogate_loss_scratch
@@ -23,7 +23,7 @@ from helpers import random_graph, surrogate_loss_scratch
 def edge_score(g, na, model, v0, c_old, m, n):
     """Loss after flipping (m, n), scored the way the greedy loop does."""
     row = updated_square_row_from(na.square_row(v0), na.dtilde, g, m, n, v0)
-    return loss_from_logits(row @ (g.feature_matrix() @ model.weights), c_old)
+    return float(-margin(row @ (g.feature_matrix() @ model.weights), c_old)[0])
 
 
 def pair_set(cands):
@@ -148,8 +148,8 @@ def test_score_structure_zero_effect_flip():
     na = NormalizedAdjacency.build(g)
     model = SurrogateModel(weights=np.array([[1.0, -1.0], [-1.0, 1.0]]), n_classes=2)
     v0, c_old = 0, 0
-    cur = loss_from_logits(
-        na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)
+    cur = -margin(
+        na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)[0]
     got = edge_score(g, na, model, v0, c_old, 8, 11)
     assert got == pytest.approx(cur, abs=1e-12)
 
@@ -181,8 +181,8 @@ def test_best_structural_flip_strictly_improves():
     model = train_surrogate(g, na, make_split(g, seed=4))
     v0 = 1
     c_old = int(g.labels[v0] - 1)
-    cur = loss_from_logits(
-        na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)
+    cur = -margin(
+        na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)[0]
     best = max(edge_score(g, na, model, v0, c_old, min(v0, x), max(v0, x))
                for x in range(12) if x != v0)
     assert best > cur
@@ -198,7 +198,7 @@ def test_score_features_outside_two_hop_is_current_loss():
     v0, c_old = 0, 0
     row = na.square_row(v0)
     logits = row @ (g.feature_matrix() @ model.weights)
-    cur = loss_from_logits(logits, c_old)
+    cur = -margin(logits, c_old)[0]
     scores = score_features(row, logits, model.weights, 9, feature_mask(g, 9), c_old)
     assert scores == pytest.approx([cur, cur], abs=1e-12)
 

@@ -130,13 +130,33 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["fgsm-target", "missing-model", "missing-report",
-                                  "unknown-plan-key"])
+                                  "unknown-plan-key", "plan-seeds-not-a-list",
+                                  "plan-seeds-empty",
+                                  "model-missing-shape", "targets-not-integers",
+                                  "split-out-of-range", "split-overlap",
+                                  "split-missing-key"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
-    root, path, _ = bundle
+    root, path, g = bundle
     out = tmp_path / "x.json"
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"dataset": str(path), "bogus": 1,
-                                "out_dir": str(tmp_path / "out")}))
+    data, targets = tmp_path / "input.json", tmp_path / "targets.json"
+    targets.write_text("[1, 5]")
+    split = {"train_ids": [0, 1, 2], "validation_ids": [3, 4, 5],
+             "unlabeled_ids": list(range(6, g.n_nodes)), "rng_seed": 0}
+    plan = {"dataset": str(path), "out_dir": str(tmp_path / "out")}
+    inputs = {
+        "unknown-plan-key": {**plan, "bogus": 1},
+        "plan-seeds-not-a-list": {**plan, "seeds": 5},
+        "plan-seeds-empty": {**plan, "seeds": []},
+        "model-missing-shape": {"weights": [0.0] * (3 * g.n_features), "n_classes": 3},
+        "targets-not-integers": [1, "5"],
+        "split-out-of-range": {**split, "validation_ids": [3, 4, 999]},
+        "split-overlap": {**split, "validation_ids": [2, 3, 4]},
+        "split-missing-key": {k: v for k, v in split.items() if k != "train_ids"},
+    }
+    if case in inputs:
+        data.write_text(json.dumps(inputs[case]))
+    (tmp_path / "split.json").write_text(json.dumps(split))
+    evaluate = ["evaluate", "--graph", str(path), "--mode", "evasion", "--out", str(out)]
     args, needle = {
         "fgsm-target": (["attack", "--in", str(path), "--baseline", "fgsm",
                          "--target", "99999", "--budget", "3", "--out", str(out)], "99999"),
@@ -144,7 +164,19 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
                            "--model", str(tmp_path / "nope.json")], "nope.json"),
         "missing-report": (["report", "--in", str(tmp_path / "nowhere"), "--table", "3"],
                            "nowhere"),
-        "unknown-plan-key": (["experiment", "--plan", str(plan)], "bogus"),
+        "unknown-plan-key": (["experiment", "--plan", str(data)], "bogus"),
+        "plan-seeds-not-a-list": (["experiment", "--plan", str(data)], "seeds"),
+        "plan-seeds-empty": (["experiment", "--plan", str(data)], "seeds"),
+        "model-missing-shape": (["attack", "--in", str(path), "--target", "1",
+                                 "--model", str(data), "--out", str(out)], "shape"),
+        "targets-not-integers": (evaluate + ["--split", str(tmp_path / "split.json"),
+                                             "--targets", str(data)], "--targets"),
+        "split-out-of-range": (["train-surrogate", "--in", str(path), "--split", str(data),
+                                "--out", str(out)], "999"),
+        "split-overlap": (["attack", "--in", str(path), "--split", str(data),
+                           "--target", "1", "--out", str(out)], "disjoint"),
+        "split-missing-key": (evaluate + ["--split", str(data), "--targets", str(targets)],
+                              "train_ids"),
     }[case]
     rc, err = run_cli(args)
     assert rc == 2

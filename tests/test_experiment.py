@@ -9,7 +9,8 @@ from nettack.experiment import (ExperimentPlan, degree_bucket_report,
                                 limited_knowledge_subgraph, run_experiment,
                                 select_targets, table3_csv)
 from nettack.graph import AttributedGraph
-from nettack.surrogate import NormalizedAdjacency, TrainingError, train_surrogate
+from nettack.surrogate import (NormalizedAdjacency, TrainingError, softmax,
+                               surrogate_logits, train_surrogate)
 from nettack.synthetic import planted_partition
 
 
@@ -24,6 +25,24 @@ def small_world():
     return g, split, na, model
 
 
+def select_targets_loop(model, g, na, split, seed, n_high, n_low, n_random):
+    """Per-node reference for `select_targets`: a plain loop and sorts."""
+    probs = softmax(surrogate_logits(na, g, model))
+    correct = []
+    for u in split.unlabeled_ids.tolist():
+        c = int(g.labels[u]) - 1
+        p = probs[u].tolist()
+        if c >= 0 and max(range(len(p)), key=lambda k: (p[k], -k)) == c:
+            correct.append((p[c] - max(x for k, x in enumerate(p) if k != c), u))
+    high = [u for _, u in sorted(correct, key=lambda t: (-t[0], t[1]))[:n_high]]
+    rest = [t for t in correct if t[1] not in high]
+    low = [u for _, u in sorted(rest)[:n_low]]
+    remainder = sorted(u for _, u in rest if u not in low)
+    n_rand = min(n_random, len(remainder))
+    rand = np.random.default_rng(seed).choice(remainder, size=n_rand, replace=False)
+    return sorted(high), sorted(low), sorted(rand.tolist()) if n_rand else []
+
+
 def test_select_targets_counts_and_disjoint(small_world):
     g, split, na, model = small_world
     sel = select_targets(model, g, na, split, seed=2, n_high=3, n_low=3, n_random=5)
@@ -32,6 +51,11 @@ def test_select_targets_counts_and_disjoint(small_world):
     flat = sel.all
     assert len(set(flat)) == len(flat)
     assert set(flat) <= set(int(u) for u in split.unlabeled_ids)
+    for sizes in ((3, 3, 5), (10, 10, 20), (40, 40, 40)):
+        sel = select_targets(model, g, na, split, 2, *sizes)
+        groups = (sel.high_margin, sel.low_margin, sel.random)
+        assert groups == select_targets_loop(model, g, na, split, 2, *sizes), sizes
+        assert all(type(u) is int for u in sel.all)
 
 
 def test_select_targets_deterministic(small_world):
@@ -81,10 +105,18 @@ def test_limited_knowledge_star_one_hop():
 
 
 def test_limited_knowledge_rings_then_smallest_ids():
-    # Path graph: rings from the target come first, then unreachables.
-    g = AttributedGraph.from_edges(8, 0, [(0, 1), (1, 2), (2, 3)])
-    sub, mapping = limited_knowledge_subgraph(g, 0, fraction=0.75)  # 6 nodes
-    assert list(mapping) == [0, 1, 2, 3, 4, 5]
+    cases = [
+        # Path graph: rings from the target come first, then unreachables.
+        (8, [(0, 1), (1, 2), (2, 3)], 0, 0.75, [0, 1, 2, 3, 4, 5]),
+        # Ring one of node 4 is {2, 7, 9}; only two of it fit, smallest ids first.
+        (10, [(4, 9), (4, 2), (4, 7), (0, 2), (1, 9)], 4, 0.3, [2, 4, 7]),
+        # Ring two of node 4 is {0, 1, 5}; one fits after ring one.
+        (10, [(4, 9), (4, 2), (4, 7), (5, 7), (1, 9), (0, 2)], 4, 0.5, [0, 2, 4, 7, 9]),
+    ]
+    for n, edges, v0, fraction, want in cases:
+        g = AttributedGraph.from_edges(n, 0, edges)
+        sub, mapping = limited_knowledge_subgraph(g, v0, fraction=fraction)
+        assert list(mapping) == want
 
 
 def test_limited_knowledge_induced_subgraph_correct(small_world):

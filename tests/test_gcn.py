@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from nettack.attack import AttackConfig, apply_result, run_nettack
 from nettack.data import DataSplit, extract_lcc, make_split
 from nettack.gcn import (GcnConfig, GcnModel, MarginReport, TargetMargin, _fit,
                          _propagated_features, evasion_eval, gcn_forward,
-                         gcn_loss_and_grads, margin_from_probs, poisoning_eval,
-                         train_gcn)
+                         gcn_loss_and_grads, poisoning_eval, train_gcn)
 from nettack.graph import AttributedGraph, GraphError
-from nettack.surrogate import normalized_adjacency_matrix, softmax
+from nettack.surrogate import (NormalizedAdjacency, margin, normalized_adjacency_matrix,
+                               softmax, train_surrogate)
 from nettack.synthetic import planted_partition
 from helpers import random_graph
 
@@ -78,12 +81,14 @@ def test_training_deterministic_per_seed():
 
 
 def test_margin_uniform_output_zero():
-    assert margin_from_probs(np.array([0.25, 0.25, 0.25, 0.25]), 2) == 0.0
+    # An exact tie is +0.0, never -0.0, so it is written as 0.0.
+    m = float(margin(np.array([0.25, 0.25, 0.25, 0.25]), 2)[0])
+    assert m == 0.0 and math.copysign(1.0, m) == 1.0
 
 
 def test_margin_one_hot():
-    assert margin_from_probs(np.array([1.0, 0.0, 0.0]), 0) == pytest.approx(1.0)
-    assert margin_from_probs(np.array([1.0, 0.0, 0.0]), 1) == pytest.approx(-1.0)
+    assert margin(np.array([1.0, 0.0, 0.0]), 0)[0] == pytest.approx(1.0)
+    assert margin(np.array([1.0, 0.0, 0.0]), 1)[0] == pytest.approx(-1.0)
 
 
 def test_margin_sign_agrees_with_argmax():
@@ -92,7 +97,7 @@ def test_margin_sign_agrees_with_argmax():
     probs = gcn_forward(model, normalized_adjacency_matrix(g), g.feature_matrix())
     for u in range(g.n_nodes):
         c_old = int(g.labels[u] - 1)
-        m = margin_from_probs(probs[u], c_old)
+        m = margin(probs[u], c_old)[0]
         if m > 0:
             assert int(np.argmax(probs[u])) == c_old
         elif m < 0:
@@ -149,6 +154,18 @@ def test_poisoning_eval_rejects_out_of_range_target(target):
         poisoning_eval(g, make_split(g, seed=2), [1, target], runs=1)
 
 
+def test_eval_rejects_unlabeled_target():
+    # A margin needs the target's ground-truth class.
+    g = random_graph(20, 0.25, seed=7)
+    split = make_split(g, seed=2)
+    model = train_gcn(g, split, seed=4)
+    g.labels[split.unlabeled_ids[0]] = 0
+    for evaluate in (lambda t: evasion_eval(model, g, t),
+                     lambda t: poisoning_eval(g, split, t, runs=1)):
+        with pytest.raises(GraphError, match="no ground-truth label"):
+            evaluate([int(split.unlabeled_ids[1]), int(split.unlabeled_ids[0])])
+
+
 def test_poisoning_eval_rejects_zero_runs():
     g = random_graph(20, 0.25, seed=7)
     with pytest.raises(ValueError, match="runs"):
@@ -156,13 +173,26 @@ def test_poisoning_eval_rejects_zero_runs():
 
 
 def test_margin_helper_on_model():
+    # Evasion reads only the target rows; its margins must equal those of
+    # the full-graph pass bit for bit, on the clean graph and on graphs
+    # that Nettack attacked, whether targets are read together or alone.
     g = random_graph(12, 0.3, seed=8)
-    model = train_gcn(g, make_split(g, seed=1), seed=3)
-    v0 = 4
-    c_old = int(g.labels[v0] - 1)
-    probs = gcn_forward(model, normalized_adjacency_matrix(g), g.feature_matrix())
-    assert evasion_eval(model, g, [v0]).targets[0].margin == pytest.approx(
-        margin_from_probs(probs[v0], c_old))
+    split = make_split(g, seed=1)
+    model = train_gcn(g, split, seed=3)
+    surrogate = train_surrogate(g, NormalizedAdjacency.build(g), split)
+    graphs = [g] + [apply_result(g, run_nettack(g, surrogate, AttackConfig(
+        target=v0, budget=3, constrained=False))) for v0 in (4, 7, 10)]
+    for h in graphs:
+        probs = gcn_forward(model, normalized_adjacency_matrix(h), h.feature_matrix())
+        want = []
+        for v, p in enumerate(probs):
+            c = int(h.labels[v] - 1)
+            want.append(float(p[c] - max(x for k, x in enumerate(p) if k != c)))
+        together = evasion_eval(model, h, list(range(h.n_nodes))).targets
+        assert [t.margin for t in together] == want
+        assert [evasion_eval(model, h, [v]).targets[0].margin for v in (4, 7, 10)] \
+            == [want[4], want[7], want[10]]
+    assert any(h != g for h in graphs[1:])
 
 
 def test_weight_decay_and_dropout_flags_run():
@@ -296,7 +326,7 @@ def test_poisoning_eval_reads_margins_of_sequential_models():
     for seed in (5, 6, 7):
         w1, w2, _ = sequential_fit(g, split, seed, cfg)
         probs = gcn_forward(GcnModel(w1=w1, w2=w2), ahat, x)
-        margins.append([margin_from_probs(probs[v], int(g.labels[v] - 1)) for v in targets])
+        margins.append([margin(probs[v], int(g.labels[v] - 1))[0] for v in targets])
     margins = np.array(margins)
     assert [t.node for t in report.targets] == targets
     for j, t in enumerate(report.targets):

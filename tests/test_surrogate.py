@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from nettack.attack import AttackConfig, run_nettack
 from nettack.data import make_split
 from nettack.graph import AttributedGraph
 from nettack.surrogate import (NormalizedAdjacency, SurrogateModel, TrainingError,
-                               edge_flip_logits, infer_old_class, loss_from_logits,
-                               losses_from_logits, softmax, surrogate_logits,
+                               edge_flip_logits, infer_old_class, margin,
+                               softmax, surrogate_logits,
                                train_surrogate, updated_square_row_from)
 from helpers import dense_normalized, dense_square, random_graph
 
@@ -117,8 +120,8 @@ def test_pruning_drift_does_not_move_scores():
         g.flip_edge_inplace(m, n)
         if step % 20 == 0:
             cvals = g.feature_matrix().toarray() @ w
-            pruned = loss_from_logits(row @ cvals, 0)
-            exact = loss_from_logits(dense_square(g)[v0] @ cvals, 0)
+            pruned = -margin(row @ cvals, 0)[0]
+            exact = -margin(dense_square(g)[v0] @ cvals, 0)[0]
             worst = max(worst, abs(pruned - exact))
     assert worst < 1e-8
 
@@ -129,10 +132,9 @@ def batched_and_loop_losses(g, w, v0, pairs, c_old=0):
     row, cvals = na.square_row(v0), g.feature_matrix() @ w
     pairs = np.asarray(pairs)
     a_mn = np.array([g.has_edge(m, n) for m, n in pairs.tolist()])
-    got = losses_from_logits(
-        edge_flip_logits(row, na.dtilde, g, cvals, v0, pairs, a_mn), c_old)
-    want = [loss_from_logits(updated_square_row_from(row, na.dtilde, g, m, n, v0)
-                             @ cvals, c_old) for m, n in pairs.tolist()]
+    got = -margin(edge_flip_logits(row, na.dtilde, g, cvals, v0, pairs, a_mn), c_old)[0]
+    want = [-margin(updated_square_row_from(row, na.dtilde, g, m, n, v0) @ cvals,
+                    c_old)[0] for m, n in pairs.tolist()]
     return got, np.array(want), a_mn
 
 
@@ -240,16 +242,24 @@ def test_training_requires_train_nodes():
 
 
 def test_loss_all_equal_logits_zero():
-    assert loss_from_logits(np.array([2.0, 2.0, 2.0]), 1) == 0.0
+    # An exact tie is a loss of +0.0, never -0.0, so it is written as 0.0:
+    # by the margin rule's negation and in an attack's loss trace (zero
+    # weights make every logit equal).
+    g = random_graph(10, 0.3, seed=13)
+    result = run_nettack(g, SurrogateModel(weights=np.zeros((8, 3)), n_classes=3),
+                         AttackConfig(target=0, budget=2, constrained=False))
+    for loss in [0.0 - margin(np.array([2.0, 2.0, 2.0]), 1)[0],
+                 result.initial_loss, *result.loss_trace]:
+        assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
 
 def test_loss_direct_formula():
-    assert loss_from_logits(np.array([3.0, 1.0, 0.0]), 0) == pytest.approx(-2.0)
+    assert -margin(np.array([3.0, 1.0, 0.0]), 0)[0] == pytest.approx(-2.0)
 
 
 def test_loss_needs_two_classes():
     with pytest.raises(ValueError):
-        loss_from_logits(np.array([1.0]), 0)
+        margin(np.array([1.0]), 0)
 
 
 def test_loss_sign_iff_argmax_moved():
@@ -261,7 +271,7 @@ def test_loss_sign_iff_argmax_moved():
         model = SurrogateModel(weights=w, n_classes=4)
         v0 = int(rng.integers(12))
         c_old = int(rng.integers(4))
-        loss = loss_from_logits(na.square_row(v0) @ (g.feature_matrix() @ w), c_old)
+        loss = -margin(na.square_row(v0) @ (g.feature_matrix() @ w), c_old)[0]
         pred = int(np.argmax(surrogate_logits(na, g, model)[v0]))
         if loss > 0:
             assert pred != c_old
