@@ -29,8 +29,7 @@ from .constraints import (DegreeTestState, build_cooccurrence,
 from .graph import (EDGE, FEATURE, AttributedGraph, GraphError, Perturbation,
                     check_target, nan_to_none, none_to_nan)
 from .surrogate import (NormalizedAdjacency, SurrogateModel, edge_flip_logits,
-                        infer_old_class, margin, normalized_adjacency_matrix,
-                        updated_square_row_from)
+                        infer_old_class, margin, updated_square_row_from)
 
 DIRECT = "direct"
 INFLUENCER = "influencer"
@@ -381,16 +380,22 @@ def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig, model: SurrogateModel,
     return run.result
 
 
-def _structure_gradient(ahat, d: np.ndarray, row2: np.ndarray, q: np.ndarray,
-                        v0: int) -> np.ndarray:
+def _structure_gradient(g: AttributedGraph, d: np.ndarray, row2: np.ndarray,
+                        q: np.ndarray, v0: int) -> np.ndarray:
     """d(loss-gap)/d a_{v0,x} for every x, treating entries as continuous.
 
-    `ahat` is the normalized adjacency, `d` the self-loop degrees and
-    `row2` the target's squared-adjacency row. Accounts for the degree
-    renormalization that an edge change induces on both endpoints.
+    `d` is the self-loop degrees of `g` and `row2` the target's
+    squared-adjacency row. Accounts for the degree renormalization that an
+    edge change induces on both endpoints. Â is never formed: with
+    s = 1/sqrt(d), Â q = s (A (s q) + s q), and row v0 of Â is
+    s[v0] s times v0's adjacency row with its own entry set to 1.
     """
-    h1 = ahat @ q
-    h2 = np.asarray(ahat[v0].todense()).ravel()
+    s = 1.0 / np.sqrt(d)
+    sq = s * q
+    h1 = s * (g.adj @ sq + sq)
+    a_v0 = g.adjacency_row(v0)
+    a_v0[v0] = 1.0
+    h2 = s[v0] * s * a_v0
     lc = float(row2 @ q)
     inv_sqrt = 1.0 / np.sqrt(d[v0] * d)
     grad = (h1 + h2[v0] * q + h2 * q[v0]) * inv_sqrt
@@ -406,8 +411,8 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     """Sign-gradient direct attack: flip the entry with the largest
     usable gradient each step, then re-evaluate exactly.
 
-    Besides the running state every attack keeps, only the normalized
-    adjacency is tracked, rebuilt after each edge flip. `na` is only read.
+    It keeps only the running state every attack keeps: the gradient
+    reads the graph and the self-loop degrees. `na` is only read.
     """
     if cfg.mode != DIRECT:
         raise ValueError("the gradient baseline only runs as a direct attack")
@@ -415,7 +420,6 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     check_target(g0, v0)
     run = _Run(g0, model, cfg, na)
     g, w, c_old = run.g, run.w, run.c_old
-    ahat = run.na.ahat
 
     for _ in range(cfg.budget):
         c_best = int(margin(run.row @ run.cvals, c_old)[1])
@@ -423,7 +427,7 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 
         best = None
         if cfg.perturb_structure:
-            grad = _structure_gradient(ahat, run.dtilde, run.row, q, v0)
+            grad = _structure_gradient(g, run.dtilde, run.row, q, v0)
             a_row = g.adjacency_row(v0).astype(bool)
             usable = np.where(a_row, grad < 0.0, grad > 0.0)
             usable[v0] = False
@@ -449,16 +453,13 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
             run.result.starved = True
             break
         run.commit(best)
-        if best.kind == EDGE:
-            ahat = normalized_adjacency_matrix(g)
     return run.result
 
 
 def apply_result(g0: AttributedGraph, result: AttackResult) -> AttributedGraph:
     """Clean graph plus every logged perturbation."""
     g = g0.copy()
-    for p in result.perturbations:
-        g.apply_inplace(p)
+    g.apply_all_inplace(result.perturbations)
     return g
 
 

@@ -21,7 +21,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER, apply_resul
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import BUNDLE_FILES, DataSplit, load_bundle, make_split
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
-from .graph import AttributedGraph, induced_subgraph
+from .graph import EDGE, AttributedGraph, induced_subgraph
 from .surrogate import (NormalizedAdjacency, SurrogateModel, margin, softmax,
                         surrogate_logits, train_surrogate)
 
@@ -41,6 +41,10 @@ log = logging.getLogger(__name__)
 ATTACK_NAMES = ("nettack", "nettack-in", "fgsm", "rnd", "nettack-u")
 
 DEGREE_BUCKETS = ((1, 5), (6, 10), (11, 20), (21, 100), (101, None))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -63,13 +67,21 @@ class ExperimentPlan:
     gcn_patience: int = 30
 
     def __post_init__(self):
-        if not self.seeds or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
-                                     for s in self.seeds):
+        if not self.seeds or not all(_is_int(s) for s in self.seeds):
             raise ValueError(f"plan seeds must be a non-empty list of integers, "
                              f"got {list(self.seeds)!r}")
         for a in self.attacks:
             if a not in ATTACK_NAMES:
                 raise ValueError(f"unknown attack {a!r}; choose from {ATTACK_NAMES}")
+        for name, least in (("n_high", 0), ("n_low", 0), ("n_random", 0),
+                            ("budget_offset", 0), ("poisoning_runs", 1), ("d_min", 1)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= least):
+                raise ValueError(f"plan key {name!r} must be an integer of at least "
+                                 f"{least}, got {value!r}")
+        if not (isinstance(self.tau, numbers.Real) and not isinstance(self.tau, bool)
+                and math.isfinite(self.tau)):
+            raise ValueError(f"plan key 'tau' must be a finite number, got {self.tau!r}")
         self.gcn_config()  # rejects GCN settings that cannot train
 
     def gcn_config(self) -> GcnConfig:
@@ -338,11 +350,10 @@ def run_limited_knowledge(plan: ExperimentPlan) -> list[list]:
                                            seed=seed, d_min=plan.d_min,
                                            tau=plan.tau), na=sub_na)
             g_att = g.copy()
-            for p in res.perturbations:
-                if p.kind == "edge":
-                    g_att.flip_edge_inplace(int(mapping[p.u]), int(mapping[p.v]))
-                else:
-                    g_att.flip_feature_inplace(int(mapping[p.u]), p.v)
+            g_att.apply_all_inplace(
+                replace(p, u=int(mapping[p.u]),
+                        v=int(mapping[p.v]) if p.kind == EDGE else p.v)
+                for p in res.perturbations)
             rep = poisoning_eval(g_att, split, [v0], runs=plan.poisoning_runs,
                                  base_seed=seed * 100000, config=cfg_gcn)
             rows.append([fraction, v0, sub.n_nodes, len(res.perturbations),

@@ -260,6 +260,7 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
     matrix, its second layer and Adam moments are its own, its dropout masks
     come from its own generator, and it leaves the stack when it stops.
     """
+    split.check(g.n_nodes)
     k = g.n_classes
     if k < 2:
         raise TrainingError("need at least two classes")

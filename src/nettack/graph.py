@@ -4,15 +4,16 @@ The adjacency (N x N, symmetric, zero diagonal) and the binary features
 (N x D) are each held as one boolean CSR matrix with sorted indices and
 no duplicates; nothing else is stored. Degrees and the edge count are
 read off the adjacency's `indptr`, matrix views are dtype casts, and a
-flip replaces the one matrix it changes by its XOR with the flipped
-entries, so copies can share matrices. Labels are 1-based class ids with
-0 meaning "unlabeled".
+flip replaces the one matrix it changes by a new one whose index arrays
+are copies with the flipped entries inserted or deleted, so copies can
+share matrices. A whole attack's flips are applied at once by one XOR per
+matrix. Labels are 1-based class ids with 0 meaning "unlabeled".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,6 +82,34 @@ def _bool_csr(rows, cols, shape: tuple[int, int]) -> sp.csr_matrix:
     return m
 
 
+def _toggled(m: sp.csr_matrix, rows, cols) -> sp.csr_matrix:
+    """Canonical boolean CSR equal to `m` with the distinct entries
+    (rows[k], cols[k]) toggled; `m` itself is left unchanged.
+
+    Each entry's slot is found by binary search within its row. The slots
+    are then processed from the last to the first, ties broken by row, so
+    each insertion or deletion leaves the slots still to come valid.
+    """
+    indptr, indices = m.indptr, m.indices
+    shift = np.zeros(len(indptr), dtype=indptr.dtype)
+    slots = []
+    for r, c in zip(rows, cols):
+        lo, hi = indptr[r], indptr[r + 1]
+        k = lo + int(np.searchsorted(indices[lo:hi], c))
+        slots.append((k, r, c, k < hi and indices[k] == c))
+    for k, r, c, present in sorted(slots, reverse=True):
+        indices = np.delete(indices, k) if present else np.insert(indices, k, c)
+        shift[r + 1] += -1 if present else 1
+    return sp.csr_matrix((np.ones(len(indices), dtype=bool), indices,
+                          indptr + np.cumsum(shift)), shape=m.shape)
+
+
+def _odd_pairs(pairs: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, 2) array that occur an odd number of times."""
+    keys, counts = np.unique(pairs, axis=0, return_counts=True)
+    return keys[counts % 2 == 1]
+
+
 def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
     bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
@@ -91,7 +120,8 @@ class AttributedGraph:
     """Undirected graph with binary node features and optional labels.
 
     `adj` and `feat` are canonical boolean CSR matrices. Treat them as
-    read-only: flips replace them, and copies share them.
+    read-only: a flip replaces the matrix it changes by a new one and
+    never writes into the old one, which copies may share.
 
     Invariants: adjacency symmetric with zero diagonal; label ids in
     {0, 1..n_classes} where 0 marks an unlabeled node.
@@ -222,7 +252,7 @@ class AttributedGraph:
         self._check_node(v)
         if u == v:
             raise GraphError("self-loops are not allowed")
-        self.adj = self.adj != _bool_csr([u, v], [v, u], self.adj.shape)
+        self.adj = _toggled(self.adj, (u, v), (v, u))
 
     def flip_edge(self, u: int, v: int) -> "AttributedGraph":
         g = self.copy()
@@ -232,7 +262,7 @@ class AttributedGraph:
     def flip_feature_inplace(self, u: int, i: int) -> None:
         self._check_node(u)
         self._check_feature(i)
-        self.feat = self.feat != _bool_csr([u], [i], self.feat.shape)
+        self.feat = _toggled(self.feat, (u,), (i,))
 
     def flip_feature(self, u: int, i: int) -> "AttributedGraph":
         g = self.copy()
@@ -244,6 +274,23 @@ class AttributedGraph:
             self.flip_edge_inplace(p.u, p.v)
         else:
             self.flip_feature_inplace(p.u, p.v)
+
+    def apply_all_inplace(self, perturbations: Iterable[Perturbation]) -> None:
+        """Apply every flip at once: one XOR for the edges, one for the features.
+
+        A pair flipped an even number of times ends as it was, so only the
+        pairs flipped an odd number of times are XOR-ed (`from_edges`
+        merges repeats, it does not count them). Equal to applying them in
+        order.
+        """
+        ps = list(perturbations)
+        edges, feats = (np.array([(p.u, p.v) for p in ps if p.kind == kind],
+                                 dtype=np.int64).reshape(-1, 2) for kind in (EDGE, FEATURE))
+        edges.sort(axis=1)  # (u, v) and (v, u) are one pair
+        flips = AttributedGraph.from_edges(self.n_nodes, self.n_features,
+                                           _odd_pairs(edges), _odd_pairs(feats))
+        self.adj = self.adj != flips.adj
+        self.feat = self.feat != flips.feat
 
     # -- matrix views -----------------------------------------------------
 

@@ -232,6 +232,7 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
     nodes) is convex in W, so W starts at zero and the fixed step size
     needs no tuning per dataset. Validation loss drives early stopping.
     """
+    split.check(g.n_nodes)
     if len(split.train_ids) == 0:
         raise TrainingError("empty training set")
     k = g.n_classes

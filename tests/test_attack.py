@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from nettack import attack
 from nettack.attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER,
                             apply_result, candidate_edges, candidate_features,
                             fgsm_baseline, replay_constraints, resolve_attackers,
@@ -12,9 +13,9 @@ from nettack.attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER,
 from nettack.constraints import (DegreeTestState, build_cooccurrence,
                                  feature_addition_allowed, lambda_statistic)
 from nettack.data import make_split
-from nettack.graph import AttributedGraph, EDGE, FEATURE, GraphError
+from nettack.graph import AttributedGraph, EDGE, FEATURE, GraphError, Perturbation
 from nettack.surrogate import (NormalizedAdjacency, SurrogateModel,
-                               infer_old_class, margin,
+                               infer_old_class, margin, normalized_adjacency_matrix,
                                surrogate_logits, train_surrogate,
                                updated_square_row_from)
 from helpers import random_graph, surrogate_loss_scratch
@@ -481,6 +482,51 @@ def test_fgsm_loss_trace_consistent_with_replay():
     g_att = apply_result(g, res)
     assert res.loss_trace[-1] == pytest.approx(
         surrogate_loss_scratch(g_att, model.weights, v0, c_old), abs=1e-9)
+
+
+def gradient_from_rebuilt_ahat(g, d, row2, q, v0):
+    """FGSM's structure gradient read off a freshly built normalized adjacency."""
+    ahat = normalized_adjacency_matrix(g)
+    h1, h2 = ahat @ q, ahat[v0].toarray().ravel()
+    lc = float(row2 @ q)
+    grad = (h1 + h2[v0] * q + h2 * q[v0]) / np.sqrt(d[v0] * d)
+    grad -= 0.5 * lc / d[v0]
+    grad -= h2[v0] * h1[v0] / d[v0] + h2 * h1 / d
+    grad -= 0.5 * (row2[v0] * q[v0] / d[v0] + row2 * q / d)
+    grad[v0] = 0.0
+    return grad
+
+
+@pytest.mark.parametrize("seed, p", [(21, 0.1), (22, 0.2), (23, 0.35)])
+def test_fgsm_gradient_matches_rebuilt_ahat(seed, p, monkeypatch):
+    g, na, model = trained_instance(n=25, p=p, seed=seed)
+    gradient, gaps, flips = attack._structure_gradient, [], []
+
+    def checked(g, d, row2, q, v0):
+        got, want = gradient(g, d, row2, q, v0), gradient_from_rebuilt_ahat(g, d, row2, q, v0)
+        gaps.append(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+        return got
+
+    monkeypatch.setattr(attack, "_structure_gradient", checked)
+    for v0 in range(0, g.n_nodes, 3):
+        res = fgsm_baseline(g, model, AttackConfig(target=v0, budget=5), na=na)
+        flips += [p for p in res.perturbations if p.kind == EDGE]
+    assert flips and max(gaps) <= 1e-12
+
+
+def test_apply_result_repeated_pair_equals_sequential():
+    g, _, _ = trained_instance(n=12, p=0.3, seed=24)
+    flips = [(EDGE, 0, 1), (FEATURE, 3, 1), (EDGE, 5, 2), (EDGE, 0, 1),
+             (FEATURE, 3, 2), (EDGE, 2, 5), (FEATURE, 3, 1), (EDGE, 4, 7)]
+    res = AttackResult(target=0, attackers=(0,), budget=len(flips), mode=DIRECT,
+                       constrained=False,
+                       perturbations=[Perturbation(kind=k, u=u, v=v, insert=True)
+                                      for k, u, v in flips])
+    seq = g.copy()
+    for p in res.perturbations:
+        seq.apply_inplace(p)
+    assert apply_result(g, res) == seq
+    assert apply_result(g, res) == g.flip_feature(3, 2).flip_edge(4, 7)
 
 
 def test_resolve_attackers_influencer_fill():

@@ -131,7 +131,8 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
 
 @pytest.mark.parametrize("case", ["fgsm-target", "missing-model", "missing-report",
                                   "unknown-plan-key", "plan-seeds-not-a-list",
-                                  "plan-seeds-empty",
+                                  "plan-seeds-empty", "plan-count-a-string",
+                                  "plan-runs-a-fraction", "plan-tau-not-a-number",
                                   "model-missing-shape", "targets-not-integers",
                                   "split-out-of-range", "split-overlap",
                                   "split-missing-key"])
@@ -147,6 +148,9 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "unknown-plan-key": {**plan, "bogus": 1},
         "plan-seeds-not-a-list": {**plan, "seeds": 5},
         "plan-seeds-empty": {**plan, "seeds": []},
+        "plan-count-a-string": {**plan, "n_high": "3"},
+        "plan-runs-a-fraction": {**plan, "poisoning_runs": 2.5},
+        "plan-tau-not-a-number": {**plan, "tau": "a"},
         "model-missing-shape": {"weights": [0.0] * (3 * g.n_features), "n_classes": 3},
         "targets-not-integers": [1, "5"],
         "split-out-of-range": {**split, "validation_ids": [3, 4, 999]},
@@ -167,6 +171,9 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "unknown-plan-key": (["experiment", "--plan", str(data)], "bogus"),
         "plan-seeds-not-a-list": (["experiment", "--plan", str(data)], "seeds"),
         "plan-seeds-empty": (["experiment", "--plan", str(data)], "seeds"),
+        "plan-count-a-string": (["experiment", "--plan", str(data)], "n_high"),
+        "plan-runs-a-fraction": (["experiment", "--plan", str(data)], "poisoning_runs"),
+        "plan-tau-not-a-number": (["experiment", "--plan", str(data)], "tau"),
         "model-missing-shape": (["attack", "--in", str(path), "--target", "1",
                                  "--model", str(data), "--out", str(out)], "shape"),
         "targets-not-integers": (evaluate + ["--split", str(tmp_path / "split.json"),

@@ -282,6 +282,16 @@ def test_plan_rejects_unknown_attack():
         ExperimentPlan(dataset="d", out_dir="o", attacks=("bogus",))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_high", "3"), ("n_low", -1), ("n_random", 2.0), ("budget_offset", True),
+    ("poisoning_runs", 2.5), ("poisoning_runs", 0), ("d_min", 0),
+    ("tau", "a"), ("tau", float("nan")), ("tau", float("inf")),
+])
+def test_plan_rejects_bad_counts_and_tau(field, value):
+    with pytest.raises(ValueError, match=f"plan key '{field}' must be"):
+        ExperimentPlan(dataset="d", out_dir="o", **{field: value})
+
+
 def test_reproduction_summary_structure(tmp_path):
     from nettack.experiment import reproduction_summary
     bundle = tmp_path / "bundle"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nettack.attack import AttackConfig, apply_result, run_nettack
-from nettack.data import DataSplit, extract_lcc, make_split
+from nettack.data import BundleError, DataSplit, extract_lcc, make_split
 from nettack.gcn import (GcnConfig, GcnModel, MarginReport, TargetMargin, _fit,
                          _propagated_features, evasion_eval, gcn_forward,
                          gcn_loss_and_grads, poisoning_eval, train_gcn)
@@ -164,6 +164,24 @@ def test_eval_rejects_unlabeled_target():
                      lambda t: poisoning_eval(g, split, t, runs=1)):
         with pytest.raises(GraphError, match="no ground-truth label"):
             evaluate([int(split.unlabeled_ids[1]), int(split.unlabeled_ids[0])])
+
+
+@pytest.mark.parametrize("train", ["train_surrogate", "train_gcn", "poisoning_eval"])
+@pytest.mark.parametrize("case", ["out-of-range", "overlap"])
+def test_training_rejects_bad_split(train, case):
+    g = planted_partition(n_nodes=60, n_classes=3, n_features=18, markers_per_class=5,
+                          seed=4)
+    split = make_split(g, seed=1)
+    val = [999] if case == "out-of-range" else split.train_ids[:2]
+    bad = DataSplit(train_ids=split.train_ids,
+                    validation_ids=np.r_[split.validation_ids, val],
+                    unlabeled_ids=split.unlabeled_ids, rng_seed=1)
+    run = {"train_surrogate": lambda: train_surrogate(g, NormalizedAdjacency.build(g), bad),
+           "train_gcn": lambda: train_gcn(g, bad, seed=0),
+           "poisoning_eval": lambda: poisoning_eval(g, bad, [int(split.unlabeled_ids[0])],
+                                                    runs=1)}[train]
+    with pytest.raises(BundleError, match="999" if case == "out-of-range" else "disjoint"):
+        run()
 
 
 def test_poisoning_eval_rejects_zero_runs():

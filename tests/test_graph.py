@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -105,12 +106,42 @@ def test_label_validation():
         AttributedGraph(3, 0, labels=np.array([-1, 0, 0]))
 
 
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40))
-def test_flip_sequences_preserve_invariants(pairs):
-    g = AttributedGraph(10, 0)
-    for u, v in pairs:
-        if u != v:
+def assert_canonical(m):
+    assert m.dtype == bool and m.data.all()
+    for a, b in zip(m.indptr[:-1], m.indptr[1:]):
+        assert np.all(np.diff(m.indices[a:b]) > 0)  # sorted, no duplicates
+    assert m.has_canonical_format
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 9), st.integers(0, 9)),
+                max_size=40),
+       st.integers(0, 5), st.sampled_from([0.0, 0.3]))
+def test_flip_sequences_preserve_invariants(flips, seed, density):
+    g0 = random_graph(10, density, seed=seed, n_features=10, p_feat=density)
+    before = [(m.indices.copy(), m.indptr.copy()) for m in (g0.adj, g0.feat)]
+    g, xor_adj, xor_feat, done = g0.copy(), g0.adj, g0.feat, []
+    for is_edge, u, v in flips:
+        if is_edge and u == v:
+            continue
+        if is_edge:
             g.flip_edge_inplace(u, v)
+            xor_adj = xor_adj != sp.csr_matrix(([True, True], ([u, v], [v, u])),
+                                               shape=xor_adj.shape)
+        else:
+            g.flip_feature_inplace(u, v)
+            xor_feat = xor_feat != sp.csr_matrix(([True], ([u], [v])),
+                                                 shape=xor_feat.shape)
+        done.append(Perturbation(kind=EDGE if is_edge else FEATURE, u=u, v=v,
+                                 insert=True))
+        for m, ref in ((g.adj, xor_adj), (g.feat, xor_feat)):
+            assert_canonical(m)
+            assert (m != ref).nnz == 0
+    for m, (indices, indptr) in zip((g0.adj, g0.feat), before):
+        assert np.array_equal(m.indices, indices) and np.array_equal(m.indptr, indptr)
+    at_once = g0.copy()
+    at_once.apply_all_inplace(done)  # pairs flipped twice cancel
+    assert at_once == g
+    assert_canonical(at_once.adj) and assert_canonical(at_once.feat)
     g.validate()
     assert int(g.degrees.sum()) == 2 * g.n_edges
     a = g.adjacency_matrix().toarray()
