@@ -459,7 +459,8 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 def apply_result(g0: AttributedGraph, result: AttackResult) -> AttributedGraph:
     """Clean graph plus every logged perturbation."""
     g = g0.copy()
-    g.apply_all_inplace(result.perturbations)
+    for p in result.perturbations:
+        g.apply_inplace(p)
     return g
 
 

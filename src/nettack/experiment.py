@@ -21,7 +21,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER, apply_resul
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import BUNDLE_FILES, DataSplit, load_bundle, make_split
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
-from .graph import EDGE, AttributedGraph, induced_subgraph
+from .graph import AttributedGraph, induced_subgraph
 from .surrogate import (NormalizedAdjacency, SurrogateModel, margin, softmax,
                         surrogate_logits, train_surrogate)
 
@@ -350,10 +350,11 @@ def run_limited_knowledge(plan: ExperimentPlan) -> list[list]:
                                            seed=seed, d_min=plan.d_min,
                                            tau=plan.tau), na=sub_na)
             g_att = g.copy()
-            g_att.apply_all_inplace(
-                replace(p, u=int(mapping[p.u]),
-                        v=int(mapping[p.v]) if p.kind == EDGE else p.v)
-                for p in res.perturbations)
+            for p in res.perturbations:
+                if p.kind == "edge":
+                    g_att.flip_edge_inplace(int(mapping[p.u]), int(mapping[p.v]))
+                else:
+                    g_att.flip_feature_inplace(int(mapping[p.u]), p.v)
             rep = poisoning_eval(g_att, split, [v0], runs=plan.poisoning_runs,
                                  base_seed=seed * 100000, config=cfg_gcn)
             rows.append([fraction, v0, sub.n_nodes, len(res.perturbations),

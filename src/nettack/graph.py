@@ -6,14 +6,13 @@ no duplicates; nothing else is stored. Degrees and the edge count are
 read off the adjacency's `indptr`, matrix views are dtype casts, and a
 flip replaces the one matrix it changes by a new one whose index arrays
 are copies with the flipped entries inserted or deleted, so copies can
-share matrices. A whole attack's flips are applied at once by one XOR per
-matrix. Labels are 1-based class ids with 0 meaning "unlabeled".
+share matrices. Labels are 1-based class ids with 0 meaning "unlabeled".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,12 +101,6 @@ def _toggled(m: sp.csr_matrix, rows, cols) -> sp.csr_matrix:
         shift[r + 1] += -1 if present else 1
     return sp.csr_matrix((np.ones(len(indices), dtype=bool), indices,
                           indptr + np.cumsum(shift)), shape=m.shape)
-
-
-def _odd_pairs(pairs: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (n, 2) array that occur an odd number of times."""
-    keys, counts = np.unique(pairs, axis=0, return_counts=True)
-    return keys[counts % 2 == 1]
 
 
 def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
@@ -274,23 +267,6 @@ class AttributedGraph:
             self.flip_edge_inplace(p.u, p.v)
         else:
             self.flip_feature_inplace(p.u, p.v)
-
-    def apply_all_inplace(self, perturbations: Iterable[Perturbation]) -> None:
-        """Apply every flip at once: one XOR for the edges, one for the features.
-
-        A pair flipped an even number of times ends as it was, so only the
-        pairs flipped an odd number of times are XOR-ed (`from_edges`
-        merges repeats, it does not count them). Equal to applying them in
-        order.
-        """
-        ps = list(perturbations)
-        edges, feats = (np.array([(p.u, p.v) for p in ps if p.kind == kind],
-                                 dtype=np.int64).reshape(-1, 2) for kind in (EDGE, FEATURE))
-        edges.sort(axis=1)  # (u, v) and (v, u) are one pair
-        flips = AttributedGraph.from_edges(self.n_nodes, self.n_features,
-                                           _odd_pairs(edges), _odd_pairs(feats))
-        self.adj = self.adj != flips.adj
-        self.feat = self.feat != flips.feat
 
     # -- matrix views -----------------------------------------------------
 
