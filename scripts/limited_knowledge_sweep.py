@@ -5,15 +5,19 @@ For each knowledge fraction, the attacker sees only the nodes closest to
 the target (breadth-first rings), trains its surrogate on that subgraph,
 attacks it, and the chosen flips are mapped back onto the full graph
 where the victim is retrained. Emits one CSV row per (fraction, target).
+The sweep runs inside `run_experiment`, with `nettack` as the roster on
+one seed, whose full-visibility runs it reuses; only its CSV is kept.
 """
 
 import argparse
 import csv
+import shutil
 import sys
 import tempfile
+from pathlib import Path
 
 from nettack.data import extract_lcc, save_bundle
-from nettack.experiment import ExperimentPlan, run_limited_knowledge
+from nettack.experiment import ExperimentPlan, run_experiment
 from nettack.synthetic import planted_partition
 
 
@@ -29,30 +33,26 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    bundle = args.bundle
-    tmp = None
-    if bundle is None:
-        tmp = tempfile.TemporaryDirectory()
-        bundle = tmp.name
-        g, _ = extract_lcc(planted_partition(seed=0))
-        save_bundle(g, bundle)
-    k = max(1, args.n_targets // 3)
-    plan = ExperimentPlan(
-        dataset=str(bundle), out_dir=".", seeds=(args.seed,),
-        n_high=k, n_low=k, n_random=max(0, args.n_targets - 2 * k),
-        poisoning_runs=args.runs, limited_fractions=tuple(args.fractions))
-    rows = run_limited_knowledge(plan)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fraction", "target", "visible_nodes", "n_flips",
-                         "poisoned_margin", "correct_fraction"])
-        writer.writerows(rows)
-    for row in rows:
-        print(f"fraction={row[0]:.2f} target={row[1]} seen={row[2]} "
-              f"margin={row[4]:+.3f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = args.bundle
+        if bundle is None:
+            bundle = Path(tmp) / "bundle"
+            g, _ = extract_lcc(planted_partition(seed=0))
+            save_bundle(g, bundle)
+        k = max(1, args.n_targets // 3)
+        plan = ExperimentPlan(
+            dataset=str(bundle), out_dir=str(Path(tmp) / "out"), seeds=(args.seed,),
+            attacks=("nettack",), n_high=k, n_low=k,
+            n_random=max(0, args.n_targets - 2 * k),
+            poisoning_runs=args.runs, limited_fractions=tuple(args.fractions))
+        run_experiment(plan)
+        shutil.copyfile(Path(plan.out_dir) / "limited_knowledge.csv", args.out)
+    with open(args.out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for fraction, target, seen, _, margin, _ in rows:
+        print(f"fraction={float(fraction):.2f} target={target} seen={seen} "
+              f"margin={float(margin):+.3f}")
     print(f"wrote {args.out} ({len(rows)} rows)")
-    if tmp is not None:
-        tmp.cleanup()
     return 0
 
 

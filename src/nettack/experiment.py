@@ -3,11 +3,11 @@
 One experiment sweeps split seeds; per seed it trains the surrogate,
 picks margin-extreme plus random targets, runs each attack in the roster
 with a degree-plus-two budget, and evaluates evasion and poisoning
-margins of the victim. Target selection ranks the surrogate's margins
-with `surrogate.margin`, the rule behind the attack loss and the victim's
-margins too, and the limited-knowledge sweep takes the nodes nearest the
-target by hop count. Everything is seeded, and all emitted files are
-byte-stable across reruns.
+margins of the victim. The first seed's set-up also serves the
+limited-knowledge sweep, which attacks the nodes nearest the target.
+Target selection ranks margins with `surrogate.margin`, the rule behind
+the attack loss and the victim's margins too. Everything is seeded, and
+all emitted files are byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER, apply_resul
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import BUNDLE_FILES, DataSplit, load_bundle, make_split
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
-from .graph import AttributedGraph, induced_subgraph
+from .graph import EDGE, AttributedGraph, induced_subgraph
 from .surrogate import (NormalizedAdjacency, SurrogateModel, margin, softmax,
                         surrogate_logits, train_surrogate)
 
@@ -82,6 +83,10 @@ class ExperimentPlan:
         if not (isinstance(self.tau, numbers.Real) and not isinstance(self.tau, bool)
                 and math.isfinite(self.tau)):
             raise ValueError(f"plan key 'tau' must be a finite number, got {self.tau!r}")
+        if not all(isinstance(f, numbers.Real) and not isinstance(f, bool)
+                   and math.isfinite(f) and f > 0 for f in self.limited_fractions):
+            raise ValueError(f"plan key 'limited_fractions' must hold finite numbers above "
+                             f"0, got {list(self.limited_fractions)!r}")
         self.gcn_config()  # rejects GCN settings that cannot train
 
     def gcn_config(self) -> GcnConfig:
@@ -243,45 +248,40 @@ class SeedOutcome:
     margin_rows: list = field(default_factory=list)   # seed, attack, mode, target, degree, margin, correct_fraction
     loss_rows: list = field(default_factory=list)     # seed, attack, target, step, loss
     lambda_rows: list = field(default_factory=list)   # seed, attack, target, step, lambda
+    limited_rows: list = field(default_factory=list)  # fraction, target, visible_nodes, n_flips, margin, correct_fraction
     failures: list = field(default_factory=list)
 
 
-def _set_up(plan: ExperimentPlan, seed: int):
-    """Graph, split, clean-graph context, surrogate and targets of one seed."""
+def _run_one_seed(plan: ExperimentPlan, seed: int) -> SeedOutcome:
     g = load_bundle(plan.dataset)
     split = make_split(g, seed)
     na = NormalizedAdjacency.build(g)
     model = train_surrogate(g, na, split)
     targets = select_targets(model, g, na, split, seed=seed, n_high=plan.n_high,
                              n_low=plan.n_low, n_random=plan.n_random)
-    return g, split, na, model, targets
-
-
-def _run_one_seed(plan: ExperimentPlan, seed: int) -> SeedOutcome:
-    g, split, na, model, targets = _set_up(plan, seed)
     out = SeedOutcome(seed=seed, targets=targets)
     cfg_gcn = plan.gcn_config()
     runs_dir = Path(plan.out_dir) / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
+    attacks = plan.attacks
     try:
         model_clean = train_gcn(g, split, seed=9000 + seed, config=cfg_gcn)
         clean_poison = poisoning_eval(g, split, targets.all, runs=plan.poisoning_runs,
                                       base_seed=seed * 100000, config=cfg_gcn)
         clean_evasion = evasion_eval(model_clean, g, targets.all)
-    except Exception as exc:  # every run of the seed needs the clean model
+    except Exception as exc:  # every attack run of the seed needs the clean model
         log.exception("clean model failed: seed=%s", seed)
         out.failures += [{"seed": seed, "attack": attack, "target": v0, "error": repr(exc)}
                          for attack in plan.attacks for v0 in targets.all]
-        return out
-    for t in clean_poison.targets:
-        out.margin_rows.append([seed, "clean", "poisoning", t.node,
-                                g.degree(t.node), t.margin, t.correct_fraction])
-    for t in clean_evasion.targets:
-        out.margin_rows.append([seed, "clean", "evasion", t.node,
-                                g.degree(t.node), t.margin, t.correct_fraction])
+        attacks = ()
+    else:
+        for mode, report in (("poisoning", clean_poison), ("evasion", clean_evasion)):
+            out.margin_rows += [[seed, "clean", mode, t.node, g.degree(t.node), t.margin,
+                                 t.correct_fraction] for t in report.targets]
 
-    for ai, attack in enumerate(plan.attacks):
+    nettack_runs = {}  # target -> n_flips, poisoned margin, correct fraction
+    for ai, attack in enumerate(attacks):
         for v0 in targets.all:
             budget = g.degree(v0) + plan.budget_offset
             run_seed = seed * 100000 + ai * 10000 + v0
@@ -294,79 +294,78 @@ def _run_one_seed(plan: ExperimentPlan, seed: int) -> SeedOutcome:
                                         runs=plan.poisoning_runs,
                                         base_seed=seed * 100000, config=cfg_gcn)
                 audit = replay_constraints(g, result, plan.d_min, plan.tau)
-            except Exception as exc:  # keep the sweep alive, record the failure
+            except Exception as exc:  # keep the seed going, record the failure
                 log.exception("run failed: seed=%s attack=%s target=%s", seed, attack, v0)
                 out.failures.append({"seed": seed, "attack": attack,
                                      "target": v0, "error": repr(exc)})
                 continue
-            deg = g.degree(v0)
-            te, tp = evasion.targets[0], poison.targets[0]
-            out.margin_rows.append([seed, attack, "evasion", v0, deg,
-                                    te.margin, te.correct_fraction])
-            out.margin_rows.append([seed, attack, "poisoning", v0, deg,
-                                    tp.margin, tp.correct_fraction])
+            tp = poison.targets[0]
+            for mode, t in (("evasion", evasion.targets[0]), ("poisoning", tp)):
+                out.margin_rows.append([seed, attack, mode, v0, g.degree(v0),
+                                        t.margin, t.correct_fraction])
+            if attack == "nettack":
+                nettack_runs[v0] = [len(result.perturbations), tp.margin, tp.correct_fraction]
             for step, loss in enumerate([result.initial_loss] + result.loss_trace):
                 out.loss_rows.append([seed, attack, v0, step, loss])
             for step, lam in enumerate(result.lambda_trace):
                 out.lambda_rows.append([seed, attack, v0, step + 1, lam])
-            payload = {
-                "seed": seed, "attack": attack,
-                "result": result.to_dict(),
-                "evasion": evasion.to_dict(),
-                "poisoning": poison.to_dict(),
-                "replay_audit": audit,
-            }
+            payload = {"seed": seed, "attack": attack, "result": result.to_dict(),
+                       "evasion": evasion.to_dict(), "poisoning": poison.to_dict(),
+                       "replay_audit": audit}
             run_path = runs_dir / f"seed{seed}_{attack}_t{v0}.json"
             run_path.write_text(json.dumps(payload, sort_keys=True, indent=1,
                                            allow_nan=False) + "\n")
+
+    sweep = plan.limited_fractions if seed == plan.seeds[0] else ()
+    for fraction, v0 in product(sweep, targets.all):
+        try:
+            out.limited_rows += _limited_rows(plan, seed, g, split, na, model, v0,
+                                              fraction, nettack_runs.get(v0))
+        except Exception as exc:  # likewise for a sweep task
+            log.exception("sweep failed: seed=%s fraction=%s target=%s", seed, fraction, v0)
+            out.failures.append({"seed": seed, "fraction": fraction, "target": v0,
+                                 "error": repr(exc)})
     return out
 
 
-def run_limited_knowledge(plan: ExperimentPlan) -> list[list]:
-    """Partial-visibility sweep: attack a subgraph, replay on the full graph.
+def _limited_rows(plan: ExperimentPlan, seed: int, g: AttributedGraph, split: DataSplit,
+                  na: NormalizedAdjacency, model: SurrogateModel, v0: int,
+                  fraction: float, nettack_run: list | None) -> list[list]:
+    """Rows of one sweep task: none when too few nodes are visible to train on.
 
-    For each fraction, the attacker sees only the closest
-    ceil(fraction * N) nodes around the target, trains its own surrogate
-    there, and its flips are mapped back onto the full graph for
-    poisoning evaluation. Runs on the plan's first seed (the sweep is an
-    analysis, not part of the seed-averaged headline protocol); budgets
-    still follow the full-graph degree rule.
+    Nettack sees the ceil(fraction * N) nodes nearest v0, with the full-graph
+    budget, and fits its own surrogate there; the victim retrains on the
+    full graph with the flips mapped back.
     """
-    seed = plan.seeds[0]
-    g, split, _, _, targets = _set_up(plan, seed)
-    cfg_gcn = plan.gcn_config()
-    rows = []
-    for fraction in plan.limited_fractions:
-        for v0 in targets.all:
-            sub, mapping = limited_knowledge_subgraph(g, v0, fraction)
-            if sub.n_nodes < 10:
-                continue  # too small to split and train on
-            inverse = {int(orig): new for new, orig in enumerate(mapping)}
-            sub_na = NormalizedAdjacency.build(sub)
-            sub_model = train_surrogate(sub, sub_na, make_split(sub, seed))
-            budget = g.degree(v0) + plan.budget_offset
-            res = run_nettack(sub, sub_model,
-                              AttackConfig(target=inverse[v0], budget=budget,
-                                           seed=seed, d_min=plan.d_min,
-                                           tau=plan.tau), na=sub_na)
-            g_att = g.copy()
-            for p in res.perturbations:
-                if p.kind == "edge":
-                    g_att.flip_edge_inplace(int(mapping[p.u]), int(mapping[p.v]))
-                else:
-                    g_att.flip_feature_inplace(int(mapping[p.u]), p.v)
-            rep = poisoning_eval(g_att, split, [v0], runs=plan.poisoning_runs,
-                                 base_seed=seed * 100000, config=cfg_gcn)
-            rows.append([fraction, v0, sub.n_nodes, len(res.perturbations),
-                         rep.targets[0].margin, rep.targets[0].correct_fraction])
-    return rows
+    sub, mapping = limited_knowledge_subgraph(g, v0, fraction)
+    if sub.n_nodes < 10:
+        return []
+    # `induced_subgraph` sorts its ids, so a whole-graph `sub` is g: the
+    # seed's split, surrogate and `nettack` run (direct mode ignores the seed).
+    if sub.n_nodes < g.n_nodes:
+        na = NormalizedAdjacency.build(sub)
+        model = train_surrogate(sub, na, make_split(sub, seed))
+    elif nettack_run is not None:
+        return [[fraction, v0, sub.n_nodes, *nettack_run]]
+    result = run_attack_by_name("nettack", sub, model, na, int(np.searchsorted(mapping, v0)),
+                                g.degree(v0) + plan.budget_offset, seed, plan.d_min, plan.tau)
+    g_att = g.copy()
+    for p in result.perturbations:  # `mapping` increases, so edges stay u < v
+        g_att.apply_inplace(replace(p, u=int(mapping[p.u]),
+                                    v=int(mapping[p.v]) if p.kind == EDGE else p.v))
+    tp = poisoning_eval(g_att, split, [v0], runs=plan.poisoning_runs,
+                        base_seed=seed * 100000, config=plan.gcn_config()).targets[0]
+    return [[fraction, v0, sub.n_nodes, len(result.perturbations), tp.margin,
+             tp.correct_fraction]]
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Execute a plan and write run JSONs, aggregate CSVs, and a manifest.
 
-    Honors NETTACK_WORKERS for seed-level parallelism; results are merged
-    in seed order so outputs stay byte-identical either way.
+    The first seed's set-up also serves the limited-knowledge sweep, and a
+    task that raises becomes a `failures` entry. Honors NETTACK_WORKERS
+    for seed-level parallelism; results are merged in seed order so
+    outputs stay byte-identical either way.
     """
     raw = os.environ.get("NETTACK_WORKERS", "1")
     if not raw.strip().isdigit() or int(raw) < 1:
@@ -433,8 +432,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     if plan.limited_fractions:
         _write_csv(out_dir / "limited_knowledge.csv",
                    ["fraction", "target", "visible_nodes", "n_flips",
-                    "poisoned_margin", "correct_fraction"],
-                   run_limited_knowledge(plan))
+                    "poisoned_margin", "correct_fraction"], outcomes[0].limited_rows)
 
     manifest = {
         "plan": plan.to_dict(),

@@ -133,9 +133,10 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "unknown-plan-key", "plan-seeds-not-a-list",
                                   "plan-seeds-empty", "plan-count-a-string",
                                   "plan-runs-a-fraction", "plan-tau-not-a-number",
-                                  "model-missing-shape", "targets-not-integers",
-                                  "split-out-of-range", "split-overlap",
-                                  "split-missing-key"])
+                                  "plan-fraction-a-string", "plan-fraction-zero",
+                                  "plan-fraction-nan", "model-missing-shape",
+                                  "targets-not-integers", "split-out-of-range",
+                                  "split-overlap", "split-missing-key"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
     root, path, g = bundle
     out = tmp_path / "x.json"
@@ -151,6 +152,9 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "plan-count-a-string": {**plan, "n_high": "3"},
         "plan-runs-a-fraction": {**plan, "poisoning_runs": 2.5},
         "plan-tau-not-a-number": {**plan, "tau": "a"},
+        "plan-fraction-a-string": {**plan, "limited_fractions": ["a"]},
+        "plan-fraction-zero": {**plan, "limited_fractions": [0]},
+        "plan-fraction-nan": {**plan, "limited_fractions": [float("nan")]},
         "model-missing-shape": {"weights": [0.0] * (3 * g.n_features), "n_classes": 3},
         "targets-not-integers": [1, "5"],
         "split-out-of-range": {**split, "validation_ids": [3, 4, 999]},
@@ -174,6 +178,9 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "plan-count-a-string": (["experiment", "--plan", str(data)], "n_high"),
         "plan-runs-a-fraction": (["experiment", "--plan", str(data)], "poisoning_runs"),
         "plan-tau-not-a-number": (["experiment", "--plan", str(data)], "tau"),
+        "plan-fraction-a-string": (["experiment", "--plan", str(data)], "limited_fractions"),
+        "plan-fraction-zero": (["experiment", "--plan", str(data)], "limited_fractions"),
+        "plan-fraction-nan": (["experiment", "--plan", str(data)], "limited_fractions"),
         "model-missing-shape": (["attack", "--in", str(path), "--target", "1",
                                  "--model", str(data), "--out", str(out)], "shape"),
         "targets-not-integers": (evaluate + ["--split", str(tmp_path / "split.json"),

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -159,7 +160,7 @@ def tiny_experiment(tmp_path_factory):
         dataset=str(bundle), out_dir=str(root / "out"),
         seeds=(1, 2), attacks=("nettack", "rnd"),
         n_high=1, n_low=1, n_random=2, poisoning_runs=2,
-        gcn_max_epochs=60, limited_fractions=())
+        gcn_max_epochs=60, limited_fractions=(0.5, 1.0))
     manifest = run_experiment(plan)
     return root, plan, manifest, g
 
@@ -184,7 +185,7 @@ def test_run_experiment_outputs_exist(tiny_experiment):
     out = root / "out"
     for name in ("aggregate.csv", "margin_scatter.csv", "lambda_trace.csv",
                  "loss_vs_perturbations.csv", "degree_buckets.csv",
-                 "manifest.json"):
+                 "limited_knowledge.csv", "manifest.json"):
         assert (out / name).exists()
 
 
@@ -257,6 +258,90 @@ def test_clean_model_failure_is_recorded_per_skipped_run(tiny_experiment, monkey
     for f in got["failures"]:
         assert f["seed"] == 2
         assert f["error"] == "TrainingError('non-finite training loss at epoch 7')"
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_shares_the_seed_set_up_and_nettack_runs(tiny_experiment, monkeypatch):
+    # Each fraction-1.0 row is its target's `nettack` poisoning row, and the
+    # sweep loads no bundle of its own.
+    root, plan, manifest, g = tiny_experiment
+    seed = plan.seeds[0]
+    nettack_rows = {r["target"]: r for r in read_csv(root / "out" / "margin_scatter.csv")
+                    if (r["seed"], r["attack"], r["mode"]) == (str(seed), "nettack",
+                                                                "poisoning")}
+    full = [r for r in read_csv(root / "out" / "limited_knowledge.csv")
+            if r["fraction"] == "1.0"]
+    assert [int(r["target"]) for r in full] == manifest["targets"][str(seed)]
+    for r in full:
+        run = json.loads((root / "out" / "runs" / f"seed{seed}_nettack_t{r['target']}.json")
+                         .read_text())
+        assert int(r["visible_nodes"]) == g.n_nodes
+        assert int(r["n_flips"]) == len(run["result"]["perturbations"])
+        assert r["poisoned_margin"] == nettack_rows[r["target"]]["margin"]
+        assert r["correct_fraction"] == nettack_rows[r["target"]]["correct_fraction"]
+
+    loads = []
+    load_bundle = nettack.experiment.load_bundle
+
+    def counting_load(path):
+        loads.append(path)
+        return load_bundle(path)
+
+    monkeypatch.setattr(nettack.experiment, "load_bundle", counting_load)
+    out = root / "out_counted"
+    run_experiment(ExperimentPlan.from_dict({**plan.to_dict(), "out_dir": str(out)}))
+    assert len(loads) == len(plan.seeds)
+    assert ((out / "limited_knowledge.csv").read_bytes()
+            == (root / "out" / "limited_knowledge.csv").read_bytes())
+
+
+def test_sweep_task_failure_is_recorded(tiny_experiment, monkeypatch):
+    # Every surrogate fit on a partial graph raises: each fraction-0.5 task
+    # is one failure, and everything else is written as in a normal run.
+    root, plan, manifest, g = tiny_experiment
+    train_surrogate = nettack.experiment.train_surrogate
+
+    def failing_on_subgraphs(sub, *args, **kwargs):
+        if sub.n_nodes < g.n_nodes:
+            raise TrainingError("non-finite training loss at epoch 3")
+        return train_surrogate(sub, *args, **kwargs)
+
+    monkeypatch.setattr(nettack.experiment, "train_surrogate", failing_on_subgraphs)
+    out = root / "out_sweep_failure"
+    got = run_experiment(ExperimentPlan.from_dict({**plan.to_dict(), "out_dir": str(out)}))
+    assert got == json.loads((out / "manifest.json").read_text())
+    assert got["failures"] == [
+        {"seed": plan.seeds[0], "fraction": 0.5, "target": v0,
+         "error": "TrainingError('non-finite training loss at epoch 3')"}
+        for v0 in manifest["targets"][str(plan.seeds[0])]]
+    lines = (root / "out" / "limited_knowledge.csv").read_text().splitlines()
+    assert (out / "limited_knowledge.csv").read_text().splitlines() == (
+        lines[:1] + [ln for ln in lines[1:] if ln.startswith("1.0,")])
+    assert ({p.name: p.read_bytes() for p in (out / "runs").iterdir()}
+            == {p.name: p.read_bytes() for p in (root / "out" / "runs").iterdir()})
+
+
+def test_sweep_survives_a_clean_failure_of_its_seed(tiny_experiment, monkeypatch):
+    # With the sweep seed's clean step failing there is no `nettack` run to
+    # reuse: the fraction-1.0 tasks attack the whole graph themselves, and
+    # the rows come out the same.
+    root, plan, _, _ = tiny_experiment
+
+    def failing(*args, **kwargs):
+        raise TrainingError("non-finite training loss at epoch 7")
+
+    monkeypatch.setattr(nettack.experiment, "train_gcn", failing)
+    out = root / "out_sweep_seed_clean_failure"
+    got = run_experiment(ExperimentPlan.from_dict(
+        {**plan.to_dict(), "seeds": [plan.seeds[0]], "out_dir": str(out)}))
+    assert [f["attack"] for f in got["failures"]] == [
+        a for a in plan.attacks for _ in got["targets"][str(plan.seeds[0])]]
+    assert ((out / "limited_knowledge.csv").read_bytes()
+            == (root / "out" / "limited_knowledge.csv").read_bytes())
 
 
 def test_table3_csv_order(tiny_experiment):
