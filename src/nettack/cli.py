@@ -88,6 +88,10 @@ def _cmd_attack(args) -> int:
     na = NormalizedAdjacency.build(g)
     if args.model:
         model = SurrogateModel.from_dict(json.loads(Path(args.model).read_text()))
+        shape, want = list(model.weights.shape), [g.n_features, g.n_classes]
+        if shape != want:
+            raise ValueError(f"surrogate model shape {shape} does not match "
+                             f"the graph's [D, K] = {want}")
     else:
         split = _load_or_make_split(g, args)
         model = train_surrogate(g, na, split)

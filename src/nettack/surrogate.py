@@ -3,11 +3,11 @@
 The surrogate scores nodes with softmax(S X W) where S is the square of
 the symmetrically normalized self-loop adjacency Â. `NormalizedAdjacency`
 is the context of one clean graph (Â, the self-loop degrees and the
-feature co-occurrence index); S is never stored, since an attack reads
-one row of it (`square_row`). Under a single symmetric edge flip a
-node's logits change in closed form with constant work per candidate,
-so the attack scores all candidates in one array pass
-(`edge_flip_logits`); the exact row update of S
+feature co-occurrence index). S is never formed: an attack reads one
+row of it (`square_row`), the fit the rows of S X it trains on. Under a
+single symmetric edge flip a node's logits change in closed form with
+constant work per candidate, so the attack scores all candidates in one
+array pass (`edge_flip_logits`); the exact row update of S
 (`updated_square_row_from`) settles near-ties and commits flips. This
 module owns both, and the one margin rule (`margin`) that the attack loss,
 target selection and victim evaluation share.
@@ -205,6 +205,8 @@ class SurrogateModel:
             raise ValueError(f"malformed surrogate model: {exc}") from exc
         if w.ndim != 2:
             raise ValueError(f"surrogate model shape must be [D, K], got {list(w.shape)}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("surrogate model weights must be finite")
         return model
 
 
@@ -219,11 +221,6 @@ def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(np.log(probs[np.arange(len(y)), y] + eps)))
 
 
-def propagated_features(na: NormalizedAdjacency, g: AttributedGraph) -> sp.csr_matrix:
-    """Two-hop propagated feature matrix S X used by the surrogate."""
-    return ((na.ahat @ na.ahat) @ g.feature_matrix()).tocsr()
-
-
 def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
                     split: DataSplit) -> SurrogateModel:
     """Fit the absorbed weight matrix by full-batch gradient descent.
@@ -231,6 +228,9 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
     The objective (mean cross-entropy of softmax(S X W) over the training
     nodes) is convex in W, so W starts at zero and the fixed step size
     needs no tuning per dataset. Validation loss drives early stopping.
+    Each step adds M_trᵀ G to W, M_tr being the training rows of S X, so
+    the loop steps B in W = M_trᵀ B on the Gram matrix of the training and
+    validation rows (built as Â[rows] (Â X)) and forms W once, at the end.
     """
     split.check(g.n_nodes)
     if len(split.train_ids) == 0:
@@ -238,47 +238,45 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
     k = g.n_classes
     if k < 2:
         raise TrainingError("need at least two classes")
-    m = propagated_features(na, g)
     y = g.labels - 1
     train, val = split.train_ids, split.validation_ids
     if np.any(y[train] < 0) or (len(val) and np.any(y[val] < 0)):
         raise TrainingError("train/validation nodes must be labeled")
 
-    w = np.zeros((g.n_features, k), dtype=np.float64)
-    m_train = m[train]
-    m_val = m[val] if len(val) else None
+    n_train = len(train)
+    rows = np.concatenate([train, val])
+    m = (na.ahat[rows] @ (na.ahat @ g.feature_matrix())).toarray()
+    gram = m @ m[:n_train].T
     y_train, y_val = y[train], y[val]
 
-    best_w = w.copy()
+    b = np.zeros((n_train, k), dtype=np.float64)
+    probs = softmax(np.zeros((len(rows), k), dtype=np.float64))  # softmax(gram @ b)
+    best_b = b
     best_val = np.inf
     stale = 0
     train_loss = np.nan
     epoch = 0
     for epoch in range(1, MAX_EPOCHS + 1):
-        logits = m_train @ w
-        probs = softmax(logits)
-        train_loss = _cross_entropy(probs, y_train)
+        grad_out = probs[:n_train]
+        train_loss = _cross_entropy(grad_out, y_train)
         if not np.isfinite(train_loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
-        grad_out = probs.copy()
-        grad_out[np.arange(len(y_train)), y_train] -= 1.0
-        grad = (m_train.T @ grad_out) / len(y_train)
-        w -= STEP * grad
+        grad_out[np.arange(n_train), y_train] -= 1.0
+        b = b - STEP * (grad_out / n_train)
 
-        if m_val is not None and len(y_val):
-            val_loss = _cross_entropy(softmax(m_val @ w), y_val)
-        else:
-            val_loss = train_loss
+        # The validation pass now and the training pass of the next epoch.
+        probs = softmax(gram @ b)
+        val_loss = _cross_entropy(probs[n_train:], y_val) if len(val) else train_loss
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best_w = w.copy()
+            best_b = b
             stale = 0
         else:
             stale += 1
             if stale >= PATIENCE:
                 break
 
-    return SurrogateModel(weights=best_w, n_classes=k, epochs_run=epoch,
+    return SurrogateModel(weights=m[:n_train].T @ best_b, n_classes=k, epochs_run=epoch,
                           train_loss=train_loss,
                           validation_loss=float(best_val) if np.isfinite(best_val) else float("nan"))
 
@@ -286,7 +284,7 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
 def surrogate_logits(na: NormalizedAdjacency, g: AttributedGraph,
                      model: SurrogateModel) -> np.ndarray:
     """Pre-softmax class scores for every node, shape (N, K)."""
-    return propagated_features(na, g) @ model.weights
+    return na.ahat @ (na.ahat @ (g.feature_matrix() @ model.weights))
 
 
 def margin(scores: np.ndarray, ref) -> tuple[np.ndarray, np.ndarray]:

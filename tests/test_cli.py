@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nettack
@@ -135,6 +136,8 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "plan-runs-a-fraction", "plan-tau-not-a-number",
                                   "plan-fraction-a-string", "plan-fraction-zero",
                                   "plan-fraction-nan", "model-missing-shape",
+                                  "model-too-few-classes", "model-too-few-features",
+                                  "model-nan-weight",
                                   "targets-not-integers", "split-out-of-range",
                                   "split-overlap", "split-missing-key"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
@@ -156,6 +159,13 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "plan-fraction-zero": {**plan, "limited_fractions": [0]},
         "plan-fraction-nan": {**plan, "limited_fractions": [float("nan")]},
         "model-missing-shape": {"weights": [0.0] * (3 * g.n_features), "n_classes": 3},
+        "model-too-few-classes": {"shape": [g.n_features, 2],
+                                  "weights": [0.0] * (2 * g.n_features), "n_classes": 2},
+        "model-too-few-features": {"shape": [g.n_features - 1, 3],
+                                   "weights": [0.0] * (3 * g.n_features - 3), "n_classes": 3},
+        "model-nan-weight": {"shape": [g.n_features, 3],
+                             "weights": [float("nan")] + [0.0] * (3 * g.n_features - 1),
+                             "n_classes": 3},
         "targets-not-integers": [1, "5"],
         "split-out-of-range": {**split, "validation_ids": [3, 4, 999]},
         "split-overlap": {**split, "validation_ids": [2, 3, 4]},
@@ -165,6 +175,11 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         data.write_text(json.dumps(inputs[case]))
     (tmp_path / "split.json").write_text(json.dumps(split))
     evaluate = ["evaluate", "--graph", str(path), "--mode", "evasion", "--out", str(out)]
+    # A target of the class a 2-class model lacks, which indexes past its logits.
+    target = int(np.flatnonzero(g.labels == 3)[0])
+    attack = ["attack", "--in", str(path), "--target", str(target), "--model", str(data),
+              "--out", str(out)]
+    graph_shape = [g.n_features, 3]
     args, needle = {
         "fgsm-target": (["attack", "--in", str(path), "--baseline", "fgsm",
                          "--target", "99999", "--budget", "3", "--out", str(out)], "99999"),
@@ -183,6 +198,11 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "plan-fraction-nan": (["experiment", "--plan", str(data)], "limited_fractions"),
         "model-missing-shape": (["attack", "--in", str(path), "--target", "1",
                                  "--model", str(data), "--out", str(out)], "shape"),
+        "model-too-few-classes": (attack, f"{[g.n_features, 2]} does not match "
+                                          f"the graph's [D, K] = {graph_shape}"),
+        "model-too-few-features": (attack, f"{[g.n_features - 1, 3]} does not match "
+                                           f"the graph's [D, K] = {graph_shape}"),
+        "model-nan-weight": (attack, "finite"),
         "targets-not-integers": (evaluate + ["--split", str(tmp_path / "split.json"),
                                              "--targets", str(data)], "--targets"),
         "split-out-of-range": (["train-surrogate", "--in", str(path), "--split", str(data),

@@ -8,9 +8,9 @@ import hypothesis.strategies as st
 from nettack.attack import AttackConfig, run_nettack
 from nettack.data import make_split
 from nettack.graph import AttributedGraph
-from nettack.surrogate import (NormalizedAdjacency, SurrogateModel, TrainingError,
-                               edge_flip_logits, infer_old_class, margin,
-                               softmax, surrogate_logits,
+from nettack.surrogate import (MAX_EPOCHS, PATIENCE, STEP, NormalizedAdjacency,
+                               SurrogateModel, TrainingError, edge_flip_logits,
+                               infer_old_class, margin, softmax, surrogate_logits,
                                train_surrogate, updated_square_row_from)
 from helpers import dense_normalized, dense_square, random_graph
 
@@ -191,6 +191,53 @@ def test_edge_flip_losses_property(seed):
         return
     got, want, _ = batched_and_loop_losses(g, w, v0, pairs, c_old=int(rng.integers(3)))
     assert np.abs(got - want).max() < 1e-12
+
+
+def fixed_step_fit(g, split):
+    """The fixed-step loop on W itself, over a dense S X: (best W, epochs)."""
+    sx = dense_square(g) @ g.feature_matrix().toarray()
+    y = g.labels - 1
+    train, val = split.train_ids, split.validation_ids
+
+    def loss(ids, probs):
+        return -np.mean(np.log(probs[np.arange(len(ids)), y[ids]] + 1e-12))
+
+    w = np.zeros((g.n_features, g.n_classes))
+    best_w, best_val, stale = w, np.inf, 0
+    for epoch in range(1, MAX_EPOCHS + 1):
+        probs = softmax(sx[train] @ w)
+        train_loss = loss(train, probs)
+        probs[np.arange(len(train)), y[train]] -= 1.0
+        w = w - STEP * (sx[train].T @ probs) / len(train)
+        val_loss = loss(val, softmax(sx[val] @ w)) if len(val) else train_loss
+        if val_loss < best_val - 1e-12:
+            best_w, best_val, stale = w, val_loss, 0
+        else:
+            stale += 1
+            if stale >= PATIENCE:
+                break
+    return best_w, epoch
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("validation", [True, False])
+def test_training_matches_fixed_step_loop(seed, validation):
+    g = random_graph(80, 0.06, seed=seed, n_features=12, p_feat=0.25, n_classes=4)
+    split = make_split(g, seed=seed)
+    if not validation:
+        split.validation_ids = np.array([], dtype=np.int64)
+    model = train_surrogate(g, NormalizedAdjacency.build(g), split)
+    want, epochs = fixed_step_fit(g, split)
+    assert model.epochs_run == epochs
+    assert np.abs(model.weights - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_surrogate_logits_match_dense_oracle():
+    g = random_graph(40, 0.1, seed=3, n_features=10, n_classes=3)
+    na = NormalizedAdjacency.build(g)
+    model = train_surrogate(g, na, make_split(g, seed=3))
+    want = dense_square(g) @ g.feature_matrix().toarray() @ model.weights
+    assert np.abs(surrogate_logits(na, g, model) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_two_cliques_trivially_separable():
