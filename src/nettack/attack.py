@@ -17,7 +17,6 @@ clean graph's context (`NormalizedAdjacency`) and never write to it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,8 +25,9 @@ import numpy as np
 from .constraints import (DegreeTestState, build_cooccurrence,
                           feature_addition_allowed, lambda_statistic,
                           DEFAULT_D_MIN, DEFAULT_TAU)
+from .data import write_json
 from .graph import (EDGE, FEATURE, AttributedGraph, GraphError, Perturbation,
-                    check_target, nan_to_none, none_to_nan)
+                    check_target, is_finite_number, is_int, nan_to_none, none_to_nan)
 from .surrogate import (NormalizedAdjacency, SurrogateModel, edge_flip_logits,
                         infer_old_class, margin, updated_square_row_from)
 
@@ -58,6 +58,10 @@ class AttackConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
+        if not (is_int(self.d_min) and self.d_min >= 1):
+            raise ValueError(f"d_min must be an integer of at least 1, got {self.d_min!r}")
+        if not is_finite_number(self.tau):
+            raise ValueError(f"tau must be a finite number, got {self.tau!r}")
         if self.mode not in (DIRECT, INFLUENCER):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (self.perturb_structure or self.perturb_features):
@@ -120,8 +124,7 @@ class AttackResult:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1,
-                                          allow_nan=False) + "\n")
+        write_json(path, self.to_dict(), indent=1)
 
 
 def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
@@ -255,6 +258,10 @@ class _Run:
                  cfg: AttackConfig, na: NormalizedAdjacency | None,
                  attackers: tuple[int, ...] | None = None, mode: str = DIRECT,
                  constrained: bool = False):
+        shape, want = list(model.weights.shape), [g0.n_features, g0.n_classes]
+        if shape != want:
+            raise ValueError(f"surrogate model shape {shape} does not match "
+                             f"the graph's [D, K] = {want}")
         if na is None:
             na = NormalizedAdjacency.build(g0)
         self.na = na
@@ -360,6 +367,10 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig, model: SurrogateModel,
                  na: NormalizedAdjacency | None = None) -> AttackResult:
     """Random cross-class edge insertions at the target, no constraints."""
+    if cfg.mode != DIRECT:
+        raise ValueError("the random baseline only runs as a direct attack")
+    if not cfg.perturb_structure:
+        raise ValueError("the random baseline only inserts edges; it cannot run features-only")
     v0 = cfg.target
     check_target(g0, v0)
     c0 = int(g0.labels[v0])

@@ -15,7 +15,7 @@ from .attack import (AttackConfig, DIRECT, fgsm_baseline, rnd_baseline,
                      run_nettack)
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import (DataSplit, extract_lcc, load_bundle, load_bundle_stats, make_split,
-                   node_ids, save_bundle)
+                   node_ids, save_bundle, write_json)
 from .experiment import ExperimentPlan, run_experiment, table3_csv
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
 from .surrogate import (NormalizedAdjacency, SurrogateModel, TrainingError,
@@ -47,8 +47,7 @@ def _cmd_lcc(args) -> int:
     g = load_bundle(args.input)
     sub, mapping = extract_lcc(g)
     save_bundle(sub, args.output)
-    map_path = Path(args.output) / "lcc_mapping.json"
-    map_path.write_text(json.dumps([int(x) for x in mapping], allow_nan=False) + "\n")
+    write_json(Path(args.output) / "lcc_mapping.json", [int(x) for x in mapping])
     print(f"largest component: {sub.n_nodes} nodes, {sub.n_edges} edges "
           f"(of {g.n_nodes}/{g.n_edges})")
     return 0
@@ -76,8 +75,7 @@ def _cmd_train_surrogate(args) -> int:
     split = _load_or_make_split(g, args)
     na = NormalizedAdjacency.build(g)
     model = train_surrogate(g, na, split)
-    Path(args.output).write_text(
-        json.dumps(model.to_dict(), sort_keys=True, allow_nan=False) + "\n")
+    write_json(args.output, model.to_dict())
     print(f"surrogate trained: epochs={model.epochs_run} "
           f"val_loss={model.validation_loss:.6f}")
     return 0
@@ -86,15 +84,6 @@ def _cmd_train_surrogate(args) -> int:
 def _cmd_attack(args) -> int:
     g = load_bundle(args.input)
     na = NormalizedAdjacency.build(g)
-    if args.model:
-        model = SurrogateModel.from_dict(json.loads(Path(args.model).read_text()))
-        shape, want = list(model.weights.shape), [g.n_features, g.n_classes]
-        if shape != want:
-            raise ValueError(f"surrogate model shape {shape} does not match "
-                             f"the graph's [D, K] = {want}")
-    else:
-        split = _load_or_make_split(g, args)
-        model = train_surrogate(g, na, split)
     budget = args.budget if args.budget is not None else g.degree(args.target) + 2
     cfg = AttackConfig(
         target=args.target, budget=budget, mode=args.mode,
@@ -103,6 +92,10 @@ def _cmd_attack(args) -> int:
         constrained=not args.unconstrained,
         d_min=args.d_min, tau=args.tau,
         eq7_as_printed=args.eq7_as_printed, seed=args.seed)
+    if args.model:
+        model = SurrogateModel.from_dict(json.loads(Path(args.model).read_text()))
+    else:
+        model = train_surrogate(g, na, _load_or_make_split(g, args))
     if args.baseline == "none":
         result = run_nettack(g, model, cfg, na=na)
     elif args.baseline == "fgsm":
@@ -128,8 +121,7 @@ def _cmd_evaluate(args) -> int:
     else:
         report = poisoning_eval(g, split, targets, runs=args.runs,
                                 base_seed=args.seed, config=cfg)
-    Path(args.output).write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=1, allow_nan=False) + "\n")
+    write_json(args.output, report.to_dict(), indent=1)
     print(f"{args.mode} fraction_correct={report.fraction_correct:.4f} "
           f"targets={len(targets)}")
     return 0

@@ -1,4 +1,5 @@
-"""Bundle I/O, largest-connected-component extraction, and data splits.
+"""Bundle I/O, JSON in and out, largest-connected-component extraction,
+and data splits.
 
 A graph bundle is a directory with four files:
 
@@ -18,11 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import AttributedGraph, GraphError, connected_components, induced_subgraph
+from .graph import (AttributedGraph, GraphError, connected_components, induced_subgraph,
+                    is_int)
 
 log = logging.getLogger(__name__)
 
 BUNDLE_FILES = ("edges.tsv", "features.tsv", "labels.tsv", "meta.json")
+META_KEYS = ("n_nodes", "n_features", "n_classes")
 
 
 class BundleError(ValueError):
@@ -56,12 +59,7 @@ class DataSplit:
 
     @staticmethod
     def from_dict(d: dict) -> "DataSplit":
-        if not isinstance(d, dict):
-            raise BundleError("a split must be a JSON object")
-        missing = [k for k in ("train_ids", "validation_ids", "unlabeled_ids", "rng_seed")
-                   if k not in d]
-        if missing:
-            raise BundleError(f"split missing key {missing[0]!r}")
+        json_object(d, "split", ("train_ids", "validation_ids", "unlabeled_ids", "rng_seed"))
         if not isinstance(d["rng_seed"], int):
             raise BundleError("split rng_seed must be an integer")
         return DataSplit(
@@ -84,7 +82,7 @@ class DataSplit:
                               "train, validation and unlabeled ids must be disjoint")
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n")
+        write_json(path, self.to_dict(), indent=1)
 
     @staticmethod
     def load(path: str | Path) -> "DataSplit":
@@ -93,22 +91,60 @@ class DataSplit:
 
 def node_ids(values, what: str) -> np.ndarray:
     """Node ids read from JSON: a list of integers, else a BundleError."""
-    if not isinstance(values, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in values):
+    if not isinstance(values, list) or not all(is_int(v) for v in values):
         raise BundleError(f"{what} must be a list of integer node ids")
     return np.asarray(values, dtype=np.int64)
 
 
-def _parse_int_pair(line: str, path: Path, lineno: int) -> tuple[int, int, list[str]]:
-    parts = line.split("\t")
-    if len(parts) < 2:
-        parts = line.split()
-    if len(parts) < 2:
-        raise BundleError(f"{path}:{lineno}: expected at least two columns")
-    try:
-        return int(parts[0]), int(parts[1]), parts
-    except ValueError as exc:
-        raise BundleError(f"{path}:{lineno}: non-integer id") from exc
+def json_object(value, what: str, keys=()) -> dict:
+    """`value` if it is a JSON object with every key in `keys`, else a BundleError."""
+    if not isinstance(value, dict):
+        raise BundleError(f"a {what} must be a JSON object")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise BundleError(f"{what} missing key {missing[0]!r}")
+    return value
+
+
+def write_json(path: str | Path, obj, indent: int | None = None) -> None:
+    """Write `obj` as strict JSON (sorted keys, no NaN or infinity) plus a newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=indent,
+                                     allow_nan=False) + "\n")
+
+
+def _read_table(path: Path, bounds, binary_value: bool = False) -> np.ndarray:
+    """(n, 2) ids of a bundle table; column j's ids lie in [0, bounds[j][1]).
+
+    With `binary_value` a third column may hold 0 (no row) or 1. The
+    first bad line raises a BundleError naming the file and line.
+    """
+    rows = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2:
+            parts = line.split()
+        if len(parts) < 2:
+            raise BundleError(f"{path}:{lineno}: expected at least two columns")
+        try:
+            ids = (int(parts[0]), int(parts[1]))
+        except ValueError as exc:
+            raise BundleError(f"{path}:{lineno}: non-integer id") from exc
+        for x, (what, bound) in zip(ids, bounds):
+            if not 0 <= x < bound:
+                raise BundleError(f"{path}:{lineno}: {what} id out of range [0, {bound})")
+        if binary_value and len(parts) >= 3:
+            try:
+                value = int(parts[2])
+            except ValueError as exc:
+                raise BundleError(f"{path}:{lineno}: non-integer feature value") from exc
+            if value not in (0, 1):
+                raise BundleError(f"{path}:{lineno}: non-binary feature value {value}")
+            if value == 0:
+                continue
+        rows.append(ids)
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def load_bundle_stats(path: str | Path) -> tuple[AttributedGraph, LoadStats]:
@@ -117,71 +153,31 @@ def load_bundle_stats(path: str | Path) -> tuple[AttributedGraph, LoadStats]:
     for name in BUNDLE_FILES:
         if not (root / name).exists():
             raise BundleError(f"missing bundle file: {root / name}")
-    meta = json.loads((root / "meta.json").read_text())
+    meta = json_object(json.loads((root / "meta.json").read_text()), "meta.json", META_KEYS)
     try:
-        n_nodes = int(meta["n_nodes"])
-        n_features = int(meta["n_features"])
-        n_classes = int(meta["n_classes"])
-    except KeyError as exc:
-        raise BundleError(f"meta.json missing key {exc}") from exc
+        n_nodes, n_features, n_classes = (int(meta[k]) for k in META_KEYS)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BundleError(f"meta.json counts must be integers, got "
+                          f"{ {k: meta[k] for k in META_KEYS} }") from exc
 
-    stats = LoadStats()
-    edges: set[tuple[int, int]] = set()
-    p = root / "edges.tsv"
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        u, v, _ = _parse_int_pair(line, p, lineno)
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise BundleError(f"{p}:{lineno}: node id out of range [0, {n_nodes})")
-        if u == v:
-            stats.self_loops_dropped += 1
-            continue
-        key = (min(u, v), max(u, v))
-        if key in edges:
-            stats.duplicate_edges_dropped += 1
-            continue
-        edges.add(key)
+    node = ("node", n_nodes)
+    edges = _read_table(root / "edges.tsv", (node, node))
+    features = _read_table(root / "features.tsv", (node, ("feature", n_features)), True)
+    labelled = _read_table(root / "labels.tsv", (node, ("class", n_classes)))
 
-    features: set[tuple[int, int]] = set()
-    p = root / "features.tsv"
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        u, i, parts = _parse_int_pair(line, p, lineno)
-        if not (0 <= u < n_nodes):
-            raise BundleError(f"{p}:{lineno}: node id out of range [0, {n_nodes})")
-        if not (0 <= i < n_features):
-            raise BundleError(f"{p}:{lineno}: feature id out of range [0, {n_features})")
-        if len(parts) >= 3:
-            try:
-                value = int(parts[2])
-            except ValueError as exc:
-                raise BundleError(f"{p}:{lineno}: non-integer feature value") from exc
-            if value not in (0, 1):
-                raise BundleError(f"{p}:{lineno}: non-binary feature value {value}")
-            if value == 0:
-                continue
-        features.add((u, i))
-
-    labels = np.zeros(n_nodes, dtype=np.int64)
-    p = root / "labels.tsv"
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        u, c, _ = _parse_int_pair(line, p, lineno)
-        if not (0 <= u < n_nodes):
-            raise BundleError(f"{p}:{lineno}: node id out of range [0, {n_nodes})")
-        if not (0 <= c < n_classes):
-            raise BundleError(f"{p}:{lineno}: class id out of range [0, {n_classes})")
-        labels[u] = c + 1  # stored 1-based; 0 = unlabeled
-
+    loop = edges[:, 0] == edges[:, 1]
+    edges = edges[~loop]
+    stats = LoadStats(int(loop.sum()), len(edges) - len(np.unique(np.sort(edges), axis=0)))
     if stats.self_loops_dropped or stats.duplicate_edges_dropped:
         log.warning("bundle %s: dropped %d self-loops, %d duplicate edges",
                     root, stats.self_loops_dropped, stats.duplicate_edges_dropped)
 
-    g = AttributedGraph.from_edges(n_nodes, n_features, sorted(edges),
-                                   sorted(features), labels=labels, n_classes=n_classes)
+    # Stored 1-based, 0 = unlabeled; the last line of a node wins.
+    last = len(labelled) - 1 - np.unique(labelled[::-1, 0], return_index=True)[1]
+    labels = np.zeros(n_nodes, dtype=np.int64)
+    labels[labelled[last, 0]] = labelled[last, 1] + 1
+    g = AttributedGraph.from_edges(n_nodes, n_features, edges, features,
+                                   labels=labels, n_classes=n_classes)
     return g, stats
 
 
@@ -201,7 +197,7 @@ def save_bundle(g: AttributedGraph, path: str | Path) -> None:
     (root / "labels.tsv").write_text(
         "".join(f"{u}\t{int(c) - 1}\n" for u, c in enumerate(g.labels) if c > 0))
     meta = {"n_nodes": g.n_nodes, "n_features": g.n_features, "n_classes": g.n_classes}
-    (root / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+    write_json(root / "meta.json", meta)
 
 
 def extract_lcc(g: AttributedGraph) -> tuple[AttributedGraph, np.ndarray]:

@@ -18,7 +18,6 @@ import io
 import json
 import logging
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
@@ -31,9 +30,9 @@ from scipy.sparse.csgraph import shortest_path
 from .attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER, apply_result,
                      fgsm_baseline, replay_constraints, rnd_baseline, run_nettack)
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
-from .data import BUNDLE_FILES, DataSplit, load_bundle, make_split
+from .data import BUNDLE_FILES, DataSplit, json_object, load_bundle, make_split, write_json
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
-from .graph import EDGE, AttributedGraph, induced_subgraph
+from .graph import EDGE, AttributedGraph, induced_subgraph, is_finite_number, is_int
 from .surrogate import (NormalizedAdjacency, SurrogateModel, margin, softmax,
                         surrogate_logits, train_surrogate)
 
@@ -42,10 +41,6 @@ log = logging.getLogger(__name__)
 ATTACK_NAMES = ("nettack", "nettack-in", "fgsm", "rnd", "nettack-u")
 
 DEGREE_BUCKETS = ((1, 5), (6, 10), (11, 20), (21, 100), (101, None))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -68,7 +63,11 @@ class ExperimentPlan:
     gcn_patience: int = 30
 
     def __post_init__(self):
-        if not self.seeds or not all(_is_int(s) for s in self.seeds):
+        for name in ("dataset", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"plan key {name!r} must be a string, "
+                                 f"got {getattr(self, name)!r}")
+        if not self.seeds or not all(is_int(s) for s in self.seeds):
             raise ValueError(f"plan seeds must be a non-empty list of integers, "
                              f"got {list(self.seeds)!r}")
         for a in self.attacks:
@@ -77,14 +76,12 @@ class ExperimentPlan:
         for name, least in (("n_high", 0), ("n_low", 0), ("n_random", 0),
                             ("budget_offset", 0), ("poisoning_runs", 1), ("d_min", 1)):
             value = getattr(self, name)
-            if not (_is_int(value) and value >= least):
+            if not (is_int(value) and value >= least):
                 raise ValueError(f"plan key {name!r} must be an integer of at least "
                                  f"{least}, got {value!r}")
-        if not (isinstance(self.tau, numbers.Real) and not isinstance(self.tau, bool)
-                and math.isfinite(self.tau)):
+        if not is_finite_number(self.tau):
             raise ValueError(f"plan key 'tau' must be a finite number, got {self.tau!r}")
-        if not all(isinstance(f, numbers.Real) and not isinstance(f, bool)
-                   and math.isfinite(f) and f > 0 for f in self.limited_fractions):
+        if not all(is_finite_number(f) and f > 0 for f in self.limited_fractions):
             raise ValueError(f"plan key 'limited_fractions' must hold finite numbers above "
                              f"0, got {list(self.limited_fractions)!r}")
         self.gcn_config()  # rejects GCN settings that cannot train
@@ -101,8 +98,7 @@ class ExperimentPlan:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
-        if not isinstance(d, dict):
-            raise ValueError("a plan must be a JSON object")
+        json_object(d, "plan", ("dataset", "out_dir"))
         unknown = sorted(set(d) - {f.name for f in fields(ExperimentPlan)})
         if unknown:
             raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
@@ -231,12 +227,15 @@ def _content_hash(paths) -> str:
     return h.hexdigest()
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str | Path | None, header: list[str], rows: list[list]) -> str:
+    """CSV text of a header and rows, also written to `path` unless it is None."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    path.write_text(buf.getvalue())
+    if path is not None:
+        Path(path).write_text(buf.getvalue())
+    return buf.getvalue()
 
 
 @dataclass
@@ -312,9 +311,7 @@ def _run_one_seed(plan: ExperimentPlan, seed: int) -> SeedOutcome:
             payload = {"seed": seed, "attack": attack, "result": result.to_dict(),
                        "evasion": evasion.to_dict(), "poisoning": poison.to_dict(),
                        "replay_audit": audit}
-            run_path = runs_dir / f"seed{seed}_{attack}_t{v0}.json"
-            run_path.write_text(json.dumps(payload, sort_keys=True, indent=1,
-                                           allow_nan=False) + "\n")
+            write_json(runs_dir / f"seed{seed}_{attack}_t{v0}.json", payload, indent=1)
 
     sweep = plan.limited_fractions if seed == plan.seeds[0] else ()
     for fraction, v0 in product(sweep, targets.all):
@@ -442,8 +439,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         "failures": failures,
         "targets": {str(o.seed): o.targets.all for o in outcomes},
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1, allow_nan=False) + "\n")
+    write_json(out_dir / "manifest.json", manifest, indent=1)
     return manifest
 
 
@@ -488,14 +484,6 @@ def table3_csv(results_dir: str | Path, out_path: str | Path | None = None) -> s
     with agg.open() as fh:
         rows = list(csv.DictReader(fh))
     order = ["clean", "nettack", "fgsm", "rnd", "nettack-in", "nettack-u"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["attack", "fraction_correct"])
-    for name in order:
-        for r in rows:
-            if r["attack"] == name and r["mode"] == "poisoning":
-                writer.writerow([name, r["fraction_correct"]])
-    text = buf.getvalue()
-    if out_path is not None:
-        Path(out_path).write_text(text)
-    return text
+    return _write_csv(out_path, ["attack", "fraction_correct"],
+                      [[name, r["fraction_correct"]] for name in order for r in rows
+                       if r["attack"] == name and r["mode"] == "poisoning"])

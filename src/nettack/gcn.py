@@ -37,7 +37,8 @@ import scipy.sparse as sp
 
 from .data import DataSplit
 from .graph import AttributedGraph, GraphError, check_target, nan_to_none
-from .surrogate import TrainingError, margin, normalized_adjacency_matrix, softmax
+from .surrogate import (TrainingError, margin, normalized_adjacency_matrix, softmax,
+                        training_labels)
 
 
 @dataclass
@@ -260,15 +261,9 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
     matrix, its second layer and Adam moments are its own, its dropout masks
     come from its own generator, and it leaves the stack when it stops.
     """
-    split.check(g.n_nodes)
+    y = training_labels(g, split)
     k = g.n_classes
-    if k < 2:
-        raise TrainingError("need at least two classes")
-    y = g.labels - 1
-    train, val = split.train_ids, split.validation_ids
-    if np.any(y[train] < 0) or (len(val) and np.any(y[val] < 0)):
-        raise TrainingError("train/validation nodes must be labeled")
-    p = _Problem(ahat, m1, y, train, val)
+    p = _Problem(ahat, m1, y, split.train_ids, split.validation_ids)
     hid = cfg.hidden
 
     rngs = [np.random.default_rng(s) for s in seeds]

@@ -11,6 +11,8 @@ share matrices. Labels are 1-based class ids with 0 meaning "unlabeled".
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +37,16 @@ def nan_to_none(x: float) -> float | None:
 def none_to_nan(x: float | None) -> float:
     """Inverse of `nan_to_none` for values read back from JSON."""
     return float("nan") if x is None else float(x)
+
+
+def is_int(x) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_finite_number(x) -> bool:
+    """A finite real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

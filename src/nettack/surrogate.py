@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .constraints import CooccurrenceIndex, build_cooccurrence
-from .data import DataSplit
+from .data import DataSplit, json_object
 from .graph import AttributedGraph
 
 PRUNE_EPS = 1e-12  # drop row-update entries below this (cancellation residue)
@@ -32,6 +32,21 @@ STEP, MAX_EPOCHS, PATIENCE = 0.1, 500, 20
 
 class TrainingError(RuntimeError):
     """Training diverged or was fed an unusable split."""
+
+
+def training_labels(g: AttributedGraph, split: DataSplit) -> np.ndarray:
+    """0-based labels of `g`, once `split` is known to train a classifier:
+    its ids are valid, its training set is not empty, the graph has two
+    classes or more, and every training and validation node is labeled."""
+    split.check(g.n_nodes)
+    if len(split.train_ids) == 0:
+        raise TrainingError("empty training set")
+    if g.n_classes < 2:
+        raise TrainingError("need at least two classes")
+    y = g.labels - 1
+    if np.any(y[np.concatenate([split.train_ids, split.validation_ids])] < 0):
+        raise TrainingError("train/validation nodes must be labeled")
+    return y
 
 
 def normalized_adjacency_matrix(g: AttributedGraph) -> sp.csr_matrix:
@@ -192,11 +207,7 @@ class SurrogateModel:
 
     @staticmethod
     def from_dict(d: dict) -> "SurrogateModel":
-        if not isinstance(d, dict):
-            raise ValueError("a surrogate model must be a JSON object")
-        missing = [k for k in ("shape", "weights", "n_classes") if k not in d]
-        if missing:
-            raise ValueError(f"surrogate model missing key {missing[0]!r}")
+        json_object(d, "surrogate model", ("shape", "weights", "n_classes"))
         try:
             w = np.asarray(d["weights"], dtype=np.float64).reshape(tuple(d["shape"]))
             model = SurrogateModel(weights=w, n_classes=int(d["n_classes"]),
@@ -232,17 +243,9 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
     the loop steps B in W = M_trᵀ B on the Gram matrix of the training and
     validation rows (built as Â[rows] (Â X)) and forms W once, at the end.
     """
-    split.check(g.n_nodes)
-    if len(split.train_ids) == 0:
-        raise TrainingError("empty training set")
+    y = training_labels(g, split)
     k = g.n_classes
-    if k < 2:
-        raise TrainingError("need at least two classes")
-    y = g.labels - 1
     train, val = split.train_ids, split.validation_ids
-    if np.any(y[train] < 0) or (len(val) and np.any(y[val] < 0)):
-        raise TrainingError("train/validation nodes must be labeled")
-
     n_train = len(train)
     rows = np.concatenate([train, val])
     m = (na.ahat[rows] @ (na.ahat @ g.feature_matrix())).toarray()

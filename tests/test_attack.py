@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -549,6 +550,40 @@ def test_attack_config_validation():
     with pytest.raises(ValueError):
         AttackConfig(target=0, budget=1, perturb_structure=False,
                      perturb_features=False)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_min", 0), ("d_min", 1.5), ("d_min", True),
+    ("tau", float("nan")), ("tau", float("inf")), ("tau", "a"),
+])
+def test_attack_config_rejects_bad_degree_test_settings(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        AttackConfig(target=0, budget=1, **{field: value})
+
+
+def test_rnd_runs_only_as_direct_structure_attack():
+    g = random_graph(25, 0.1, seed=16)
+    for cfg, needle in ((AttackConfig(target=4, budget=2, mode=INFLUENCER), "direct"),
+                        (AttackConfig(target=4, budget=2, perturb_structure=False),
+                         "features-only")):
+        with pytest.raises(ValueError, match=needle):
+            rnd_baseline(g, cfg, model=model_for(g))
+
+
+@pytest.mark.parametrize("attack", [run_nettack, fgsm_baseline, rnd_baseline])
+@pytest.mark.parametrize("shape", [(8, 2), (7, 3)], ids=["too-few-classes",
+                                                         "too-few-features"])
+def test_attacks_reject_a_model_of_another_shape(attack, shape):
+    # A class-3 target would index past a 2-class model's logits.
+    g = random_graph(25, 0.1, seed=16)  # D = 8, K = 3
+    model = SurrogateModel(weights=np.zeros(shape), n_classes=shape[1])
+    cfg = AttackConfig(target=int(np.flatnonzero(g.labels == 3)[0]), budget=2)
+    message = f"surrogate model shape {list(shape)} does not match the graph's [D, K] = [8, 3]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if attack is rnd_baseline:
+            attack(g, cfg, model=model)
+        else:
+            attack(g, model, cfg)
 
 
 @pytest.mark.parametrize("attack", [run_nettack, fgsm_baseline, rnd_baseline])

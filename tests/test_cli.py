@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -139,7 +140,12 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "model-too-few-classes", "model-too-few-features",
                                   "model-nan-weight",
                                   "targets-not-integers", "split-out-of-range",
-                                  "split-overlap", "split-missing-key"])
+                                  "split-overlap", "split-missing-key",
+                                  "meta-not-an-object", "meta-null-count",
+                                  "plan-no-dataset", "plan-dataset-a-number",
+                                  "plan-out-dir-a-number", "rnd-features-only",
+                                  "rnd-influencer", "attack-d-min-zero", "attack-tau-nan",
+                                  "split-empty-train"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
     root, path, g = bundle
     out = tmp_path / "x.json"
@@ -170,9 +176,18 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "split-out-of-range": {**split, "validation_ids": [3, 4, 999]},
         "split-overlap": {**split, "validation_ids": [2, 3, 4]},
         "split-missing-key": {k: v for k, v in split.items() if k != "train_ids"},
+        "split-empty-train": {**split, "train_ids": []},
+        "plan-no-dataset": {"out_dir": str(tmp_path / "out")},
+        "plan-dataset-a-number": {**plan, "dataset": 5},
+        "plan-out-dir-a-number": {**plan, "out_dir": 7},
     }
     if case in inputs:
         data.write_text(json.dumps(inputs[case]))
+    metas = {"meta-not-an-object": [1, 2],
+             "meta-null-count": {"n_nodes": None, "n_features": g.n_features, "n_classes": 3}}
+    if case in metas:
+        shutil.copytree(path, tmp_path / "bad")
+        (tmp_path / "bad" / "meta.json").write_text(json.dumps(metas[case]))
     (tmp_path / "split.json").write_text(json.dumps(split))
     evaluate = ["evaluate", "--graph", str(path), "--mode", "evasion", "--out", str(out)]
     # A target of the class a 2-class model lacks, which indexes past its logits.
@@ -180,6 +195,8 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
     attack = ["attack", "--in", str(path), "--target", str(target), "--model", str(data),
               "--out", str(out)]
     graph_shape = [g.n_features, 3]
+    attack5 = ["attack", "--in", str(path), "--target", "5", "--budget", "2", "--out", str(out)]
+    lcc = ["lcc", "--in", str(tmp_path / "bad"), "--out", str(out)]
     args, needle = {
         "fgsm-target": (["attack", "--in", str(path), "--baseline", "fgsm",
                          "--target", "99999", "--budget", "3", "--out", str(out)], "99999"),
@@ -211,6 +228,19 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
                            "--target", "1", "--out", str(out)], "disjoint"),
         "split-missing-key": (evaluate + ["--split", str(data), "--targets", str(targets)],
                               "train_ids"),
+        "split-empty-train": (["evaluate", "--graph", str(path), "--mode", "poisoning",
+                               "--runs", "2", "--split", str(data), "--targets", str(targets),
+                               "--out", str(out)], "empty training set"),
+        "meta-not-an-object": (lcc, "meta.json must be a JSON object"),
+        "meta-null-count": (lcc, "n_nodes"),
+        "plan-no-dataset": (["experiment", "--plan", str(data)], "missing key 'dataset'"),
+        "plan-dataset-a-number": (["experiment", "--plan", str(data)], "dataset"),
+        "plan-out-dir-a-number": (["experiment", "--plan", str(data)], "out_dir"),
+        "rnd-features-only": (attack5 + ["--baseline", "rnd", "--features-only"],
+                              "features-only"),
+        "rnd-influencer": (attack5 + ["--baseline", "rnd", "--mode", "influencer"], "direct"),
+        "attack-d-min-zero": (attack5 + ["--d-min", "0"], "d_min"),
+        "attack-tau-nan": (attack5 + ["--tau", "nan"], "tau"),
     }[case]
     rc, err = run_cli(args)
     assert rc == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nettack.data import (BundleError, DataSplit, extract_lcc, load_bundle,
-                          load_bundle_stats, make_split, save_bundle)
+                          load_bundle_stats, make_split, save_bundle, write_json)
 from nettack.graph import AttributedGraph, GraphError, connected_components
 from helpers import random_graph
 
@@ -162,3 +162,107 @@ def test_citeseer_lcc_counts():
     sub, _ = extract_lcc(g)
     assert sub.n_nodes == 2110
     assert sub.n_edges == 3757
+
+
+def bundle_with(path, **tables):
+    """A 4-node, 2-feature, 2-class bundle with some files replaced by text."""
+    files = {"edges.tsv": "0\t1\n1\t2\n", "features.tsv": "0\t0\n3\t1\n",
+             "labels.tsv": "0\t0\n1\t1\n2\t0\n3\t1\n",
+             "meta.json": json.dumps({"n_nodes": 4, "n_features": 2, "n_classes": 2})}
+    files.update({f"{k}.tsv" if k != "meta" else "meta.json": v for k, v in tables.items()})
+    path.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (path / name).write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("table,text,lineno,message", [
+    ("edges", "0\t1\n\n2\n", 3, "expected at least two columns"),
+    ("edges", "0\tx\n", 1, "non-integer id"),
+    ("edges", "0\t1\n1\t4\n", 2, "node id out of range [0, 4)"),
+    ("edges", "-1 2\n", 1, "node id out of range [0, 4)"),
+    ("edges", "0\t9\n0\tx\n", 1, "node id out of range [0, 4)"),
+    ("edges", "9\tx\n", 1, "non-integer id"),
+    ("features", "1.5\t0\n", 1, "non-integer id"),
+    ("features", "4\t0\n", 1, "node id out of range [0, 4)"),
+    ("features", "0\t2\n", 1, "feature id out of range [0, 2)"),
+    ("features", "0\t1\tx\n", 1, "non-integer feature value"),
+    ("features", "0\t1\t1\n0\t1\t2\n", 2, "non-binary feature value 2"),
+    ("features", "0\t1\t-1\n", 1, "non-binary feature value -1"),
+    ("labels", "0\n", 1, "expected at least two columns"),
+    ("labels", "a\t0\n", 1, "non-integer id"),
+    ("labels", "0\t0\n7\t0\n", 2, "node id out of range [0, 4)"),
+    ("labels", "0\t2\n", 1, "class id out of range [0, 2)"),
+    ("labels", "0\t-1\n", 1, "class id out of range [0, 2)"),
+])
+def test_loader_error_names_file_and_line(tmp_path, table, text, lineno, message):
+    root = bundle_with(tmp_path / "b", **{table: text})
+    with pytest.raises(BundleError) as exc:
+        load_bundle(root)
+    assert str(exc.value) == f"{root / (table + '.tsv')}:{lineno}: {message}"
+
+
+def test_loader_checks_edges_then_features_then_labels(tmp_path):
+    root = bundle_with(tmp_path / "b", edges="0\t1\n", features="0\t9\n", labels="x\t0\n")
+    with pytest.raises(BundleError, match="features.tsv:1: feature id"):
+        load_bundle(root)
+
+
+def test_loader_skips_blank_lines_and_splits_on_spaces(tmp_path):
+    root = bundle_with(tmp_path / "b", edges="\n0 1\n  \n1\t2\n\t\n2   3\n",
+                       features="0 1 1\n\n3\t0\n", labels="0 0\n1  1\n\n")
+    g, stats = load_bundle_stats(root)
+    assert g == AttributedGraph.from_edges(4, 2, [(0, 1), (1, 2), (2, 3)], [(0, 1), (3, 0)],
+                                           labels=np.array([1, 2, 0, 0]), n_classes=2)
+    assert (stats.self_loops_dropped, stats.duplicate_edges_dropped) == (0, 0)
+
+
+def test_loader_counts_reversed_duplicates_and_self_loops(tmp_path):
+    root = bundle_with(tmp_path / "b",
+                       edges="0\t1\n1\t0\n2\t2\n1\t2\n2\t2\n2\t1\n0\t1\n3\t3\n")
+    g, stats = load_bundle_stats(root)
+    assert g.edge_list() == [(0, 1), (1, 2)]
+    assert stats.self_loops_dropped == 3
+    assert stats.duplicate_edges_dropped == 3
+
+
+def test_loader_feature_repeats_zero_values_and_last_label(tmp_path):
+    # A repeated feature line sets the feature once; a value of 0 sets
+    # nothing and does not clear an earlier line; the last label line wins.
+    root = bundle_with(tmp_path / "b",
+                       features="0\t1\n0\t1\n1\t0\t0\n1\t1\t1\n2\t0\t1\n2\t0\t0\n",
+                       labels="0\t0\n0\t1\n3\t1\n3\t0\n1\t1\n")
+    g = load_bundle(root)
+    assert g.feature_list() == [(0, 1), (1, 1), (2, 0)]
+    assert list(g.labels) == [2, 2, 0, 1]
+
+
+def test_loader_meta_missing_key(tmp_path):
+    root = bundle_with(tmp_path / "b", meta=json.dumps({"n_nodes": 4, "n_features": 2}))
+    with pytest.raises(BundleError, match="^meta.json missing key 'n_classes'$"):
+        load_bundle(root)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ([1, 2], "a meta.json must be a JSON object"),
+    ({"n_nodes": None, "n_features": 2, "n_classes": 2}, "'n_nodes': None"),
+    ({"n_nodes": 4, "n_features": "two", "n_classes": 2}, "'n_features': 'two'"),
+])
+def test_loader_meta_must_be_an_object_of_integer_counts(tmp_path, meta, message):
+    root = bundle_with(tmp_path / "b", meta=json.dumps(meta))
+    with pytest.raises(BundleError, match=message):
+        load_bundle(root)
+
+
+def test_write_json_is_strict_sorted_json(tmp_path):
+    write_json(tmp_path / "a.json", {"b": 1, "a": [0.5]}, indent=1)
+    assert (tmp_path / "a.json").read_text() == '{\n "a": [\n  0.5\n ],\n "b": 1\n}\n'
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"a": float("nan")})
+
+
+def test_split_from_dict_needs_an_object_with_every_key():
+    with pytest.raises(BundleError, match="^a split must be a JSON object$"):
+        DataSplit.from_dict([1])
+    with pytest.raises(BundleError, match="^split missing key 'unlabeled_ids'$"):
+        DataSplit.from_dict({"train_ids": [], "validation_ids": [], "rng_seed": 0})

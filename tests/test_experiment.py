@@ -371,10 +371,20 @@ def test_plan_rejects_unknown_attack():
     ("n_high", "3"), ("n_low", -1), ("n_random", 2.0), ("budget_offset", True),
     ("poisoning_runs", 2.5), ("poisoning_runs", 0), ("d_min", 0),
     ("tau", "a"), ("tau", float("nan")), ("tau", float("inf")),
+    ("dataset", 5), ("out_dir", 7), ("dataset", None),
 ])
 def test_plan_rejects_bad_counts_and_tau(field, value):
     with pytest.raises(ValueError, match=f"plan key '{field}' must be"):
-        ExperimentPlan(dataset="d", out_dir="o", **{field: value})
+        ExperimentPlan(**{"dataset": "d", "out_dir": "o", field: value})
+
+
+@pytest.mark.parametrize("value, message", [
+    ([1], "a plan must be a JSON object"), ({"out_dir": "o"}, "plan missing key 'dataset'"),
+    ({"dataset": "d"}, "plan missing key 'out_dir'"),
+])
+def test_plan_from_dict_needs_an_object_with_dataset_and_out_dir(value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentPlan.from_dict(value)
 
 
 def test_reproduction_summary_structure(tmp_path):

@@ -10,7 +10,7 @@ from nettack.gcn import (GcnConfig, GcnModel, MarginReport, TargetMargin, _fit,
                          gcn_loss_and_grads, poisoning_eval, train_gcn)
 from nettack.graph import AttributedGraph, GraphError
 from nettack.surrogate import (NormalizedAdjacency, margin, normalized_adjacency_matrix,
-                               softmax, train_surrogate)
+                               softmax, train_surrogate, TrainingError)
 from nettack.synthetic import planted_partition
 from helpers import random_graph
 
@@ -167,20 +167,22 @@ def test_eval_rejects_unlabeled_target():
 
 
 @pytest.mark.parametrize("train", ["train_surrogate", "train_gcn", "poisoning_eval"])
-@pytest.mark.parametrize("case", ["out-of-range", "overlap"])
+@pytest.mark.parametrize("case", ["out-of-range", "overlap", "empty-train"])
 def test_training_rejects_bad_split(train, case):
     g = planted_partition(n_nodes=60, n_classes=3, n_features=18, markers_per_class=5,
                           seed=4)
     split = make_split(g, seed=1)
-    val = [999] if case == "out-of-range" else split.train_ids[:2]
-    bad = DataSplit(train_ids=split.train_ids,
-                    validation_ids=np.r_[split.validation_ids, val],
+    val = {"out-of-range": [999], "overlap": split.train_ids[:2]}.get(case, [])
+    bad = DataSplit(train_ids=split.train_ids[:0] if case == "empty-train" else split.train_ids,
+                    validation_ids=np.r_[split.validation_ids, val].astype(np.int64),
                     unlabeled_ids=split.unlabeled_ids, rng_seed=1)
     run = {"train_surrogate": lambda: train_surrogate(g, NormalizedAdjacency.build(g), bad),
            "train_gcn": lambda: train_gcn(g, bad, seed=0),
            "poisoning_eval": lambda: poisoning_eval(g, bad, [int(split.unlabeled_ids[0])],
                                                     runs=1)}[train]
-    with pytest.raises(BundleError, match="999" if case == "out-of-range" else "disjoint"):
+    error, needle = {"out-of-range": (BundleError, "999"), "overlap": (BundleError, "disjoint"),
+                     "empty-train": (TrainingError, "^empty training set$")}[case]
+    with pytest.raises(error, match=needle):
         run()
 
 
