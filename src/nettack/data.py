@@ -154,11 +154,10 @@ def load_bundle_stats(path: str | Path) -> tuple[AttributedGraph, LoadStats]:
         if not (root / name).exists():
             raise BundleError(f"missing bundle file: {root / name}")
     meta = json_object(json.loads((root / "meta.json").read_text()), "meta.json", META_KEYS)
-    try:
-        n_nodes, n_features, n_classes = (int(meta[k]) for k in META_KEYS)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BundleError(f"meta.json counts must be integers, got "
-                          f"{ {k: meta[k] for k in META_KEYS} }") from exc
+    counts = {k: meta[k] for k in META_KEYS}
+    if not all(is_int(c) for c in counts.values()):
+        raise BundleError(f"meta.json counts must be integers, got {counts}")
+    n_nodes, n_features, n_classes = counts.values()
 
     node = ("node", n_nodes)
     edges = _read_table(root / "edges.tsv", (node, node))

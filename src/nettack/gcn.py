@@ -1,9 +1,11 @@
 """Two-layer graph convolutional victim with hand-derived gradients.
 
-Forward pass: softmax(S relu(S X W1) W2) where S is the symmetrically
-normalized self-loop adjacency. Gradients are written out explicitly so
-the model has no framework dependency and can be checked against finite
-differences.
+Forward pass: softmax(S relu(S (X W1)) W2) where S is the symmetrically
+normalized self-loop adjacency. The first layer is associated as S·(X·W1),
+so both of its products are sparse-times-dense products over the binary,
+sparse X and never over the denser S·X. Gradients are written out
+explicitly so the model has no framework dependency and can be checked
+against finite differences.
 
 Training has one loop, `_fit`, which trains R replicas of one graph and
 split (one per seed) as one batched fit: `train_gcn` is its R = 1 case and
@@ -12,12 +14,15 @@ weights are stacked as (D, R·H); each replica keeps its own second layer,
 Adam moments, dropout generator and early-stopping state, and leaves the
 stack when it stops. The loss reads class scores only at the training
 rows and early stopping only at the validation rows, so the hidden layer
-is computed only on the closed one-hop neighbourhood of those rows and
-the second propagation only at those rows. Every replica is bit-identical
-to a model trained alone: a CSR product sums each output row in stored
-order whatever rows or columns are sliced and however many columns the
-dense operand has, the terms left out are exact zeros, and the dense
-products keep the shapes of a one-model, full-graph pass.
+is computed only on the closed one-hop neighbourhood of those rows, X·W1
+only at the rows that neighbourhood touches, and the second propagation
+only at those rows. The loss gradient reaches the hidden layer only at the
+training rows' neighbours, so the first layer's backward products read
+only those rows. Every replica is bit-identical to a model trained alone:
+a CSR product sums each output row in stored order whatever rows or
+columns are sliced and however many columns the dense operand has, the
+terms left out are exact zeros, and the dense products keep the shapes of
+a one-model, full-graph pass.
 
 Evaluation reads the victim at the target rows only, through the same
 row-sliced pass: `poisoning_eval` averages the margins of its R retrained
@@ -116,7 +121,7 @@ def gcn_forward(model: GcnModel, ahat: sp.csr_matrix,
                 x: sp.csr_matrix) -> np.ndarray:
     """Class probabilities for every node, shape (N, K): the full-graph
     reference that the tests hold the row-sliced passes to."""
-    h_pre = (ahat @ x) @ model.w1
+    h_pre = ahat @ (x @ model.w1)
     h = np.maximum(h_pre, 0.0)
     logits = (ahat @ h) @ model.w2
     return softmax(logits)
@@ -150,6 +155,22 @@ class _Rows:
         return m2, softmax((m2 @ w2)[:, self.rows])
 
 
+class _Layer1:
+    """The first layer's pre-activations at the rows `rows`: Â[rows]·(X·W₁).
+
+    X·W₁ is formed only at the columns those rows of Â touch, so
+    `a @ (x @ w1)` is `(Â @ (X @ W₁))[rows]` bit for bit.
+    """
+
+    def __init__(self, ahat: sp.csr_matrix, x: sp.csr_matrix, rows: np.ndarray):
+        cols = np.unique(ahat[rows].indices)
+        self.a = ahat[rows][:, cols]
+        self.x = x[cols]
+
+    def __call__(self, w1: np.ndarray) -> np.ndarray:
+        return self.a @ (self.x @ w1)
+
+
 def _mean_cross_entropy(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-replica mean cross-entropy of probs (R, n, K) against labels y (n,).
 
@@ -166,21 +187,30 @@ class _Problem:
     The loss reads class scores only at the training rows and early stopping
     only at the validation rows, so the hidden layer is needed only on `nb`,
     the closed one-hop neighbourhood of those rows, and the second
-    propagation only at those rows.
+    propagation only at those rows. `layer1` gives the hidden layer's
+    pre-activations on `nb` as Â[nb]·(X·W₁).
+
+    The loss gradient reaches the hidden layer only at `nb[near]`, the
+    training rows' neighbours, so the backward products read only those
+    rows: the W₁ gradient is Xᵀ·(Â[nb[near]]ᵀ·G) over the columns they
+    touch. Every term left out is an exact zero.
     """
 
-    def __init__(self, ahat: sp.csr_matrix, m1: sp.csr_matrix, y: np.ndarray,
+    def __init__(self, ahat: sp.csr_matrix, x: sp.csr_matrix, y: np.ndarray,
                  train: np.ndarray, val: np.ndarray):
         # Ascending rows make the transposed products below add their terms
         # in the order the full-graph products do.
         train, val = np.unique(train), np.unique(val)
         self.nb = np.unique(ahat[np.concatenate([train, val])].indices)
-        self.m1 = m1[self.nb]  # (Â·X)[nb]
-        self.m1_t = self.m1.T.tocsr()
+        self.layer1 = _Layer1(ahat, x, self.nb)
         self.train = _Rows(ahat, train, self.nb)
-        self.train_t = self.train.a.T.tocsr()
         self.val = _Rows(ahat, val, self.nb) if len(val) else None
         self.y_train, self.y_val = y[train], y[val]
+        near = np.unique(ahat[train].indices)
+        self.near = np.searchsorted(self.nb, near)
+        self.train_t = ahat[train][:, near].T.tocsr()
+        back = _Layer1(ahat, x, near)
+        self.a1_t, self.x_t = back.a.T.tocsr(), back.x.T.tocsr()
 
 
 def _loss_and_grads(p: _Problem, h_pre: np.ndarray, w1: np.ndarray, w2: np.ndarray,
@@ -189,7 +219,7 @@ def _loss_and_grads(p: _Problem, h_pre: np.ndarray, w1: np.ndarray, w2: np.ndarr
     """Training losses (R,) of R replicas and their weight gradients.
 
     `w1` is (D, R·H) with replica r in columns r·H to (r+1)·H, `h_pre` is
-    `p.m1 @ w1` and `w2` is (R, H, K). Gradients have the shapes of the
+    `p.layer1(w1)` and `w2` is (R, H, K). Gradients have the shapes of the
     weights. `hidden_mask` (|nb|, R·H), when given, multiplies the hidden
     activations (dropout).
     """
@@ -211,10 +241,10 @@ def _loss_and_grads(p: _Problem, h_pre: np.ndarray, w1: np.ndarray, w2: np.ndarr
     # The skipped terms of both transposed products are exact zeros.
     grad_w2 = m2.transpose(0, 2, 1) @ grad_logits
     grad_m2 = (grad_logits @ w2.transpose(0, 2, 1))[:, rows]
-    grad_h = p.train_t @ grad_m2.transpose(1, 0, 2).reshape(n, r * hidden)
+    grad_h = p.train_t @ grad_m2.transpose(1, 0, 2).reshape(n, r * hidden)  # at nb[near]
     if hidden_mask is not None:
-        grad_h = grad_h * hidden_mask
-    grad_w1 = p.m1_t @ (grad_h * (h_pre > 0.0))
+        grad_h = grad_h * hidden_mask[p.near]
+    grad_w1 = p.x_t @ (p.a1_t @ (grad_h * (h_pre[p.near] > 0.0)))
     if weight_decay:
         grad_w1 = grad_w1 + weight_decay * w1
         grad_w2 = grad_w2 + weight_decay * w2
@@ -225,26 +255,17 @@ def gcn_loss_and_grads(w1: np.ndarray, w2: np.ndarray, ahat: sp.csr_matrix,
                        x: sp.csr_matrix, y: np.ndarray, idx: np.ndarray,
                        weight_decay: float = 0.0,
                        hidden_mask: np.ndarray | None = None,
-                       m1: sp.csr_matrix | None = None,
                        ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy over `idx` plus explicit weight gradients.
 
     The loss and gradient of one model through the code that training runs.
     `hidden_mask` (N, H), when given, multiplies the hidden activations
-    (dropout); `m1` may carry a precomputed `ahat @ x`.
+    (dropout).
     """
-    if m1 is None:
-        m1 = ahat @ x
-    p = _Problem(ahat, m1, y, idx, np.empty(0, dtype=np.int64))
+    p = _Problem(ahat, x, y, idx, np.empty(0, dtype=np.int64))
     mask = None if hidden_mask is None else hidden_mask[p.nb]
-    loss, grad_w1, grad_w2 = _loss_and_grads(p, p.m1 @ w1, w1, w2[None], weight_decay, mask)
+    loss, grad_w1, grad_w2 = _loss_and_grads(p, p.layer1(w1), w1, w2[None], weight_decay, mask)
     return float(loss[0]), grad_w1, grad_w2[0]
-
-
-def _propagated_features(g: AttributedGraph) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Â and Â·X of a graph."""
-    ahat = normalized_adjacency_matrix(g)
-    return ahat, (ahat @ g.feature_matrix()).tocsr()
 
 
 def _columns(blocks: np.ndarray, hidden: int) -> np.ndarray:
@@ -253,7 +274,7 @@ def _columns(blocks: np.ndarray, hidden: int) -> np.ndarray:
 
 
 def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
-         ahat: sp.csr_matrix, m1: sp.csr_matrix) -> list[GcnModel]:
+         ahat: sp.csr_matrix, x: sp.csr_matrix) -> list[GcnModel]:
     """Train one replica per seed on one graph and split, all at once.
 
     Replica r is bit-identical to a model trained alone from seed r: its
@@ -263,7 +284,7 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
     """
     y = training_labels(g, split)
     k = g.n_classes
-    p = _Problem(ahat, m1, y, split.train_ids, split.validation_ids)
+    p = _Problem(ahat, x, y, split.train_ids, split.validation_ids)
     hid = cfg.hidden
 
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -282,7 +303,7 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
     best_val = np.full(len(seeds), np.inf)
     stale = np.zeros(len(seeds), dtype=np.int64)
 
-    h_pre = p.m1 @ w1
+    h_pre = p.layer1(w1)
     for epoch in range(1, cfg.max_epochs + 1):
         mask = None
         if cfg.dropout > 0.0:
@@ -302,7 +323,7 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
         w1 = w1 - cfg.learning_rate * (m_w1 / c1) / (np.sqrt(v_w1 / c2) + eps)
         w2 = w2 - cfg.learning_rate * (m_w2 / c1) / (np.sqrt(v_w2 / c2) + eps)
 
-        h_pre = p.m1 @ w1  # the validation pass now, the training pass next epoch
+        h_pre = p.layer1(w1)  # the validation pass now, the training pass next epoch
         if p.val is not None:
             val_loss = _mean_cross_entropy(
                 p.val.forward(np.maximum(h_pre, 0.0), w2)[1], p.y_val)
@@ -339,7 +360,8 @@ def train_gcn(g: AttributedGraph, split: DataSplit, seed: int,
     Full-batch updates with adaptive per-parameter step sizes; early
     stopping tracks validation loss and restores the best weights.
     """
-    return _fit(g, split, [seed], config or GcnConfig(), *_propagated_features(g))[0]
+    return _fit(g, split, [seed], config or GcnConfig(), normalized_adjacency_matrix(g),
+                g.feature_matrix())[0]
 
 
 def _target_rows(g: AttributedGraph, targets) -> np.ndarray:
@@ -352,7 +374,7 @@ def _target_rows(g: AttributedGraph, targets) -> np.ndarray:
 
 
 def _target_report(g: AttributedGraph, models: list[GcnModel], rows: np.ndarray,
-                   ahat: sp.csr_matrix, m1: sp.csr_matrix) -> MarginReport:
+                   ahat: sp.csr_matrix, x: sp.csr_matrix) -> MarginReport:
     """Margins of R models at the target rows, averaged over the models.
 
     Per target the report holds the mean margin (ground-truth class minus
@@ -361,8 +383,8 @@ def _target_report(g: AttributedGraph, models: list[GcnModel], rows: np.ndarray,
     uses.
     """
     nb = np.unique(ahat[rows].indices)
-    w1 = np.hstack([m.w1 for m in models])
-    _, probs = _Rows(ahat, rows, nb).forward(np.maximum(m1[nb] @ w1, 0.0),
+    h_pre = _Layer1(ahat, x, nb)(np.hstack([m.w1 for m in models]))
+    _, probs = _Rows(ahat, rows, nb).forward(np.maximum(h_pre, 0.0),
                                              np.stack([m.w2 for m in models]))
     margins = margin(probs, g.labels[rows] - 1)[0]  # (R, targets)
     return MarginReport([TargetMargin(node=int(v0), margin=float(margins[:, j].mean()),
@@ -375,7 +397,7 @@ def evasion_eval(model_clean: GcnModel, g_attacked: AttributedGraph,
     """Margins under clean-graph weights evaluated on the perturbed graph:
     the one-model case of the poisoning report."""
     return _target_report(g_attacked, [model_clean], _target_rows(g_attacked, targets),
-                          *_propagated_features(g_attacked))
+                          normalized_adjacency_matrix(g_attacked), g_attacked.feature_matrix())
 
 
 def poisoning_eval(g_attacked: AttributedGraph, split: DataSplit, targets,
@@ -389,7 +411,7 @@ def poisoning_eval(g_attacked: AttributedGraph, split: DataSplit, targets,
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     rows = _target_rows(g_attacked, targets)
-    ahat, m1 = _propagated_features(g_attacked)
+    ahat, x = normalized_adjacency_matrix(g_attacked), g_attacked.feature_matrix()
     models = _fit(g_attacked, split, [base_seed + r for r in range(runs)],
-                  config or GcnConfig(), ahat, m1)
-    return _target_report(g_attacked, models, rows, ahat, m1)
+                  config or GcnConfig(), ahat, x)
+    return _target_report(g_attacked, models, rows, ahat, x)

@@ -142,6 +142,7 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "targets-not-integers", "split-out-of-range",
                                   "split-overlap", "split-missing-key",
                                   "meta-not-an-object", "meta-null-count",
+                                  "meta-float-count", "meta-string-count", "meta-bool-count",
                                   "plan-no-dataset", "plan-dataset-a-number",
                                   "plan-out-dir-a-number", "rnd-features-only",
                                   "rnd-influencer", "attack-d-min-zero", "attack-tau-nan",
@@ -184,7 +185,13 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
     if case in inputs:
         data.write_text(json.dumps(inputs[case]))
     metas = {"meta-not-an-object": [1, 2],
-             "meta-null-count": {"n_nodes": None, "n_features": g.n_features, "n_classes": 3}}
+             "meta-null-count": {"n_nodes": None, "n_features": g.n_features, "n_classes": 3},
+             "meta-float-count": {"n_nodes": g.n_nodes + 0.9, "n_features": g.n_features,
+                                  "n_classes": 3},
+             "meta-string-count": {"n_nodes": g.n_nodes, "n_features": g.n_features,
+                                   "n_classes": "3"},
+             "meta-bool-count": {"n_nodes": g.n_nodes, "n_features": g.n_features,
+                                 "n_classes": True}}
     if case in metas:
         shutil.copytree(path, tmp_path / "bad")
         (tmp_path / "bad" / "meta.json").write_text(json.dumps(metas[case]))
@@ -233,6 +240,9 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
                                "--out", str(out)], "empty training set"),
         "meta-not-an-object": (lcc, "meta.json must be a JSON object"),
         "meta-null-count": (lcc, "n_nodes"),
+        "meta-float-count": (lcc, "meta.json counts must be integers"),
+        "meta-string-count": (lcc, "meta.json counts must be integers"),
+        "meta-bool-count": (lcc, "meta.json counts must be integers"),
         "plan-no-dataset": (["experiment", "--plan", str(data)], "missing key 'dataset'"),
         "plan-dataset-a-number": (["experiment", "--plan", str(data)], "dataset"),
         "plan-out-dir-a-number": (["experiment", "--plan", str(data)], "out_dir"),

@@ -247,6 +247,8 @@ def test_loader_meta_missing_key(tmp_path):
     ([1, 2], "a meta.json must be a JSON object"),
     ({"n_nodes": None, "n_features": 2, "n_classes": 2}, "'n_nodes': None"),
     ({"n_nodes": 4, "n_features": "two", "n_classes": 2}, "'n_features': 'two'"),
+    ({"n_nodes": 4.5, "n_features": 2, "n_classes": 2}, "'n_nodes': 4.5"),
+    ({"n_nodes": 4, "n_features": 2, "n_classes": True}, "'n_classes': True"),
 ])
 def test_loader_meta_must_be_an_object_of_integer_counts(tmp_path, meta, message):
     root = bundle_with(tmp_path / "b", meta=json.dumps(meta))

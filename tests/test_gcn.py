@@ -6,13 +6,13 @@ import pytest
 from nettack.attack import AttackConfig, apply_result, run_nettack
 from nettack.data import BundleError, DataSplit, extract_lcc, make_split
 from nettack.gcn import (GcnConfig, GcnModel, MarginReport, TargetMargin, _fit,
-                         _propagated_features, evasion_eval, gcn_forward,
-                         gcn_loss_and_grads, poisoning_eval, train_gcn)
+                         evasion_eval, gcn_forward, gcn_loss_and_grads, poisoning_eval,
+                         train_gcn)
 from nettack.graph import AttributedGraph, GraphError
 from nettack.surrogate import (NormalizedAdjacency, margin, normalized_adjacency_matrix,
                                softmax, train_surrogate, TrainingError)
 from nettack.synthetic import planted_partition
-from helpers import random_graph
+from helpers import dense_normalized, random_graph
 
 
 def fixed_small_instance():
@@ -49,6 +49,51 @@ def test_gradients_match_finite_differences():
                 w[a, b] += eps
                 fd = (lp - lm) / (2 * eps)
                 assert abs(fd - gw[a, b]) / max(1e-8, abs(fd), abs(gw[a, b])) < 1e-5
+
+
+def assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("graph", ["random-10", "random-11", "random-12", "desk"])
+@pytest.mark.parametrize("weight_decay, dropout", [(0.0, 0.0), (5e-4, 0.0), (0.0, 0.3),
+                                                   (5e-4, 0.3)])
+def test_layer1_matches_dense_ax_w1_form(graph, weight_decay, dropout):
+    # Â·(X·W₁) and its gradient against the (Â·X)·W₁ form, computed densely.
+    if graph == "desk":
+        g, _ = extract_lcc(planted_partition(seed=0))
+    else:
+        g = random_graph(40, 0.1, seed=int(graph[-2:]), n_features=12)
+    rng = np.random.default_rng(3)
+    w1 = rng.normal(scale=0.5, size=(g.n_features, 16))
+    w2 = rng.normal(scale=0.5, size=(16, g.n_classes))
+    mask = (rng.random((g.n_nodes, 16)) >= dropout) / (1.0 - dropout) if dropout else None
+    idx = make_split(g, seed=1).train_ids
+    y = g.labels - 1
+
+    a = dense_normalized(g)
+    ax = a @ g.feature_matrix().toarray()
+    h_pre = ax @ w1
+    h = np.maximum(h_pre, 0.0) * (1.0 if mask is None else mask)
+    m2 = a @ h
+    probs = softmax(m2 @ w2)
+    loss = -np.mean(np.log(probs[idx, y[idx]] + 1e-12))
+    loss += 0.5 * weight_decay * (np.sum(w1 * w1) + np.sum(w2 * w2))
+    grad_logits = np.zeros_like(probs)
+    grad_logits[idx] = probs[idx]
+    grad_logits[idx, y[idx]] -= 1.0
+    grad_logits /= len(idx)
+    grad_h = (a.T @ (grad_logits @ w2.T)) * (1.0 if mask is None else mask)
+    g1 = ax.T @ (grad_h * (h_pre > 0.0)) + weight_decay * w1
+    g2 = m2.T @ grad_logits + weight_decay * w2
+
+    ahat, x = normalized_adjacency_matrix(g), g.feature_matrix()
+    got_loss, got_g1, got_g2 = gcn_loss_and_grads(w1, w2, ahat, x, y, idx, weight_decay, mask)
+    assert got_loss == pytest.approx(loss, rel=1e-12, abs=0)
+    assert_close(got_g1, g1)
+    assert_close(got_g2, g2)
+    if mask is None:
+        assert_close(gcn_forward(GcnModel(w1=w1, w2=w2), ahat, x), probs)
 
 
 def test_two_cliques_fully_learned():
@@ -246,14 +291,13 @@ def sequential_fit(g, split, seed, cfg):
     rng = np.random.default_rng(seed)
     w1, w2 = (rng.uniform(-np.sqrt(6.0 / (a + b)), np.sqrt(6.0 / (a + b)), size=(a, b))
               for a, b in ((g.n_features, cfg.hidden), (cfg.hidden, g.n_classes)))
-    ahat = normalized_adjacency_matrix(g)
-    m1 = (ahat @ g.feature_matrix()).tocsr()
+    ahat, x = normalized_adjacency_matrix(g), g.feature_matrix()
     y = g.labels - 1
     train, val = split.train_ids, split.validation_ids
     wd = cfg.weight_decay
 
     def forward(w1, w2, mask=None):
-        h_pre = m1 @ w1
+        h_pre = ahat @ (x @ w1)
         h = np.maximum(h_pre, 0.0)
         if mask is not None:
             h = h * mask
@@ -282,7 +326,7 @@ def sequential_fit(g, split, seed, cfg):
         grad_h = ahat.T @ (grad_logits @ w2.T)
         if mask is not None:
             grad_h = grad_h * mask
-        g1 = m1.T @ (grad_h * (h_pre > 0.0))
+        g1 = x.T @ (ahat.T @ (grad_h * (h_pre > 0.0)))
         if wd:
             g1, g2 = g1 + wd * w1, g2 + wd * w2
         m_w1 = 0.9 * m_w1 + (1 - 0.9) * g1
@@ -327,7 +371,13 @@ def test_batched_fit_bit_identical_to_sequential(case):
     }[case]
     if case == "no-validation":
         split = no_validation(split)
-    models = _fit(g, split, seeds, cfg, *_propagated_features(g))
+    ahat = normalized_adjacency_matrix(g)
+    # The loss gradient reaches fewer hidden rows than the pass computes, so
+    # the backward products read a strict subset of them.
+    near = set(ahat[split.train_ids].indices.tolist())
+    nb = set(ahat[np.r_[split.train_ids, split.validation_ids]].indices.tolist())
+    assert (near < nb) == (case != "no-validation")
+    models = _fit(g, split, seeds, cfg, ahat, g.feature_matrix())
     for seed, model in zip(seeds, models):
         w1, w2, epochs = sequential_fit(g, split, seed, cfg)
         assert np.array_equal(model.w1, w1) and np.array_equal(model.w2, w2), seed
