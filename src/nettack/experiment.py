@@ -1,10 +1,10 @@
 """End-to-end protocol: target selection, per-target attacks, evaluation.
 
-One experiment sweeps split seeds; per seed it trains the surrogate,
-picks margin-extreme plus random targets, runs each attack in the roster
-with a degree-plus-two budget, and evaluates evasion and poisoning
-margins of the victim. The first seed's set-up also serves the
-limited-knowledge sweep, which attacks the nodes nearest the target.
+One experiment sweeps split seeds. Per seed it trains the surrogate and
+picks margin-extreme plus random targets; its tasks are the clean step,
+each roster attack on each target (degree-plus-two budget, evasion and
+poisoning margins of the victim) and, on the first seed, each (fraction,
+target) task of the limited-knowledge sweep. Worker processes run them.
 Target selection ranks margins with `surrogate.margin`, the rule behind
 the attack loss and the victim's margins too. Everything is seeded, and
 all emitted files are byte-stable across reruns.
@@ -20,8 +20,9 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict, replace
-from itertools import product
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, asdict, replace
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,9 @@ class ExperimentPlan:
         if not self.seeds or not all(is_int(s) for s in self.seeds):
             raise ValueError(f"plan seeds must be a non-empty list of integers, "
                              f"got {list(self.seeds)!r}")
+        for i, s in enumerate(self.seeds):
+            if s in self.seeds[:i]:
+                raise ValueError(f"plan key 'seeds' must be distinct, got seed {s} twice")
         for a in self.attacks:
             if a not in ATTACK_NAMES:
                 raise ValueError(f"unknown attack {a!r}; choose from {ATTACK_NAMES}")
@@ -238,159 +242,154 @@ def _write_csv(path: str | Path | None, header: list[str], rows: list[list]) -> 
     return buf.getvalue()
 
 
-@dataclass
-class SeedOutcome:
-    """All rows produced by one split seed, ready for aggregation."""
-
-    seed: int
-    targets: TargetSelection | None = None
-    margin_rows: list = field(default_factory=list)   # seed, attack, mode, target, degree, margin, correct_fraction
-    loss_rows: list = field(default_factory=list)     # seed, attack, target, step, loss
-    lambda_rows: list = field(default_factory=list)   # seed, attack, target, step, lambda
-    limited_rows: list = field(default_factory=list)  # fraction, target, visible_nodes, n_flips, margin, correct_fraction
-    failures: list = field(default_factory=list)
+# Set-ups of the plan that `run_experiment` runs, by split seed: graph, split,
+# Â, surrogate, targets and clean victim (or the exception its fit raised).
+# Forked workers inherit them; a worker that starts afresh builds its own.
+_set_ups: dict[int, tuple] = {}
 
 
-def _run_one_seed(plan: ExperimentPlan, seed: int) -> SeedOutcome:
-    g = load_bundle(plan.dataset)
-    split = make_split(g, seed)
-    na = NormalizedAdjacency.build(g)
-    model = train_surrogate(g, na, split)
-    targets = select_targets(model, g, na, split, seed=seed, n_high=plan.n_high,
-                             n_low=plan.n_low, n_random=plan.n_random)
-    out = SeedOutcome(seed=seed, targets=targets)
-    cfg_gcn = plan.gcn_config()
-    runs_dir = Path(plan.out_dir) / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-
-    attacks = plan.attacks
-    try:
-        model_clean = train_gcn(g, split, seed=9000 + seed, config=cfg_gcn)
-        clean_poison = poisoning_eval(g, split, targets.all, runs=plan.poisoning_runs,
-                                      base_seed=seed * 100000, config=cfg_gcn)
-        clean_evasion = evasion_eval(model_clean, g, targets.all)
-    except Exception as exc:  # every attack run of the seed needs the clean model
-        log.exception("clean model failed: seed=%s", seed)
-        out.failures += [{"seed": seed, "attack": attack, "target": v0, "error": repr(exc)}
-                         for attack in plan.attacks for v0 in targets.all]
-        attacks = ()
-    else:
-        for mode, report in (("poisoning", clean_poison), ("evasion", clean_evasion)):
-            out.margin_rows += [[seed, "clean", mode, t.node, g.degree(t.node), t.margin,
-                                 t.correct_fraction] for t in report.targets]
-
-    nettack_runs = {}  # target -> n_flips, poisoned margin, correct fraction
-    for ai, attack in enumerate(attacks):
-        for v0 in targets.all:
-            budget = g.degree(v0) + plan.budget_offset
-            run_seed = seed * 100000 + ai * 10000 + v0
-            try:
-                result = run_attack_by_name(attack, g, model, na, v0, budget,
-                                            run_seed, plan.d_min, plan.tau)
-                g_att = apply_result(g, result)
-                evasion = evasion_eval(model_clean, g_att, [v0])
-                poison = poisoning_eval(g_att, split, [v0],
-                                        runs=plan.poisoning_runs,
-                                        base_seed=seed * 100000, config=cfg_gcn)
-                audit = replay_constraints(g, result, plan.d_min, plan.tau)
-            except Exception as exc:  # keep the seed going, record the failure
-                log.exception("run failed: seed=%s attack=%s target=%s", seed, attack, v0)
-                out.failures.append({"seed": seed, "attack": attack,
-                                     "target": v0, "error": repr(exc)})
-                continue
-            tp = poison.targets[0]
-            for mode, t in (("evasion", evasion.targets[0]), ("poisoning", tp)):
-                out.margin_rows.append([seed, attack, mode, v0, g.degree(v0),
-                                        t.margin, t.correct_fraction])
-            if attack == "nettack":
-                nettack_runs[v0] = [len(result.perturbations), tp.margin, tp.correct_fraction]
-            for step, loss in enumerate([result.initial_loss] + result.loss_trace):
-                out.loss_rows.append([seed, attack, v0, step, loss])
-            for step, lam in enumerate(result.lambda_trace):
-                out.lambda_rows.append([seed, attack, v0, step + 1, lam])
-            payload = {"seed": seed, "attack": attack, "result": result.to_dict(),
-                       "evasion": evasion.to_dict(), "poisoning": poison.to_dict(),
-                       "replay_audit": audit}
-            write_json(runs_dir / f"seed{seed}_{attack}_t{v0}.json", payload, indent=1)
-
-    sweep = plan.limited_fractions if seed == plan.seeds[0] else ()
-    for fraction, v0 in product(sweep, targets.all):
+def _set_up(plan: ExperimentPlan, seed: int) -> tuple:
+    if seed not in _set_ups:
+        g = load_bundle(plan.dataset)
+        split = make_split(g, seed)
+        na = NormalizedAdjacency.build(g)
+        model = train_surrogate(g, na, split)
+        targets = select_targets(model, g, na, split, seed=seed, n_high=plan.n_high,
+                                 n_low=plan.n_low, n_random=plan.n_random)
         try:
-            out.limited_rows += _limited_rows(plan, seed, g, split, na, model, v0,
-                                              fraction, nettack_runs.get(v0))
-        except Exception as exc:  # likewise for a sweep task
-            log.exception("sweep failed: seed=%s fraction=%s target=%s", seed, fraction, v0)
-            out.failures.append({"seed": seed, "fraction": fraction, "target": v0,
-                                 "error": repr(exc)})
-    return out
+            victim = train_gcn(g, split, seed=9000 + seed, config=plan.gcn_config())
+        except Exception as exc:  # every attack run of the seed needs the clean model
+            log.exception("clean model failed: seed=%s", seed)
+            victim = exc
+        _set_ups[seed] = g, split, na, model, targets, victim
+    return _set_ups[seed]
 
 
-def _limited_rows(plan: ExperimentPlan, seed: int, g: AttributedGraph, split: DataSplit,
-                  na: NormalizedAdjacency, model: SurrogateModel, v0: int,
-                  fraction: float, nettack_run: list | None) -> list[list]:
-    """Rows of one sweep task: none when too few nodes are visible to train on.
+def _run_task(plan: ExperimentPlan, task: tuple, reuse: bool = True):
+    """(rows, None) of one task, or (None, repr of the exception it raised).
 
-    Nettack sees the ceil(fraction * N) nodes nearest v0, with the full-graph
-    budget, and fits its own surrogate there; the victim retrains on the
-    full graph with the flips mapped back.
+    A task is (seed, "clean", None, None), (seed, "attack", attack index,
+    target) or (seed, "fraction", fraction, target). `rows` maps tables to
+    the rows the task adds, plus a run's `payload` and `sweep_row`. Under
+    `reuse`, a fraction task that sees the whole graph returns None rows if
+    the roster has `nettack`: the merge takes that run's row.
     """
-    sub, mapping = limited_knowledge_subgraph(g, v0, fraction)
-    if sub.n_nodes < 10:
-        return []
-    # `induced_subgraph` sorts its ids, so a whole-graph `sub` is g: the
-    # seed's split, surrogate and `nettack` run (direct mode ignores the seed).
-    if sub.n_nodes < g.n_nodes:
-        na = NormalizedAdjacency.build(sub)
-        model = train_surrogate(sub, na, make_split(sub, seed))
-    elif nettack_run is not None:
-        return [[fraction, v0, sub.n_nodes, *nettack_run]]
-    result = run_attack_by_name("nettack", sub, model, na, int(np.searchsorted(mapping, v0)),
-                                g.degree(v0) + plan.budget_offset, seed, plan.d_min, plan.tau)
-    g_att = g.copy()
-    for p in result.perturbations:  # `mapping` increases, so edges stay u < v
-        g_att.apply_inplace(replace(p, u=int(mapping[p.u]),
-                                    v=int(mapping[p.v]) if p.kind == EDGE else p.v))
-    tp = poisoning_eval(g_att, split, [v0], runs=plan.poisoning_runs,
-                        base_seed=seed * 100000, config=plan.gcn_config()).targets[0]
-    return [[fraction, v0, sub.n_nodes, len(result.perturbations), tp.margin,
-             tp.correct_fraction]]
+    seed, kind, key, v0 = task
+    g, split, na, model, targets, victim = _set_up(plan, seed)
+    if kind != "fraction" and isinstance(victim, Exception):
+        return None, repr(victim)  # the clean step failed, so its runs are skipped
+    retrain = dict(runs=plan.poisoning_runs, base_seed=seed * 100000, config=plan.gcn_config())
+    try:
+        if kind == "clean":
+            reports = {"poisoning": poisoning_eval(g, split, targets.all, **retrain),
+                       "evasion": evasion_eval(victim, g, targets.all)}
+        elif kind == "attack":
+            result = run_attack_by_name(plan.attacks[key], g, model, na, v0,
+                                        g.degree(v0) + plan.budget_offset,
+                                        seed * 100000 + key * 10000 + v0, plan.d_min, plan.tau)
+            g_att = apply_result(g, result)
+            reports = {"evasion": evasion_eval(victim, g_att, [v0]),
+                       "poisoning": poisoning_eval(g_att, split, [v0], **retrain)}
+            audit = replay_constraints(g, result, plan.d_min, plan.tau)
+        else:  # Nettack sees the nodes nearest v0 and fits its own surrogate there
+            sub, mapping = limited_knowledge_subgraph(g, v0, key)
+            if sub.n_nodes < 10:
+                return {}, None
+            # `induced_subgraph` sorts its ids, so a whole-graph `sub` is g: the
+            # seed's split, surrogate and `nettack` run (direct mode ignores the seed).
+            if sub.n_nodes < g.n_nodes:
+                na = NormalizedAdjacency.build(sub)
+                model = train_surrogate(sub, na, make_split(sub, seed))
+            elif reuse and "nettack" in plan.attacks:
+                return None, None
+            result = run_attack_by_name("nettack", sub, model, na,
+                                        int(np.searchsorted(mapping, v0)),
+                                        g.degree(v0) + plan.budget_offset, seed, plan.d_min,
+                                        plan.tau)
+            flips = [replace(p, u=int(mapping[p.u]), v=int(mapping[p.v]) if p.kind == EDGE
+                             else p.v) for p in result.perturbations]  # `mapping` is sorted: u < v
+            g_att = apply_result(g, replace(result, perturbations=flips))
+            tp = poisoning_eval(g_att, split, [v0], **retrain).targets[0]
+            return {"limited": [[key, v0, sub.n_nodes, len(flips), tp.margin,
+                                 tp.correct_fraction]]}, None
+    except Exception as exc:  # keep the plan going, record the failure
+        log.exception("%s task failed: seed=%s key=%s target=%s", kind, seed, key, v0)
+        return None, repr(exc)
+    name = plan.attacks[key] if kind == "attack" else "clean"
+    rows = {"margin": [[seed, name, mode, t.node, g.degree(t.node), t.margin, t.correct_fraction]
+                       for mode, report in reports.items() for t in report.targets]}
+    if kind == "attack":
+        tp = reports["poisoning"].targets[0]
+        rows["loss"] = [[seed, name, v0, step, loss]
+                        for step, loss in enumerate([result.initial_loss] + result.loss_trace)]
+        rows["lambda"] = [[seed, name, v0, step + 1, lam]
+                          for step, lam in enumerate(result.lambda_trace)]
+        rows["sweep_row"] = [g.n_nodes, len(result.perturbations), tp.margin, tp.correct_fraction]
+        rows["payload"] = {"seed": seed, "attack": name, "result": result.to_dict(),
+                           "replay_audit": audit,
+                           **{mode: report.to_dict() for mode, report in reports.items()}}
+    return rows, None
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Execute a plan and write run JSONs, aggregate CSVs, and a manifest.
 
-    The first seed's set-up also serves the limited-knowledge sweep, and a
-    task that raises becomes a `failures` entry. Honors NETTACK_WORKERS
-    for seed-level parallelism; results are merged in seed order so
-    outputs stay byte-identical either way.
+    Each seed is a list of tasks: its clean step, each (attack, target) run
+    and, on the first seed, each (fraction, target) task of the limited-
+    knowledge sweep. Up to NETTACK_WORKERS processes run them, and results
+    merge in task order, so outputs are byte-identical either way. A task
+    that raises becomes a `failures` entry.
     """
     raw = os.environ.get("NETTACK_WORKERS", "1")
     if not raw.strip().isdigit() or int(raw) < 1:
         raise ValueError(f"NETTACK_WORKERS must be an integer >= 1, got {raw!r}")
-    workers = int(raw)
     out_dir = Path(plan.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = list(plan.seeds)
-    if workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one_seed, [plan] * len(seeds), seeds))
-    else:
-        outcomes = [_run_one_seed(plan, s) for s in seeds]
-
-    margin_rows = [r for o in outcomes for r in o.margin_rows]
-    loss_rows = [r for o in outcomes for r in o.loss_rows]
-    lambda_rows = [r for o in outcomes for r in o.lambda_rows]
-    failures = [f for o in outcomes for f in o.failures]
+    (out_dir / "runs").mkdir(parents=True, exist_ok=True)
+    tables = {"margin": [], "loss": [], "lambda": [], "limited": []}
+    failures, clean_errors, run_rows = [], {}, {}
+    try:
+        tasks, targets = [], {}
+        for seed in plan.seeds:
+            targets[str(seed)] = ts = _set_up(plan, seed)[4].all
+            sweep = plan.limited_fractions if seed == plan.seeds[0] else ()
+            tasks += ([(seed, "clean", None, None)]
+                      + [(seed, "attack", ai, v0) for ai in range(len(plan.attacks)) for v0 in ts]
+                      + [(seed, "fraction", f, v0) for f, v0 in product(sweep, ts)])
+        workers = min(int(raw), len(tasks))
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            outcomes = (pool.map if pool else map)(_run_task, repeat(plan), tasks)
+            for task, (rows, error) in zip(tasks, outcomes):
+                seed, kind, key, v0 = task
+                name = plan.attacks[key] if kind == "attack" else key
+                if kind == "fraction" and rows is None and error is None:
+                    # The whole graph: the target's `nettack` row, or a run of its own.
+                    row = run_rows.get((seed, "nettack", v0))
+                    rows, error = ({"limited": [[key, v0, *row]]}, None) if row else \
+                        _run_task(plan, task, reuse=False)
+                clean_errors.setdefault(seed, error)  # each seed's first task is its clean step
+                error = clean_errors[seed] or error if kind == "attack" else error
+                if error is not None:
+                    if kind != "clean":
+                        failures.append({"seed": seed, kind: name, "target": v0, "error": error})
+                    continue
+                if kind == "attack":
+                    write_json(out_dir / "runs" / f"seed{seed}_{name}_t{v0}.json",
+                               rows["payload"], indent=1)
+                    run_rows[seed, name, v0] = rows["sweep_row"]
+                for table, kept in tables.items():
+                    kept += rows.get(table, [])
+    finally:
+        _set_ups.clear()
 
     _write_csv(out_dir / "margin_scatter.csv",
                ["seed", "attack", "mode", "target", "degree", "margin",
-                "correct_fraction"], margin_rows)
+                "correct_fraction"], tables["margin"])
     _write_csv(out_dir / "lambda_trace.csv",
-               ["seed", "attack", "target", "step", "lambda"], lambda_rows)
+               ["seed", "attack", "target", "step", "lambda"], tables["lambda"])
 
     # Mean loss over (seed, target) runs per attack and step.
     loss_acc: dict[tuple[str, int], list[float]] = {}
-    for seed, attack, v0, step, loss in loss_rows:
+    for seed, attack, v0, step, loss in tables["loss"]:
         if not (isinstance(loss, float) and math.isnan(loss)):
             loss_acc.setdefault((attack, step), []).append(loss)
     loss_out = [[a, s, float(np.mean(v)), len(v)]
@@ -399,7 +398,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
                ["attack", "step", "mean_loss", "n_runs"], loss_out)
 
     agg_acc: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for seed, attack, mode, v0, deg, margin, cf in margin_rows:
+    for seed, attack, mode, v0, deg, margin, cf in tables["margin"]:
         agg_acc.setdefault((attack, mode), []).append((margin, cf))
     agg_rows = []
     dataset_name = Path(plan.dataset).name
@@ -413,12 +412,12 @@ def run_experiment(plan: ExperimentPlan) -> dict:
                 "n_rows"], agg_rows)
 
     # Degree buckets against the clean poisoning margins, per attack.
-    clean_cf = {(r[0], r[3]): r[6] for r in margin_rows
+    clean_cf = {(r[0], r[3]): r[6] for r in tables["margin"]
                 if r[1] == "clean" and r[2] == "poisoning"}
     bucket_rows = []
     for attack in plan.attacks:
         per_target = [(r[4], clean_cf.get((r[0], r[3]), float("nan")), r[6])
-                      for r in margin_rows if r[1] == attack and r[2] == "poisoning"]
+                      for r in tables["margin"] if r[1] == attack and r[2] == "poisoning"]
         for row in degree_bucket_report(per_target):
             bucket_rows.append([attack, row["bucket"], row["n"],
                                 row["clean_fraction"], row["attacked_fraction"]])
@@ -429,7 +428,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     if plan.limited_fractions:
         _write_csv(out_dir / "limited_knowledge.csv",
                    ["fraction", "target", "visible_nodes", "n_flips",
-                    "poisoned_margin", "correct_fraction"], outcomes[0].limited_rows)
+                    "poisoned_margin", "correct_fraction"], tables["limited"])
 
     manifest = {
         "plan": plan.to_dict(),
@@ -437,7 +436,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         "plan_hash": hashlib.sha256(
             json.dumps(plan.to_dict(), sort_keys=True).encode()).hexdigest(),
         "failures": failures,
-        "targets": {str(o.seed): o.targets.all for o in outcomes},
+        "targets": targets,
     }
     write_json(out_dir / "manifest.json", manifest, indent=1)
     return manifest

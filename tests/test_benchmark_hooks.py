@@ -102,8 +102,8 @@ def test_traced_benchmark_call_forms():
 
 
 def test_traced_victim_training_feeds_gcn_metrics():
-    # `train_gcn` and `poisoning_eval` called as `experiment._run_one_seed`
-    # calls them: the tracer's gcn metrics must see them.
+    # `train_gcn` and `poisoning_eval` called as the experiment's set-up and
+    # tasks call them: the tracer's gcn metrics must see them.
     tracer = load_tracer()
     g = random_graph(30, 0.15, seed=3)
     split = nettack.data.make_split(g, 1)

@@ -214,28 +214,67 @@ def test_run_experiment_deterministic_reruns(tiny_experiment):
 
 
 def test_run_experiment_worker_pool_matches_sequential(tiny_experiment, monkeypatch):
+    # The two-seed plan, and a one-seed plan with its sweep, whose tasks
+    # also spread over the workers.
     root, plan, _, _ = tiny_experiment
-    seq = {p.name: p.read_bytes()
-           for p in (root / "out").iterdir() if p.is_file()}
-    seq_runs = {p.name: p.read_bytes() for p in (root / "out" / "runs").iterdir()}
-    par_plan = ExperimentPlan.from_dict({**plan.to_dict(),
-                                         "out_dir": str(root / "out_par")})
+    one_seed = ExperimentPlan.from_dict({**plan.to_dict(), "seeds": [plan.seeds[0]],
+                                         "out_dir": str(root / "out_one_seed")})
+    run_experiment(one_seed)
     monkeypatch.setenv("NETTACK_WORKERS", "2")
-    run_experiment(par_plan)
-    par = {p.name: p.read_bytes()
-           for p in (root / "out_par").iterdir() if p.is_file()}
-    par_runs = {p.name: p.read_bytes() for p in (root / "out_par" / "runs").iterdir()}
-    assert seq_runs == par_runs
-    for name in seq:
-        if name == "manifest.json":
-            continue  # embeds the differing out_dir path
-        assert par[name] == seq[name], name
+    for seq_plan in (plan, one_seed):
+        seq_out = root / seq_plan.out_dir
+        seq = {p.name: p.read_bytes()
+               for p in seq_out.iterdir() if p.is_file()}
+        seq_runs = {p.name: p.read_bytes() for p in (seq_out / "runs").iterdir()}
+        par_out = root / f"{seq_out.name}_par"
+        run_experiment(ExperimentPlan.from_dict({**seq_plan.to_dict(), "out_dir": str(par_out)}))
+        par = {p.name: p.read_bytes()
+               for p in par_out.iterdir() if p.is_file()}
+        par_runs = {p.name: p.read_bytes() for p in (par_out / "runs").iterdir()}
+        assert seq_runs == par_runs
+        assert "limited_knowledge.csv" in seq
+        for name in seq:
+            if name == "manifest.json":
+                continue  # embeds the differing out_dir path
+            assert par[name] == seq[name], name
+
+
+def test_worker_pool_is_capped_at_the_task_count(tiny_experiment, monkeypatch):
+    # One seed, one attack and no sweep make 5 tasks (the clean step and 4
+    # runs), so a larger NETTACK_WORKERS starts only 5 processes.
+    root, plan, _, _ = tiny_experiment
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, *args):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(nettack.experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("NETTACK_WORKERS", "5000")
+    out = root / "out_capped"
+    got = run_experiment(ExperimentPlan.from_dict(
+        {**plan.to_dict(), "seeds": [plan.seeds[0]], "attacks": ["nettack"],
+         "limited_fractions": [], "out_dir": str(out)}))
+    assert sizes == [5]
+    assert got["failures"] == []
+    assert ({p.name: p.read_bytes() for p in (out / "runs").iterdir()}
+            == {p.name: p.read_bytes()
+                for p in (root / "out" / "runs").glob(f"seed{plan.seeds[0]}_nettack_*")})
 
 
 def test_clean_model_failure_is_recorded_per_skipped_run(tiny_experiment, monkeypatch):
     # The clean fit of seed 2 raises: each of that seed's attack runs is one
     # failure carrying the clean step's error, seed 1 runs as before and the
-    # manifest is still written.
+    # manifest is still written. Forked workers see the patch too.
     root, plan, manifest, _ = tiny_experiment
     train_gcn = nettack.experiment.train_gcn
 
@@ -245,19 +284,21 @@ def test_clean_model_failure_is_recorded_per_skipped_run(tiny_experiment, monkey
         return train_gcn(g, split, seed=seed, config=config)
 
     monkeypatch.setattr(nettack.experiment, "train_gcn", failing_for_seed_2)
-    out = root / "out_clean_failure"
-    got = run_experiment(ExperimentPlan.from_dict({**plan.to_dict(), "out_dir": str(out)}))
-    assert got == json.loads((out / "manifest.json").read_text())
-    assert got["targets"] == manifest["targets"]
-    runs = {p.name: p.read_bytes() for p in (out / "runs").iterdir()}
-    expected = {p.name: p.read_bytes() for p in (root / "out" / "runs").glob("seed1_*")}
-    assert runs == expected
-    skipped = [(a, v) for a in plan.attacks for v in manifest["targets"]["2"]]
-    assert [(f["attack"], f["target"]) for f in got["failures"]] == skipped
-    assert len(got["failures"]) == 2 * 4 * len(plan.attacks) - len(runs)
-    for f in got["failures"]:
-        assert f["seed"] == 2
-        assert f["error"] == "TrainingError('non-finite training loss at epoch 7')"
+    for workers in ("1", "2"):
+        monkeypatch.setenv("NETTACK_WORKERS", workers)
+        out = root / f"out_clean_failure_{workers}"
+        got = run_experiment(ExperimentPlan.from_dict({**plan.to_dict(), "out_dir": str(out)}))
+        assert got == json.loads((out / "manifest.json").read_text())
+        assert got["targets"] == manifest["targets"]
+        runs = {p.name: p.read_bytes() for p in (out / "runs").iterdir()}
+        expected = {p.name: p.read_bytes() for p in (root / "out" / "runs").glob("seed1_*")}
+        assert runs == expected
+        skipped = [(a, v) for a in plan.attacks for v in manifest["targets"]["2"]]
+        assert [(f["attack"], f["target"]) for f in got["failures"]] == skipped
+        assert len(got["failures"]) == 2 * 4 * len(plan.attacks) - len(runs)
+        for f in got["failures"]:
+            assert f["seed"] == 2
+            assert f["error"] == "TrainingError('non-finite training loss at epoch 7')"
 
 
 def read_csv(path):
@@ -311,18 +352,20 @@ def test_sweep_task_failure_is_recorded(tiny_experiment, monkeypatch):
         return train_surrogate(sub, *args, **kwargs)
 
     monkeypatch.setattr(nettack.experiment, "train_surrogate", failing_on_subgraphs)
-    out = root / "out_sweep_failure"
-    got = run_experiment(ExperimentPlan.from_dict({**plan.to_dict(), "out_dir": str(out)}))
-    assert got == json.loads((out / "manifest.json").read_text())
-    assert got["failures"] == [
-        {"seed": plan.seeds[0], "fraction": 0.5, "target": v0,
-         "error": "TrainingError('non-finite training loss at epoch 3')"}
-        for v0 in manifest["targets"][str(plan.seeds[0])]]
-    lines = (root / "out" / "limited_knowledge.csv").read_text().splitlines()
-    assert (out / "limited_knowledge.csv").read_text().splitlines() == (
-        lines[:1] + [ln for ln in lines[1:] if ln.startswith("1.0,")])
-    assert ({p.name: p.read_bytes() for p in (out / "runs").iterdir()}
-            == {p.name: p.read_bytes() for p in (root / "out" / "runs").iterdir()})
+    for workers in ("1", "2"):
+        monkeypatch.setenv("NETTACK_WORKERS", workers)
+        out = root / f"out_sweep_failure_{workers}"
+        got = run_experiment(ExperimentPlan.from_dict({**plan.to_dict(), "out_dir": str(out)}))
+        assert got == json.loads((out / "manifest.json").read_text())
+        assert got["failures"] == [
+            {"seed": plan.seeds[0], "fraction": 0.5, "target": v0,
+             "error": "TrainingError('non-finite training loss at epoch 3')"}
+            for v0 in manifest["targets"][str(plan.seeds[0])]]
+        lines = (root / "out" / "limited_knowledge.csv").read_text().splitlines()
+        assert (out / "limited_knowledge.csv").read_text().splitlines() == (
+            lines[:1] + [ln for ln in lines[1:] if ln.startswith("1.0,")])
+        assert ({p.name: p.read_bytes() for p in (out / "runs").iterdir()}
+                == {p.name: p.read_bytes() for p in (root / "out" / "runs").iterdir()})
 
 
 def test_sweep_survives_a_clean_failure_of_its_seed(tiny_experiment, monkeypatch):
@@ -335,13 +378,15 @@ def test_sweep_survives_a_clean_failure_of_its_seed(tiny_experiment, monkeypatch
         raise TrainingError("non-finite training loss at epoch 7")
 
     monkeypatch.setattr(nettack.experiment, "train_gcn", failing)
-    out = root / "out_sweep_seed_clean_failure"
-    got = run_experiment(ExperimentPlan.from_dict(
-        {**plan.to_dict(), "seeds": [plan.seeds[0]], "out_dir": str(out)}))
-    assert [f["attack"] for f in got["failures"]] == [
-        a for a in plan.attacks for _ in got["targets"][str(plan.seeds[0])]]
-    assert ((out / "limited_knowledge.csv").read_bytes()
-            == (root / "out" / "limited_knowledge.csv").read_bytes())
+    for workers in ("1", "2"):
+        monkeypatch.setenv("NETTACK_WORKERS", workers)
+        out = root / f"out_sweep_seed_clean_failure_{workers}"
+        got = run_experiment(ExperimentPlan.from_dict(
+            {**plan.to_dict(), "seeds": [plan.seeds[0]], "out_dir": str(out)}))
+        assert [f["attack"] for f in got["failures"]] == [
+            a for a in plan.attacks for _ in got["targets"][str(plan.seeds[0])]]
+        assert ((out / "limited_knowledge.csv").read_bytes()
+                == (root / "out" / "limited_knowledge.csv").read_bytes())
 
 
 def test_table3_csv_order(tiny_experiment):
@@ -371,7 +416,7 @@ def test_plan_rejects_unknown_attack():
     ("n_high", "3"), ("n_low", -1), ("n_random", 2.0), ("budget_offset", True),
     ("poisoning_runs", 2.5), ("poisoning_runs", 0), ("d_min", 0),
     ("tau", "a"), ("tau", float("nan")), ("tau", float("inf")),
-    ("dataset", 5), ("out_dir", 7), ("dataset", None),
+    ("dataset", 5), ("out_dir", 7), ("dataset", None), ("seeds", (1, 2, 1)),
 ])
 def test_plan_rejects_bad_counts_and_tau(field, value):
     with pytest.raises(ValueError, match=f"plan key '{field}' must be"):
