@@ -71,9 +71,6 @@ class ExperimentPlan:
         if not self.seeds or not all(is_int(s) for s in self.seeds):
             raise ValueError(f"plan seeds must be a non-empty list of integers, "
                              f"got {list(self.seeds)!r}")
-        for i, s in enumerate(self.seeds):
-            if s in self.seeds[:i]:
-                raise ValueError(f"plan key 'seeds' must be distinct, got seed {s} twice")
         for a in self.attacks:
             if a not in ATTACK_NAMES:
                 raise ValueError(f"unknown attack {a!r}; choose from {ATTACK_NAMES}")
@@ -88,6 +85,12 @@ class ExperimentPlan:
         if not all(is_finite_number(f) and f > 0 for f in self.limited_fractions):
             raise ValueError(f"plan key 'limited_fractions' must hold finite numbers above "
                              f"0, got {list(self.limited_fractions)!r}")
+        for name, what in (("seeds", "seed"), ("attacks", "attack"),
+                           ("limited_fractions", "fraction")):
+            values = getattr(self, name)
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"plan key {name!r} must be distinct, got {what} {v!r} twice")
         self.gcn_config()  # rejects GCN settings that cannot train
 
     def gcn_config(self) -> GcnConfig:

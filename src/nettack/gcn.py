@@ -15,20 +15,21 @@ Adam moments, dropout generator and early-stopping state, and leaves the
 stack when it stops. The loss reads class scores only at the training
 rows and early stopping only at the validation rows, so the hidden layer
 is computed only on the closed one-hop neighbourhood of those rows, X·W1
-only at the rows that neighbourhood touches, and the second propagation
-only at those rows. The loss gradient reaches the hidden layer only at the
-training rows' neighbours, so the first layer's backward products read
-only those rows. Every replica is bit-identical to a model trained alone:
-a CSR product sums each output row in stored order whatever rows or
-columns are sliced and however many columns the dense operand has, the
-terms left out are exact zeros, and the dense products keep the shapes of
-a one-model, full-graph pass.
+only at the rows that neighbourhood touches, and the whole second layer
+(propagation, class scores and their gradients) only at the rows a pass
+reads. The loss gradient reaches the hidden layer only at the training
+rows' neighbours, so the first layer's backward products read only those
+rows. Every replica is bit-identical to a model trained alone through the
+same row-read pass, and within 1e-12 of the full-graph pass: a CSR product
+sums each output row in stored order whatever rows or columns are sliced
+and however many columns the dense operand has, and the terms left out are
+exact zeros, but a BLAS kernel may round a row of a dense product
+differently when the row count changes.
 
 Evaluation reads the victim at the target rows only, through the same
-row-sliced pass: `poisoning_eval` averages the margins of its R retrained
+row-read pass: `poisoning_eval` averages the margins of its R retrained
 replicas and `evasion_eval` is the R = 1 case with the clean model. Both
-take margins from `surrogate.margin`. `gcn_forward`, the plain full-graph
-pass, is kept as the reference the tests compare against.
+take margins from `surrogate.margin`.
 """
 
 from __future__ import annotations
@@ -117,18 +118,8 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def gcn_forward(model: GcnModel, ahat: sp.csr_matrix,
-                x: sp.csr_matrix) -> np.ndarray:
-    """Class probabilities for every node, shape (N, K): the full-graph
-    reference that the tests hold the row-sliced passes to."""
-    h_pre = ahat @ (x @ model.w1)
-    h = np.maximum(h_pre, 0.0)
-    logits = (ahat @ h) @ model.w2
-    return softmax(logits)
-
-
 class _Rows:
-    """Â at the rows one loss reads, over the columns `nb`.
+    """Â at the rows one pass reads, over the columns `nb`.
 
     `nb` must hold every column those rows touch. Then `a @ h[nb]` is
     `(Â @ h)[rows]` bit for bit: a CSR product sums each output row's
@@ -137,26 +128,24 @@ class _Rows:
     """
 
     def __init__(self, ahat: sp.csr_matrix, rows: np.ndarray, nb: np.ndarray):
-        self.rows = rows
         self.a = ahat[rows][:, nb]
-        self.n_nodes = ahat.shape[0]
 
     def forward(self, h: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(m2, probs) of R replicas from h (|nb|, R·H) and w2 (R, H, K).
+        """(m2, probs) of R replicas at `rows` from h (|nb|, R·H) and w2 (R, H, K).
 
-        m2 is (R, N, H) and zero outside `rows`; probs is (R, len(rows), K).
-        The class scores are taken over all N rows so that each BLAS call has
-        the shape of one full-graph model: a BLAS kernel may round a row
-        differently when the row count changes.
+        m2 is a contiguous (R, n, H) stack and probs is (R, n, K), for the n
+        rows: each replica's class scores are one BLAS product of its own
+        (n, H) block with its w2, the product a one-model pass at those rows
+        forms.
         """
         r, hidden, _ = w2.shape
-        m2 = np.zeros((r, self.n_nodes, hidden))
-        m2[:, self.rows] = (self.a @ h).reshape(len(self.rows), r, hidden).transpose(1, 0, 2)
-        return m2, softmax((m2 @ w2)[:, self.rows])
+        m2 = np.ascontiguousarray(
+            (self.a @ h).reshape(self.a.shape[0], r, hidden).transpose(1, 0, 2))
+        return m2, softmax(m2 @ w2)
 
 
 class _Layer1:
-    """The first layer's pre-activations at the rows `rows`: Â[rows]·(X·W₁).
+    """The hidden layer at the rows `rows`: relu(Â[rows]·(X·W₁)).
 
     X·W₁ is formed only at the columns those rows of Â touch, so
     `a @ (x @ w1)` is `(Â @ (X @ W₁))[rows]` bit for bit.
@@ -168,7 +157,7 @@ class _Layer1:
         self.x = x[cols]
 
     def __call__(self, w1: np.ndarray) -> np.ndarray:
-        return self.a @ (self.x @ w1)
+        return np.maximum(self.a @ (self.x @ w1), 0.0)
 
 
 def _mean_cross_entropy(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -186,9 +175,9 @@ class _Problem:
 
     The loss reads class scores only at the training rows and early stopping
     only at the validation rows, so the hidden layer is needed only on `nb`,
-    the closed one-hop neighbourhood of those rows, and the second
-    propagation only at those rows. `layer1` gives the hidden layer's
-    pre-activations on `nb` as Â[nb]·(X·W₁).
+    the closed one-hop neighbourhood of those rows, and the second layer only
+    at those rows. `layer1` gives the hidden layer on `nb` as
+    relu(Â[nb]·(X·W₁)).
 
     The loss gradient reaches the hidden layer only at `nb[near]`, the
     training rows' neighbours, so the backward products read only those
@@ -213,38 +202,33 @@ class _Problem:
         self.a1_t, self.x_t = back.a.T.tocsr(), back.x.T.tocsr()
 
 
-def _loss_and_grads(p: _Problem, h_pre: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+def _loss_and_grads(p: _Problem, h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                     weight_decay: float, hidden_mask: np.ndarray | None,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Training losses (R,) of R replicas and their weight gradients.
 
-    `w1` is (D, R·H) with replica r in columns r·H to (r+1)·H, `h_pre` is
+    `w1` is (D, R·H) with replica r in columns r·H to (r+1)·H, `h` is
     `p.layer1(w1)` and `w2` is (R, H, K). Gradients have the shapes of the
     weights. `hidden_mask` (|nb|, R·H), when given, multiplies the hidden
     activations (dropout).
     """
-    r, hidden, k = w2.shape
-    h = np.maximum(h_pre, 0.0)
-    if hidden_mask is not None:
-        h = h * hidden_mask
-    m2, probs = p.train.forward(h, w2)
+    r, hidden, _ = w2.shape
+    m2, probs = p.train.forward(h if hidden_mask is None else h * hidden_mask, w2)
     loss = _mean_cross_entropy(probs, p.y_train)
     if weight_decay:
         loss += [0.5 * weight_decay * (float(np.sum(a * a)) + float(np.sum(b * b)))
                  for a, b in zip(np.hsplit(w1, r), w2)]
 
-    rows, n = p.train.rows, len(p.train.rows)
-    grad_logits = np.zeros((r, p.train.n_nodes, k))
-    grad_logits[:, rows] = probs
-    grad_logits[:, rows, p.y_train] -= 1.0
+    n = len(p.y_train)
+    grad_logits = probs  # formed in place: probs is not read again
+    grad_logits[:, np.arange(n), p.y_train] -= 1.0
     grad_logits /= n
-    # The skipped terms of both transposed products are exact zeros.
     grad_w2 = m2.transpose(0, 2, 1) @ grad_logits
-    grad_m2 = (grad_logits @ w2.transpose(0, 2, 1))[:, rows]
+    grad_m2 = grad_logits @ w2.transpose(0, 2, 1)
     grad_h = p.train_t @ grad_m2.transpose(1, 0, 2).reshape(n, r * hidden)  # at nb[near]
     if hidden_mask is not None:
         grad_h = grad_h * hidden_mask[p.near]
-    grad_w1 = p.x_t @ (p.a1_t @ (grad_h * (h_pre[p.near] > 0.0)))
+    grad_w1 = p.x_t @ (p.a1_t @ (grad_h * (h[p.near] > 0.0)))
     if weight_decay:
         grad_w1 = grad_w1 + weight_decay * w1
         grad_w2 = grad_w2 + weight_decay * w2
@@ -277,10 +261,11 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
          ahat: sp.csr_matrix, x: sp.csr_matrix) -> list[GcnModel]:
     """Train one replica per seed on one graph and split, all at once.
 
-    Replica r is bit-identical to a model trained alone from seed r: its
-    first-layer weights are columns r·H to (r+1)·H of one stacked (D, R·H)
-    matrix, its second layer and Adam moments are its own, its dropout masks
-    come from its own generator, and it leaves the stack when it stops.
+    Replica r is bit-identical to a model trained alone from seed r through
+    the same row-read pass: its first-layer weights are columns r·H to
+    (r+1)·H of one stacked (D, R·H) matrix, its second layer and Adam moments
+    are its own, its dropout masks come from its own generator, and it leaves
+    the stack when it stops.
     """
     y = training_labels(g, split)
     k = g.n_classes
@@ -303,14 +288,14 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
     best_val = np.full(len(seeds), np.inf)
     stale = np.zeros(len(seeds), dtype=np.int64)
 
-    h_pre = p.layer1(w1)
+    h = p.layer1(w1)
     for epoch in range(1, cfg.max_epochs + 1):
         mask = None
         if cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             mask = np.hstack([((rngs[i].random((g.n_nodes, hid)) < keep) / keep)[p.nb]
                               for i in live])
-        loss, g1, g2 = _loss_and_grads(p, h_pre, w1, w2, cfg.weight_decay, mask)
+        loss, g1, g2 = _loss_and_grads(p, h, w1, w2, cfg.weight_decay, mask)
         diverged = ~np.isfinite(loss)
         for i in live[diverged]:
             errors[int(i)] = f"non-finite training loss at epoch {epoch}"
@@ -323,10 +308,9 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
         w1 = w1 - cfg.learning_rate * (m_w1 / c1) / (np.sqrt(v_w1 / c2) + eps)
         w2 = w2 - cfg.learning_rate * (m_w2 / c1) / (np.sqrt(v_w2 / c2) + eps)
 
-        h_pre = p.layer1(w1)  # the validation pass now, the training pass next epoch
+        h = p.layer1(w1)  # the validation pass now, the training pass next epoch
         if p.val is not None:
-            val_loss = _mean_cross_entropy(
-                p.val.forward(np.maximum(h_pre, 0.0), w2)[1], p.y_val)
+            val_loss = _mean_cross_entropy(p.val.forward(h, w2)[1], p.y_val)
         else:
             val_loss = loss
         better = val_loss < best_val - 1e-12
@@ -340,7 +324,7 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
             epochs_run[live[stop]] = epoch
             go = ~stop
             cols = _columns(np.flatnonzero(go), hid)
-            w1, m_w1, v_w1, h_pre = w1[:, cols], m_w1[:, cols], v_w1[:, cols], h_pre[:, cols]
+            w1, m_w1, v_w1, h = w1[:, cols], m_w1[:, cols], v_w1[:, cols], h[:, cols]
             w2, m_w2, v_w2 = w2[go], m_w2[go], v_w2[go]
             live, best_val, stale = live[go], best_val[go], stale[go]
             if not len(live):
@@ -383,9 +367,8 @@ def _target_report(g: AttributedGraph, models: list[GcnModel], rows: np.ndarray,
     uses.
     """
     nb = np.unique(ahat[rows].indices)
-    h_pre = _Layer1(ahat, x, nb)(np.hstack([m.w1 for m in models]))
-    _, probs = _Rows(ahat, rows, nb).forward(np.maximum(h_pre, 0.0),
-                                             np.stack([m.w2 for m in models]))
+    h = _Layer1(ahat, x, nb)(np.hstack([m.w1 for m in models]))
+    _, probs = _Rows(ahat, rows, nb).forward(h, np.stack([m.w2 for m in models]))
     margins = margin(probs, g.labels[rows] - 1)[0]  # (R, targets)
     return MarginReport([TargetMargin(node=int(v0), margin=float(margins[:, j].mean()),
                                       correct_fraction=float(np.mean(margins[:, j] > 0)))

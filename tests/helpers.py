@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from nettack.graph import AttributedGraph
+from nettack.surrogate import softmax
 
 
 def random_graph(n_nodes: int, p_edge: float, seed: int, n_features: int = 8,
@@ -36,6 +37,14 @@ def dense_normalized(g: AttributedGraph) -> np.ndarray:
 def dense_square(g: AttributedGraph) -> np.ndarray:
     ah = dense_normalized(g)
     return ah @ ah
+
+
+def gcn_forward(model, ahat, x) -> np.ndarray:
+    """Class probabilities of a victim `GcnModel` at every node, shape (N, K):
+    the full-graph pass softmax(Â·relu(Â·(X·W₁))·W₂) that the row-read
+    passes of `nettack.gcn` are held to."""
+    h = np.maximum(ahat @ (x @ model.w1), 0.0)
+    return softmax((ahat @ h) @ model.w2)
 
 
 def bfs_two_hop(g: AttributedGraph, u: int) -> set[int]:

@@ -6,13 +6,12 @@ import pytest
 from nettack.attack import AttackConfig, apply_result, run_nettack
 from nettack.data import BundleError, DataSplit, extract_lcc, make_split
 from nettack.gcn import (GcnConfig, GcnModel, MarginReport, TargetMargin, _fit,
-                         evasion_eval, gcn_forward, gcn_loss_and_grads, poisoning_eval,
-                         train_gcn)
+                         evasion_eval, gcn_loss_and_grads, poisoning_eval, train_gcn)
 from nettack.graph import AttributedGraph, GraphError
 from nettack.surrogate import (NormalizedAdjacency, margin, normalized_adjacency_matrix,
                                softmax, train_surrogate, TrainingError)
 from nettack.synthetic import planted_partition
-from helpers import dense_normalized, random_graph
+from helpers import dense_normalized, gcn_forward, random_graph
 
 
 def fixed_small_instance():
@@ -55,20 +54,25 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("graph", ["random-10", "random-11", "random-12", "desk"])
+@pytest.mark.parametrize("graph", ["random-10", "random-11", "random-12", "desk",
+                                   "ten-train-rows"])
 @pytest.mark.parametrize("weight_decay, dropout", [(0.0, 0.0), (5e-4, 0.0), (0.0, 0.3),
                                                    (5e-4, 0.3)])
 def test_layer1_matches_dense_ax_w1_form(graph, weight_decay, dropout):
-    # Â·(X·W₁) and its gradient against the (Â·X)·W₁ form, computed densely.
-    if graph == "desk":
-        g, _ = extract_lcc(planted_partition(seed=0))
+    # Â·(X·W₁) and its gradient against the (Â·X)·W₁ form, computed densely
+    # over all N rows in both layers; training computes layer 2 only at the
+    # training rows.
+    if graph == "ten-train-rows":
+        g, split = ten_train_rows()
     else:
-        g = random_graph(40, 0.1, seed=int(graph[-2:]), n_features=12)
+        g = (extract_lcc(planted_partition(seed=0))[0] if graph == "desk"
+             else random_graph(40, 0.1, seed=int(graph[-2:]), n_features=12))
+        split = make_split(g, seed=1)
     rng = np.random.default_rng(3)
     w1 = rng.normal(scale=0.5, size=(g.n_features, 16))
     w2 = rng.normal(scale=0.5, size=(16, g.n_classes))
     mask = (rng.random((g.n_nodes, 16)) >= dropout) / (1.0 - dropout) if dropout else None
-    idx = make_split(g, seed=1).train_ids
+    idx = split.train_ids
     y = g.labels - 1
 
     a = dense_normalized(g)
@@ -287,7 +291,8 @@ def test_config_rejects_settings_that_cannot_train(field, value):
 
 
 def sequential_fit(g, split, seed, cfg):
-    """One model at a time over all N rows: the training loop `_fit` batches."""
+    """One model at a time, layer 1 and its backward pass over all N rows and
+    layer 2 at the rows each pass reads: the training loop `_fit` batches."""
     rng = np.random.default_rng(seed)
     w1, w2 = (rng.uniform(-np.sqrt(6.0 / (a + b)), np.sqrt(6.0 / (a + b)), size=(a, b))
               for a, b in ((g.n_features, cfg.hidden), (cfg.hidden, g.n_classes)))
@@ -296,16 +301,16 @@ def sequential_fit(g, split, seed, cfg):
     train, val = split.train_ids, split.validation_ids
     wd = cfg.weight_decay
 
-    def forward(w1, w2, mask=None):
+    def forward(w1, w2, rows, mask=None):
         h_pre = ahat @ (x @ w1)
         h = np.maximum(h_pre, 0.0)
         if mask is not None:
             h = h * mask
-        m2 = ahat @ h
+        m2 = (ahat @ h)[rows]
         return h_pre, m2, softmax(m2 @ w2)
 
     def mean_loss(probs, idx):
-        return float(-np.mean(np.log(probs[idx, y[idx]] + 1e-12)))
+        return float(-np.mean(np.log(probs[np.arange(len(idx)), y[idx]] + 1e-12)))
 
     m_w1, v_w1, m_w2, v_w2 = (np.zeros_like(w) for w in (w1, w1, w2, w2))
     best, best_val, stale, epoch = (w1.copy(), w2.copy()), np.inf, 0, 0
@@ -314,16 +319,15 @@ def sequential_fit(g, split, seed, cfg):
         if cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             mask = (rng.random((g.n_nodes, cfg.hidden)) < keep) / keep
-        h_pre, m2, probs = forward(w1, w2, mask)
+        h_pre, m2, probs = forward(w1, w2, train, mask)
         loss = mean_loss(probs, train)
         if wd:
             loss += 0.5 * wd * (float(np.sum(w1 * w1)) + float(np.sum(w2 * w2)))
-        grad_logits = np.zeros_like(probs)
-        grad_logits[train] = probs[train]
-        grad_logits[train, y[train]] -= 1.0
+        grad_logits = probs.copy()
+        grad_logits[np.arange(len(train)), y[train]] -= 1.0
         grad_logits /= len(train)
         g2 = m2.T @ grad_logits
-        grad_h = ahat.T @ (grad_logits @ w2.T)
+        grad_h = ahat[train].T @ (grad_logits @ w2.T)
         if mask is not None:
             grad_h = grad_h * mask
         g1 = x.T @ (ahat.T @ (grad_h * (h_pre > 0.0)))
@@ -336,7 +340,7 @@ def sequential_fit(g, split, seed, cfg):
         c1, c2 = 1 - 0.9 ** epoch, 1 - 0.999 ** epoch
         w1 = w1 - cfg.learning_rate * (m_w1 / c1) / (np.sqrt(v_w1 / c2) + 1e-8)
         w2 = w2 - cfg.learning_rate * (m_w2 / c1) / (np.sqrt(v_w2 / c2) + 1e-8)
-        val_loss = mean_loss(forward(w1, w2)[2], val) if len(val) else loss
+        val_loss = mean_loss(forward(w1, w2, val)[2], val) if len(val) else loss
         if val_loss < best_val - 1e-12:
             best_val, best, stale = val_loss, (w1.copy(), w2.copy()), 0
         else:
