@@ -56,10 +56,12 @@ class AttackConfig:
     n_influencers: int = 5
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if not (is_int(self.d_min) and self.d_min >= 1):
-            raise ValueError(f"d_min must be an integer of at least 1, got {self.d_min!r}")
+        if not is_int(self.target):
+            raise ValueError(f"target must be an integer, got {self.target!r}")
+        for name in ("budget", "n_influencers", "d_min"):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not is_finite_number(self.tau):
             raise ValueError(f"tau must be a finite number, got {self.tau!r}")
         if self.mode not in (DIRECT, INFLUENCER):

@@ -34,15 +34,14 @@ take margins from `surrogate.margin`.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data import DataSplit
-from .graph import AttributedGraph, GraphError, check_target, nan_to_none
+from .graph import (AttributedGraph, GraphError, check_target, is_finite_number, is_int,
+                    nan_to_none)
 from .surrogate import (TrainingError, margin, normalized_adjacency_matrix, softmax,
                         training_labels)
 
@@ -60,13 +59,10 @@ class GcnConfig:
         """Reject settings that cannot train, naming the field."""
         for name in ("hidden", "max_epochs", "patience"):
             value = getattr(self, name)
-            self._require(name, isinstance(value, numbers.Integral) and value >= 1,
-                          "an integer of at least 1")
+            self._require(name, is_int(value) and value >= 1, "an integer of at least 1")
         for name in ("learning_rate", "dropout", "weight_decay"):
-            self._require(name, isinstance(getattr(self, name), numbers.Real), "a number")
-        self._require("learning_rate",
-                      math.isfinite(self.learning_rate) and self.learning_rate > 0,
-                      "finite and above 0")
+            self._require(name, is_finite_number(getattr(self, name)), "a finite number")
+        self._require("learning_rate", self.learning_rate > 0, "above 0")
         self._require("dropout", 0 <= self.dropout < 1, "in [0, 1)")
         self._require("weight_decay", self.weight_decay >= 0, "at least 0")
 

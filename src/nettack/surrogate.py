@@ -4,13 +4,14 @@ The surrogate scores nodes with softmax(S X W) where S is the square of
 the symmetrically normalized self-loop adjacency Â. `NormalizedAdjacency`
 is the context of one clean graph (Â, the self-loop degrees and the
 feature co-occurrence index). S is never formed: an attack reads one
-row of it (`square_row`), the fit the rows of S X it trains on. Under a
-single symmetric edge flip a node's logits change in closed form with
-constant work per candidate, so the attack scores all candidates in one
-array pass (`edge_flip_logits`); the exact row update of S
-(`updated_square_row_from`) settles near-ties and commits flips. This
-module owns both, and the one margin rule (`margin`) that the attack loss,
-target selection and victim evaluation share.
+row of it (`square_row`), the fit the rows of S X it trains on. A single
+symmetric edge flip changes a node's row of S by five weights, derived
+once (`_flip_weights`). The attack applies them to the node's logits for
+all candidates in one array pass (`edge_flip_logits`), with constant work
+per candidate, and to the row itself (`updated_square_row_from`) to
+settle near-ties and commit flips. This module owns both, and the one
+margin rule (`margin`) that the attack loss, target selection and victim
+evaluation share.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 
 from .constraints import CooccurrenceIndex, build_cooccurrence
 from .data import DataSplit, json_object
-from .graph import AttributedGraph
+from .graph import AttributedGraph, check_target
 
 PRUNE_EPS = 1e-12  # drop row-update entries below this (cancellation residue)
 # Surrogate fit: gradient step, epoch cap, and validation epochs without
@@ -87,48 +88,61 @@ class NormalizedAdjacency:
         self.ahat, self.dtilde = normalized_adjacency_matrix(g), g.degrees + 1.0
 
 
+def _flip_weights(row, d, u, m, n, a, at_m, at_n):
+    """Weights (s, c_m, c_n, w_m, w_n) that give node `u`'s squared-adjacency
+    row after the flip of (m, n) from quantities of the graph before it:
+
+        s row + c_m (A + I)[m] / sqrt(d) + c_n (A + I)[n] / sqrt(d)
+              + w_m e_m + w_n e_n.
+
+    `row` is u's row under the self-loop degrees `d`, `a` the entry A[m, n]
+    and `at_m`, `at_n` the entries (A + I)[u, m] and (A + I)[u, n]. The
+    flip changes A + I only at (m, n) and d only at m and n (by x = 1 - 2a),
+    so u's two-step sums move only through m and n. One body serves one flip
+    (scalars) and many (arrays of m, n, a, at_m, at_n).
+    """
+    x = 1.0 - 2.0 * a
+    d_m, d_n, d_u = d[m], d[n], d[u]
+    dp_m, dp_n = d_m + x, d_n + x
+    dp_u = d_u + x * ((m == u) | (n == u))
+    # (A + I)[u, k] / d_k for k = m, n, before (al) and after (ga) the flip.
+    al_m, al_n = at_m / d_m, at_n / d_n
+    ga_m, ga_n = (at_m + x * (n == u)) / dp_m, (at_n + x * (m == u)) / dp_n
+    # Two-step sums u -> m, n other than through m and n themselves.
+    be_m = row[m] * (d_u * d_m) ** 0.5 - al_m - a * al_n
+    be_n = row[n] * (d_u * d_n) ** 0.5 - a * al_m - al_n
+    # 1 / sqrt(d_k) moves by r_k, so (A + I)[m] / sqrt(d) gains r_m at m,
+    # a r_n at n and, from the flipped entry, x / sqrt(d'_n) at n; and
+    # (A + I)[n] / sqrt(d) likewise.
+    r_m = 1.0 / dp_m ** 0.5 - 1.0 / d_m ** 0.5
+    r_n = 1.0 / dp_n ** 0.5 - 1.0 / d_n ** 0.5
+    inv = 1.0 / dp_u ** 0.5
+    return ((d_u / dp_u) ** 0.5, (ga_m - al_m) * inv, (ga_n - al_n) * inv,
+            ((be_m + ga_m + a * ga_n) * r_m + x * ga_n / dp_m ** 0.5) * inv,
+            ((be_n + ga_n + a * ga_m) * r_n + x * ga_m / dp_n ** 0.5) * inv)
+
+
 def edge_flip_logits(row: np.ndarray, dtilde: np.ndarray, g: AttributedGraph,
                      cvals: np.ndarray, u: int, pairs: np.ndarray,
                      a_mn: np.ndarray) -> np.ndarray:
     """Logits of node `u` after each single edge flip, shape (M, K).
 
     `row` is u's squared-adjacency row under the self-loop degrees
-    `dtilde` (d), `cvals` the X W product (C), `pairs` the (M, 2) flips
-    (m, n) and `a_mn` their current adjacency entries; `g` is the graph
-    before any of them. With G = C / sqrt(d) and H = (A + I) G built once,
-    sqrt(d_u) times u's logits is the sum over k of (A + I)[u, k] H_k / d_k.
-    A flip changes A + I only at (m, n), d only at m and n (by x = 1 - 2a),
-    so H_k moves by terms in G_m and G_n and the sum changes only through
-    H_m, H_n, C_m and C_n, with scalar weights per candidate: O(K) work per
-    candidate, whether or not u is an endpoint.
+    `dtilde`, `cvals` the X W product (C), `pairs` the (M, 2) flips (m, n)
+    and `a_mn` their current adjacency entries; `g` is the graph before
+    any of them. The flip weights apply to row C, H_m, H_n, C_m and C_n,
+    with H = (A + I) (C / sqrt(d)) built once: O(K) work per candidate,
+    whether or not u is an endpoint.
     """
-    d = dtilde
     m, n = pairs[:, 0], pairs[:, 1]
-    a = np.asarray(a_mn, dtype=np.float64)
-    x = 1.0 - 2.0 * a
-    gm = cvals / np.sqrt(d)[:, None]
-    h = g.adj @ gm + gm
     a_u = g.adjacency_row(u)
-    d_m, d_n, d_u = d[m], d[n], d[u]
-    dp_m, dp_n = d_m + x, d_n + x
-    dp_u = d_u + x * ((m == u) | (n == u))
-    # (A + I)[u, k] / d_k for k = m, n, before (al) and after (ga) the flip.
-    at_m, at_n = a_u[m] + (m == u), a_u[n] + (n == u)
-    al_m, al_n = at_m / d_m, at_n / d_n
-    ga_m, ga_n = (at_m + x * (n == u)) / dp_m, (at_n + x * (m == u)) / dp_n
-    # Two-step sums u -> m, n other than through m and n themselves.
-    be_m = row[m] * np.sqrt(d_u * d_m) - al_m - a * al_n
-    be_n = row[n] * np.sqrt(d_u * d_n) - a * al_m - al_n
-    # G'_k - G_k = C_k r_k; the new H_m gains G'_m - G_m, a (G'_n - G_n)
-    # and x G'_n, and H_n likewise.
-    r_m = 1.0 / np.sqrt(dp_m) - 1.0 / np.sqrt(d_m)
-    r_n = 1.0 / np.sqrt(dp_n) - 1.0 / np.sqrt(d_n)
-    w_cm = (be_m + ga_m + a * ga_n) * r_m + x * ga_n / np.sqrt(dp_m)
-    w_cn = (be_n + ga_n + a * ga_m) * r_n + x * ga_m / np.sqrt(dp_n)
-    inv = 1.0 / np.sqrt(dp_u)
-    return (np.sqrt(d_u) * inv)[:, None] * (row @ cvals)[None, :] \
-        + ((ga_m - al_m) * inv)[:, None] * h[m] + ((ga_n - al_n) * inv)[:, None] * h[n] \
-        + (w_cm * inv)[:, None] * cvals[m] + (w_cn * inv)[:, None] * cvals[n]
+    s, c_m, c_n, w_m, w_n = _flip_weights(
+        row, dtilde, u, m, n, np.asarray(a_mn, dtype=np.float64),
+        a_u[m] + (m == u), a_u[n] + (n == u))
+    gm = cvals / np.sqrt(dtilde)[:, None]
+    h = g.adj @ gm + gm
+    return s[:, None] * (row @ cvals)[None, :] + c_m[:, None] * h[m] + c_n[:, None] * h[n] \
+        + w_m[:, None] * cvals[m] + w_n[:, None] * cvals[n]
 
 
 def updated_square_row_from(row: np.ndarray, dtilde: np.ndarray,
@@ -136,53 +150,25 @@ def updated_square_row_from(row: np.ndarray, dtilde: np.ndarray,
                             node: int) -> np.ndarray:
     """Row `node` of the squared normalized adjacency after flipping (m, n).
 
-    Constant work per entry: the row is produced from its old dense value
-    `row` (under the self-loop degrees `dtilde`) plus corrections confined
-    to the flip endpoints and their neighbors, vectorized over columns.
-    `g` must be the graph before the flip. The greedy attack scores its
-    candidates with `edge_flip_logits` and builds this row only to settle
-    near-ties exactly and to commit the winner; FGSM and RND advance
-    their row with it, and the tests use it as the reference.
+    The flip weights of `edge_flip_logits` applied to the row itself: its
+    old dense value `row` (under the self-loop degrees `dtilde`) plus the
+    rows (A + I)[m] and (A + I)[n], scaled by 1 / sqrt(d), and two single
+    entries. `g` must be the graph before the flip. The greedy attack
+    builds this row only to settle near-ties exactly and to commit the
+    winner; FGSM and RND advance their row with it.
     """
     if m == n:
         raise ValueError("self-loops are not allowed")
-    u = node
-    d = dtilde
-    a_m = g.adjacency_row(m)
-    a_u = a_m if u == m else g.adjacency_row(u)
-    a_n = a_u if u == n else g.adjacency_row(n)
-    a_mn = a_m[n]
-    x = 1.0 - 2.0 * a_mn
-
-    dp = d.copy()
-    dp[m] += x
-    dp[n] += x
-    du, du_new = d[u], dp[u]
-
-    # Unnormalized two-step sums for row u.
-    total = row * np.sqrt(du * d)
-
-    atil_u = a_u.copy()
-    atil_u[u] = 1.0
-    a_u_new = a_u.copy()
-    if u == m:
-        a_u_new[n] = 1.0 - a_u_new[n]
-    elif u == n:
-        a_u_new[m] = 1.0 - a_u_new[m]
-    atil_u_new = a_u_new.copy()
-    atil_u_new[u] = 1.0
-
-    # Row and column one-step terms.
-    total += atil_u_new / du_new - atil_u / du
-    total += a_u_new / dp - a_u / d
-
-    # Two-step terms through each flip endpoint.
-    for k, other, col_k in ((m, n, a_m), (n, m, a_n)):
-        col_k_new = col_k.copy()
-        col_k_new[other] = 1.0 - col_k_new[other]
-        total += (a_u_new[k] / dp[k]) * col_k_new - (a_u[k] / d[k]) * col_k
-
-    out = total / np.sqrt(du_new * dp)
+    check_target(g, node)
+    nb_m, nb_n = g.neighbors(m), g.neighbors(n)
+    s, c_m, c_n, w_m, w_n = _flip_weights(
+        row, dtilde, node, m, n, float(n in nb_m),
+        float(node == m or node in nb_m), float(node == n or node in nb_n))
+    out = s * row
+    out[nb_m] += c_m / np.sqrt(dtilde[nb_m])
+    out[nb_n] += c_n / np.sqrt(dtilde[nb_n])
+    out[m] += c_m / dtilde[m] ** 0.5 + w_m
+    out[n] += c_n / dtilde[n] ** 0.5 + w_n
     out[np.abs(out) < PRUNE_EPS] = 0.0
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import AttributedGraph
+from .graph import AttributedGraph, is_int
 
 
 def planted_partition(n_nodes: int = 500, n_classes: int = 4,
@@ -30,6 +30,9 @@ def planted_partition(n_nodes: int = 500, n_classes: int = 4,
     degree-1/2 nodes. Each class owns a marker block of features set with
     elevated probability; everything else is sparse background noise.
     """
+    for name, value in (("n_nodes", n_nodes), ("n_classes", n_classes)):
+        if not (is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     if markers_per_class * n_classes > n_features:
         raise ValueError("marker blocks exceed the feature count")
     rng = np.random.default_rng(seed)

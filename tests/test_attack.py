@@ -561,6 +561,18 @@ def test_attack_config_rejects_bad_degree_test_settings(field, value):
         AttackConfig(target=0, budget=1, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("target", 1.0), ("target", True),
+    ("budget", 0), ("budget", 2.5), ("budget", True),
+    ("n_influencers", 0), ("n_influencers", -3), ("n_influencers", 2.0),
+])
+def test_attack_config_requires_integer_counts(field, value):
+    # A float budget would run more flips than the run file records, and a
+    # count below one would fail deep inside numpy.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        AttackConfig(**{"target": 0, "budget": 1, "mode": INFLUENCER, field: value})
+
+
 def test_rnd_runs_only_as_direct_structure_attack():
     g = random_graph(25, 0.1, seed=16)
     for cfg, needle in ((AttackConfig(target=4, budget=2, mode=INFLUENCER), "direct"),

@@ -146,7 +146,8 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "plan-no-dataset", "plan-dataset-a-number",
                                   "plan-out-dir-a-number", "rnd-features-only",
                                   "rnd-influencer", "attack-d-min-zero", "attack-tau-nan",
-                                  "split-empty-train"])
+                                  "split-empty-train", "synth-no-nodes",
+                                  "synth-negative-nodes", "synth-no-classes"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
     root, path, g = bundle
     out = tmp_path / "x.json"
@@ -204,6 +205,7 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
     graph_shape = [g.n_features, 3]
     attack5 = ["attack", "--in", str(path), "--target", "5", "--budget", "2", "--out", str(out)]
     lcc = ["lcc", "--in", str(tmp_path / "bad"), "--out", str(out)]
+    synth = ["synth", "--out", str(out)]
     args, needle = {
         "fgsm-target": (["attack", "--in", str(path), "--baseline", "fgsm",
                          "--target", "99999", "--budget", "3", "--out", str(out)], "99999"),
@@ -251,6 +253,9 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "rnd-influencer": (attack5 + ["--baseline", "rnd", "--mode", "influencer"], "direct"),
         "attack-d-min-zero": (attack5 + ["--d-min", "0"], "d_min"),
         "attack-tau-nan": (attack5 + ["--tau", "nan"], "tau"),
+        "synth-no-nodes": (synth + ["--n-nodes", "0"], "n_nodes"),
+        "synth-negative-nodes": (synth + ["--n-nodes", "-5"], "n_nodes"),
+        "synth-no-classes": (synth + ["--n-classes", "0"], "n_classes"),
     }[case]
     rc, err = run_cli(args)
     assert rc == 2

@@ -283,7 +283,9 @@ def test_report_serialization():
     ("hidden", 0), ("hidden", 2.5), ("max_epochs", 0), ("patience", 0),
     ("learning_rate", 0.0), ("learning_rate", float("inf")), ("learning_rate", "fast"),
     ("dropout", 1.0), ("dropout", -0.1), ("weight_decay", -1e-4),
-    ("weight_decay", float("nan")),
+    ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ("hidden", True), ("max_epochs", True), ("patience", True),
+    ("learning_rate", True), ("dropout", False), ("weight_decay", False),
 ])
 def test_config_rejects_settings_that_cannot_train(field, value):
     with pytest.raises(ValueError, match=f"GcnConfig.{field} must be"):

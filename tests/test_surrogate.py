@@ -127,7 +127,11 @@ def test_pruning_drift_does_not_move_scores():
 
 
 def batched_and_loop_losses(g, w, v0, pairs, c_old=0):
-    """Loss of every flip from the batched pass and from a row-update loop."""
+    """Loss of every flip from the batched pass and from a row-update loop.
+
+    Both apply the same flip weights, so the batched pass is also held to
+    an independent oracle: Â² rebuilt densely on each flipped graph.
+    """
     na = NormalizedAdjacency.build(g)
     row, cvals = na.square_row(v0), g.feature_matrix() @ w
     pairs = np.asarray(pairs)
@@ -135,6 +139,9 @@ def batched_and_loop_losses(g, w, v0, pairs, c_old=0):
     got = -margin(edge_flip_logits(row, na.dtilde, g, cvals, v0, pairs, a_mn), c_old)[0]
     want = [-margin(updated_square_row_from(row, na.dtilde, g, m, n, v0) @ cvals,
                     c_old)[0] for m, n in pairs.tolist()]
+    dense = [-margin(dense_square(g.flip_edge(m, n))[v0] @ cvals, c_old)[0]
+             for m, n in pairs.tolist()]
+    assert np.abs(got - dense).max() < 1e-10
     return got, np.array(want), a_mn
 
 
