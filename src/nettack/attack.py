@@ -45,7 +45,6 @@ class AttackConfig:
     target: int
     budget: int
     mode: str = DIRECT
-    attackers: tuple[int, ...] | None = None  # resolved from mode when None
     perturb_structure: bool = True
     perturb_features: bool = True
     constrained: bool = True
@@ -56,8 +55,10 @@ class AttackConfig:
     n_influencers: int = 5
 
     def __post_init__(self):
-        if not is_int(self.target):
-            raise ValueError(f"target must be an integer, got {self.target!r}")
+        for name in ("target", "seed"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("budget", "n_influencers", "d_min"):
             value = getattr(self, name)
             if not (is_int(value) and value >= 1):
@@ -68,12 +69,6 @@ class AttackConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (self.perturb_structure or self.perturb_features):
             raise ValueError("at least one perturbation kind must be enabled")
-        if self.attackers is not None:
-            a = set(self.attackers)
-            if self.mode == DIRECT and a != {self.target}:
-                raise ValueError("direct mode requires attackers == {target}")
-            if self.mode == INFLUENCER and self.target in a:
-                raise ValueError("influencer mode requires target not in attackers")
 
 
 @dataclass
@@ -132,11 +127,9 @@ class AttackResult:
 def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
     """Attacker set for a run: the target itself, or seeded influencers.
 
-    Influencers default to `n_influencers` random neighbors of the target,
-    topped up from the two-hop ring when the target's degree is short.
+    Influencers are `n_influencers` random neighbors of the target, topped
+    up from the two-hop ring when the target's degree is short.
     """
-    if cfg.attackers is not None:
-        return tuple(sorted(cfg.attackers))
     if cfg.mode == DIRECT:
         return (cfg.target,)
     rng = np.random.default_rng(cfg.seed)

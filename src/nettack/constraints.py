@@ -40,12 +40,6 @@ def alpha_from_stats(n: int, log_sum: float, d_min: int) -> float:
     return 1.0 + n / denom
 
 
-def estimate_alpha(degrees, d_min: int = DEFAULT_D_MIN) -> float:
-    """Power-law scaling parameter of a degree multiset (entries >= d_min)."""
-    n, log_sum = _filtered_stats(degrees, d_min)
-    return alpha_from_stats(n, log_sum, d_min)
-
-
 def loglik_from_stats(n: int, log_sum: float, alpha: float, d_min: int,
                       as_printed: bool = False) -> float:
     """Power-law log-likelihood from sufficient statistics.
@@ -60,13 +54,6 @@ def loglik_from_stats(n: int, log_sum: float, alpha: float, d_min: int,
         return 0.0
     sign = 1.0 if as_printed else -1.0
     return n * math.log(alpha) + n * alpha * math.log(d_min) + sign * (alpha + 1.0) * log_sum
-
-
-def powerlaw_loglikelihood(degrees, alpha: float, d_min: int = DEFAULT_D_MIN,
-                           as_printed: bool = False) -> float:
-    """Log-likelihood of a degree multiset under a fitted power law."""
-    n, log_sum = _filtered_stats(degrees, d_min)
-    return loglik_from_stats(n, log_sum, alpha, d_min, as_printed)
 
 
 def lambda_from_stats(n0: int, r0: float, n1: int, r1: float, d_min: int,

@@ -445,41 +445,6 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     return manifest
 
 
-def reproduction_summary(bundle_path: str | Path, out_dir: str | Path,
-                         seeds=(1, 2, 3, 4, 5), n_high: int = 10,
-                         n_low: int = 10, n_random: int = 20, runs: int = 10,
-                         attacks=("nettack", "fgsm", "rnd", "nettack-in")) -> dict:
-    """Full benchmark protocol on one bundle, reduced to headline numbers.
-
-    Returns the poisoning fraction-correct per attack (clean included) and
-    the mean number of flips the direct combined attack needed before its
-    surrogate loss went positive (runs that never cross count at their
-    full budget).
-    """
-    plan = ExperimentPlan(dataset=str(bundle_path), out_dir=str(out_dir),
-                          seeds=tuple(seeds), attacks=tuple(attacks),
-                          n_high=n_high, n_low=n_low, n_random=n_random,
-                          poisoning_runs=runs, limited_fractions=())
-    run_experiment(plan)
-    with (Path(out_dir) / "aggregate.csv").open() as fh:
-        poisoned = {r["attack"]: float(r["fraction_correct"])
-                    for r in csv.DictReader(fh) if r["mode"] == "poisoning"}
-    fractions = {name: poisoned.get(name, float("nan"))
-                 for name in ("clean",) + tuple(attacks)}
-    crossings = []
-    for path in sorted((Path(out_dir) / "runs").glob("*_nettack_*.json")):
-        result = json.loads(path.read_text())["result"]
-        trace = result["loss_trace"]
-        step = next((i + 1 for i, v in enumerate(trace) if v > 0),
-                    result["budget"])
-        crossings.append(step)
-    return {
-        "fractions": fractions,
-        "mean_crossing": float(np.mean(crossings)) if crossings else float("nan"),
-        "n_attack_runs": len(crossings),
-    }
-
-
 def table3_csv(results_dir: str | Path, out_path: str | Path | None = None) -> str:
     """Summary table: poisoning fraction-correct per attack, clean first."""
     agg = Path(results_dir) / "aggregate.csv"

@@ -42,8 +42,8 @@ import scipy.sparse as sp
 from .data import DataSplit
 from .graph import (AttributedGraph, GraphError, check_target, is_finite_number, is_int,
                     nan_to_none)
-from .surrogate import (TrainingError, margin, normalized_adjacency_matrix, softmax,
-                        training_labels)
+from .surrogate import (TrainingError, margin, mean_cross_entropy,
+                        normalized_adjacency_matrix, softmax, training_labels)
 
 
 @dataclass
@@ -156,16 +156,6 @@ class _Layer1:
         return np.maximum(self.a @ (self.x @ w1), 0.0)
 
 
-def _mean_cross_entropy(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-replica mean cross-entropy of probs (R, n, K) against labels y (n,).
-
-    One 1-D sum per replica: numpy may reduce an axis of a 2-D array in
-    another order (here the picked values are column-major).
-    """
-    logs = np.log(probs[:, np.arange(len(y)), y] + 1e-12)
-    return np.array([-(np.add.reduce(row) / len(y)) for row in logs])
-
-
 class _Problem:
     """What training reads of one graph and split, built once per fit.
 
@@ -210,7 +200,7 @@ def _loss_and_grads(p: _Problem, h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     """
     r, hidden, _ = w2.shape
     m2, probs = p.train.forward(h if hidden_mask is None else h * hidden_mask, w2)
-    loss = _mean_cross_entropy(probs, p.y_train)
+    loss = mean_cross_entropy(probs, p.y_train)
     if weight_decay:
         loss += [0.5 * weight_decay * (float(np.sum(a * a)) + float(np.sum(b * b)))
                  for a, b in zip(np.hsplit(w1, r), w2)]
@@ -229,23 +219,6 @@ def _loss_and_grads(p: _Problem, h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
         grad_w1 = grad_w1 + weight_decay * w1
         grad_w2 = grad_w2 + weight_decay * w2
     return loss, grad_w1, grad_w2
-
-
-def gcn_loss_and_grads(w1: np.ndarray, w2: np.ndarray, ahat: sp.csr_matrix,
-                       x: sp.csr_matrix, y: np.ndarray, idx: np.ndarray,
-                       weight_decay: float = 0.0,
-                       hidden_mask: np.ndarray | None = None,
-                       ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy over `idx` plus explicit weight gradients.
-
-    The loss and gradient of one model through the code that training runs.
-    `hidden_mask` (N, H), when given, multiplies the hidden activations
-    (dropout).
-    """
-    p = _Problem(ahat, x, y, idx, np.empty(0, dtype=np.int64))
-    mask = None if hidden_mask is None else hidden_mask[p.nb]
-    loss, grad_w1, grad_w2 = _loss_and_grads(p, p.layer1(w1), w1, w2[None], weight_decay, mask)
-    return float(loss[0]), grad_w1, grad_w2[0]
 
 
 def _columns(blocks: np.ndarray, hidden: int) -> np.ndarray:
@@ -306,7 +279,7 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
 
         h = p.layer1(w1)  # the validation pass now, the training pass next epoch
         if p.val is not None:
-            val_loss = _mean_cross_entropy(p.val.forward(h, w2)[1], p.y_val)
+            val_loss = mean_cross_entropy(p.val.forward(h, w2)[1], p.y_val)
         else:
             val_loss = loss
         better = val_loss < best_val - 1e-12

@@ -9,9 +9,10 @@ symmetric edge flip changes a node's row of S by five weights, derived
 once (`_flip_weights`). The attack applies them to the node's logits for
 all candidates in one array pass (`edge_flip_logits`), with constant work
 per candidate, and to the row itself (`updated_square_row_from`) to
-settle near-ties and commit flips. This module owns both, and the one
+settle near-ties and commit flips. This module owns both, the one
 margin rule (`margin`) that the attack loss, target selection and victim
-evaluation share.
+evaluation share, and the one cross-entropy (`mean_cross_entropy`) that
+the surrogate and victim fits minimise.
 """
 
 from __future__ import annotations
@@ -213,9 +214,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
-    eps = 1e-12
-    return float(-np.mean(np.log(probs[np.arange(len(y)), y] + eps)))
+def mean_cross_entropy(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-replica mean cross-entropy of probs (R, n, K) against labels y (n,).
+
+    One 1-D sum per replica: numpy may reduce an axis of a 2-D array in
+    another order (here the picked values are column-major).
+    """
+    logs = np.log(probs[:, np.arange(len(y)), y] + 1e-12)
+    return np.array([-(np.add.reduce(row) / len(y)) for row in logs])
 
 
 def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
@@ -247,7 +253,7 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
     epoch = 0
     for epoch in range(1, MAX_EPOCHS + 1):
         grad_out = probs[:n_train]
-        train_loss = _cross_entropy(grad_out, y_train)
+        train_loss = float(mean_cross_entropy(grad_out[None], y_train)[0])
         if not np.isfinite(train_loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
         grad_out[np.arange(n_train), y_train] -= 1.0
@@ -255,7 +261,8 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
 
         # The validation pass now and the training pass of the next epoch.
         probs = softmax(gram @ b)
-        val_loss = _cross_entropy(probs[n_train:], y_val) if len(val) else train_loss
+        val_loss = (float(mean_cross_entropy(probs[None, n_train:], y_val)[0]) if len(val)
+                    else train_loss)
         if val_loss < best_val - 1e-12:
             best_val = val_loss
             best_b = b

@@ -18,18 +18,17 @@ import pytest
 
 from nettack.attack import AttackConfig, apply_result, run_nettack
 from nettack.constraints import (DegreeTestState, build_cooccurrence,
-                                 estimate_alpha, feature_addition_allowed,
-                                 lambda_statistic, powerlaw_loglikelihood)
+                                 feature_addition_allowed, lambda_statistic)
 from nettack.cli import main as cli_main
 from nettack.data import extract_lcc, load_bundle, make_split, save_bundle
 from nettack.experiment import ExperimentPlan, run_experiment
-from nettack.gcn import gcn_loss_and_grads
 from nettack.graph import AttributedGraph
 from nettack.surrogate import (NormalizedAdjacency, infer_old_class,
                                normalized_adjacency_matrix, train_surrogate,
                                updated_square_row_from)
 from nettack.synthetic import planted_partition
-from helpers import dense_square, random_graph, surrogate_loss_scratch, zeta_sample
+from helpers import (dense_square, estimate_alpha, gcn_loss_and_grads, powerlaw_loglikelihood,
+                     random_graph, reproduction_summary, surrogate_loss_scratch, zeta_sample)
 from test_attack import exhaustive_best_single_flip
 
 CHI2_95 = 3.841  # chi-square(1) 95th percentile
@@ -340,7 +339,6 @@ def cora_bundle_path():
                            "(set NETTACK_CORA_BUNDLE or create data/cora-ml); "
                            "criterion 6 skipped with notice")
 def test_criterion_6_cora_reproduction(tmp_path):
-    from nettack.experiment import reproduction_summary
     g = load_bundle(cora_bundle_path())
     g, _ = extract_lcc(g)
     assert g.n_nodes == 2810

@@ -88,12 +88,12 @@ def test_candidate_edges_match_scratch_filter():
     state = DegreeTestState.from_graph(g, d_min=2, tau=0.004)
     nbrs = g.neighbors(v0).tolist()
     a, b = next((a, b) for a in nbrs for b in nbrs if a < b and g.has_edge(a, b))
-    for cfg in (AttackConfig(target=v0, budget=1),
-                AttackConfig(target=v0, budget=1, mode=INFLUENCER,
-                             attackers=(a, b, nbrs[0]))):
-        cands = candidate_edges(g, cfg, state)
+    for cfg, attackers in ((AttackConfig(target=v0, budget=1), None),
+                           (AttackConfig(target=v0, budget=1, mode=INFLUENCER),
+                            (a, b, nbrs[0]))):
+        cands = candidate_edges(g, cfg, state, attackers)
         want = set()
-        for att in resolve_attackers(g, cfg):
+        for att in attackers or resolve_attackers(g, cfg):
             for x in range(100):
                 if x == att:
                     continue
@@ -112,9 +112,8 @@ def test_candidate_edges_influencer_excludes_target():
     g = random_graph(20, 0.3, seed=8)
     v0 = 3
     attackers = tuple(sorted(g.neighbors(v0)))[:2]
-    cfg = AttackConfig(target=v0, budget=1, mode=INFLUENCER,
-                       attackers=attackers, constrained=False)
-    cands = pair_set(candidate_edges(g, cfg, None))
+    cfg = AttackConfig(target=v0, budget=1, mode=INFLUENCER, constrained=False)
+    cands = pair_set(candidate_edges(g, cfg, None, attackers))
     assert cands
     assert all(v0 not in pair for pair in cands)
     assert all(pair[0] in attackers or pair[1] in attackers for pair in cands)
@@ -544,10 +543,6 @@ def test_attack_config_validation():
     with pytest.raises(ValueError):
         AttackConfig(target=0, budget=0)
     with pytest.raises(ValueError):
-        AttackConfig(target=0, budget=1, mode=DIRECT, attackers=(1,))
-    with pytest.raises(ValueError):
-        AttackConfig(target=0, budget=1, mode=INFLUENCER, attackers=(0, 1))
-    with pytest.raises(ValueError):
         AttackConfig(target=0, budget=1, perturb_structure=False,
                      perturb_features=False)
 
@@ -565,6 +560,7 @@ def test_attack_config_rejects_bad_degree_test_settings(field, value):
     ("target", 1.0), ("target", True),
     ("budget", 0), ("budget", 2.5), ("budget", True),
     ("n_influencers", 0), ("n_influencers", -3), ("n_influencers", 2.0),
+    ("seed", 2.5), ("seed", True),
 ])
 def test_attack_config_requires_integer_counts(field, value):
     # A float budget would run more flips than the run file records, and a

@@ -5,6 +5,10 @@ attribute name. A rename in the library would otherwise only surface when
 someone runs the traced benchmark.
 """
 
+import os
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -14,7 +18,12 @@ import nettack
 import nettack.experiment  # noqa: F401  (makes every patched module an attribute)
 from helpers import random_graph
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+# The submodules perfbench reaches as attributes of a bare `import nettack`.
+PERFBENCH_MODULES = ("attack", "constraints", "data", "experiment", "gcn", "graph",
+                     "surrogate", "synthetic")
 
 
 def load_tracer() -> types.ModuleType:
@@ -45,6 +54,24 @@ def test_tracer_patches_resolve_and_uninstall_restores():
 
     for (owner, attr), orig in zip(targets, before):
         assert raw_attr(owner, attr) is orig, f"{owner.__name__}.{attr} not restored"
+
+
+def test_bare_import_exposes_every_module_perfbench_reads(tmp_path):
+    # perfbench/run.py imports only `nettack`, and the workloads and the
+    # tracer's owner paths reach modules as its attributes. This module's
+    # own `import nettack.experiment` binds them all, so the check runs in a
+    # fresh interpreter.
+    tracer = load_tracer()
+    read = {owner_path.split(".")[0] for _, owner_path, _, _, _ in tracer.PATCHES}
+    read |= set(re.findall(r"\bnt\.(\w+)\.", WORKLOADS.read_text()))
+    assert read <= set(PERFBENCH_MODULES), sorted(read - set(PERFBENCH_MODULES))
+    code = ("import sys, types, nettack; print([n for n in sys.argv[1:] "
+            "if not isinstance(getattr(nettack, n, None), types.ModuleType)])")
+    proc = subprocess.run([sys.executable, "-c", code, *PERFBENCH_MODULES], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", f"not attributes of a bare import: {proc.stdout}"
 
 
 def test_traced_attacks_feed_hot_counters():

@@ -146,7 +146,7 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "plan-no-dataset", "plan-dataset-a-number",
                                   "plan-out-dir-a-number", "rnd-features-only",
                                   "rnd-influencer", "attack-d-min-zero", "attack-tau-nan",
-                                  "split-empty-train", "synth-no-nodes",
+                                  "split-empty-train", "synth-no-nodes", "synth-one-node",
                                   "synth-negative-nodes", "synth-no-classes"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
     root, path, g = bundle
@@ -254,6 +254,7 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "attack-d-min-zero": (attack5 + ["--d-min", "0"], "d_min"),
         "attack-tau-nan": (attack5 + ["--tau", "nan"], "tau"),
         "synth-no-nodes": (synth + ["--n-nodes", "0"], "n_nodes"),
+        "synth-one-node": (synth + ["--n-nodes", "1"], "n_nodes"),
         "synth-negative-nodes": (synth + ["--n-nodes", "-5"], "n_nodes"),
         "synth-no-classes": (synth + ["--n-classes", "0"], "n_classes"),
     }[case]

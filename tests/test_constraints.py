@@ -7,10 +7,10 @@ import hypothesis.strategies as st
 
 from nettack.constraints import (DegreeTestError,
                                  DegreeTestState, build_cooccurrence,
-                                 estimate_alpha, feature_addition_allowed,
-                                 lambda_statistic, powerlaw_loglikelihood)
+                                 feature_addition_allowed, lambda_statistic)
 from nettack.graph import AttributedGraph
-from helpers import brute_cooccurrence, random_graph, zeta_sample
+from helpers import (brute_cooccurrence, estimate_alpha, powerlaw_loglikelihood,
+                     random_graph, zeta_sample)
 
 
 def test_alpha_all_ones_closed_form():

@@ -6,12 +6,12 @@ import pytest
 from nettack.attack import AttackConfig, apply_result, run_nettack
 from nettack.data import BundleError, DataSplit, extract_lcc, make_split
 from nettack.gcn import (GcnConfig, GcnModel, MarginReport, TargetMargin, _fit,
-                         evasion_eval, gcn_loss_and_grads, poisoning_eval, train_gcn)
+                         evasion_eval, poisoning_eval, train_gcn)
 from nettack.graph import AttributedGraph, GraphError
 from nettack.surrogate import (NormalizedAdjacency, margin, normalized_adjacency_matrix,
                                softmax, train_surrogate, TrainingError)
 from nettack.synthetic import planted_partition
-from helpers import dense_normalized, gcn_forward, random_graph
+from helpers import dense_normalized, gcn_forward, gcn_loss_and_grads, random_graph
 
 
 def fixed_small_instance():
