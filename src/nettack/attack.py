@@ -2,17 +2,18 @@
 
 Each greedy step scores every admissible edge flip in one closed-form
 array pass over the target's logits (constant work per candidate) and
-every admissible feature flip through its exact (linear) effect on the
-target's logits, then applies the single best flip; near-ties among edge
-flips are settled on the exact row update of the squared normalized
-adjacency, which also commits the winner. Admissibility combines the
-attacker locality rule, the budget, and (in constrained mode) the degree
-and co-occurrence unnoticeability gates.
+the feature flips of all attackers in one more, through their exact
+(linear) effect on the target's logits, then applies the single best
+flip; near-ties among edge flips are settled on the exact row update of
+the squared normalized adjacency, which also commits the winner.
+Admissibility combines the attacker locality rule, the budget, and (in
+constrained mode) the degree and co-occurrence unnoticeability gates.
 
-All three attacks advance one running state (`_Run`): the target's
-squared-adjacency row, the self-loop degrees, C = X W, the degree test
-and the result log, moved past each flip by one `commit`. They read the
-clean graph's context (`NormalizedAdjacency`) and never write to it.
+All three attacks take (graph, surrogate, config, context) and advance
+one running state (`_Run`): the graph, the target's squared-adjacency
+row, C = X W, the degree test and the result log, moved past each flip
+by one `commit`; the self-loop degrees are read off the graph. They read
+the clean graph's context (`NormalizedAdjacency`) and never write to it.
 """
 
 from __future__ import annotations
@@ -55,14 +56,13 @@ class AttackConfig:
     n_influencers: int = 5
 
     def __post_init__(self):
-        for name in ("target", "seed"):
+        if not is_int(self.target):
+            raise ValueError(f"target must be an integer, got {self.target!r}")
+        for name, least in (("seed", 0), ("budget", 1), ("n_influencers", 1), ("d_min", 1)):
             value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("budget", "n_influencers", "d_min"):
-            value = getattr(self, name)
-            if not (is_int(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+            if not (is_int(value) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, "
+                                 f"got {value!r}")
         if not is_finite_number(self.tau):
             raise ValueError(f"tau must be a finite number, got {self.tau!r}")
         if self.mode not in (DIRECT, INFLUENCER):
@@ -199,9 +199,10 @@ def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
 
 def candidate_features(present: np.ndarray,
                        allowed: np.ndarray | None) -> np.ndarray:
-    """Admissible feature flips of one node as a mask over features.
+    """Admissible feature flips as a mask over features, of one node (D,)
+    or of a stack of nodes (A, D).
 
-    `present` marks the node's current features. Removals are always
+    `present` marks the nodes' current features. Removals are always
     admissible; additions only where `allowed` is set (every feature when
     `allowed` is None, i.e. unconstrained).
     """
@@ -216,17 +217,19 @@ def _loss(logits: np.ndarray, c_old: int) -> np.ndarray:
 
 
 def score_features(row: np.ndarray, logits: np.ndarray, w: np.ndarray,
-                   u: int, present: np.ndarray, c_old: int) -> np.ndarray:
+                   u: int | np.ndarray, present: np.ndarray, c_old: int) -> np.ndarray:
     """Exact post-flip loss of the target for every feature of node u.
 
     `row` is the target's squared-adjacency row, `logits` its current
-    logits and `present` marks u's current features. A single feature
-    flip moves the logits linearly, so the new loss is re-evaluated
-    exactly for the same cost as the paper's gradient score; unlike that
-    score it sees a switch of the best wrong class.
+    logits and `present` marks u's current features: (D,) for one node,
+    or (A, D) for an array of A nodes, giving (D,) or (A, D) losses. A
+    single feature flip moves the logits linearly, so the new loss is
+    re-evaluated exactly for the same cost as the paper's gradient score;
+    unlike that score it sees a switch of the best wrong class.
     """
     direction = 1.0 - 2.0 * present.astype(np.float64)
-    return _loss(logits[None, :] + row[u] * direction[:, None] * w, c_old)
+    step = np.asarray(row[u])[..., None] * direction  # (r direction) first: it fixes the rounding
+    return _loss(logits + step[..., None] * w, c_old)
 
 
 def _beats(p: Perturbation, best: Perturbation | None) -> bool:
@@ -243,16 +246,15 @@ def _beats(p: Perturbation, best: Perturbation | None) -> bool:
 class _Run:
     """Running state of one attack on a private copy of the clean graph.
 
-    Holds the target's squared-adjacency row, the self-loop degrees, the
-    X W product C, the degree-test state and the result log; `commit`
-    advances all of them past one flip. The clean graph's context `na`
-    (built here when not given) is only read.
+    Holds the graph, the target's squared-adjacency row, the X W product
+    C, the degree-test state and the result log; `commit` advances all of
+    them past one flip. The clean graph's context `na` (built here when
+    not given) is only read.
     """
 
     def __init__(self, g0: AttributedGraph, model: SurrogateModel,
                  cfg: AttackConfig, na: NormalizedAdjacency | None,
-                 attackers: tuple[int, ...] | None = None, mode: str = DIRECT,
-                 constrained: bool = False):
+                 attackers: tuple[int, ...] | None = None, constrained: bool = False):
         shape, want = list(model.weights.shape), [g0.n_features, g0.n_classes]
         if shape != want:
             raise ValueError(f"surrogate model shape {shape} does not match "
@@ -264,13 +266,12 @@ class _Run:
         self.g = g0.copy()
         self.w = model.weights
         self.row = na.square_row(v0)
-        self.dtilde = na.dtilde  # shared with `na`: replaced, never updated in place
         self.cvals = self.g.feature_matrix() @ self.w  # one row moves per feature flip
         self.c_old = infer_old_class(na, g0, model, v0)
         self.degree_state = DegreeTestState.from_graph(g0, cfg.d_min, cfg.tau,
                                                        cfg.eq7_as_printed)
         self.result = AttackResult(target=v0, attackers=attackers or (v0,),
-                                   budget=cfg.budget, mode=mode,
+                                   budget=cfg.budget, mode=cfg.mode,
                                    constrained=constrained)
         self.result.initial_loss = self.loss()
 
@@ -284,11 +285,10 @@ class _Run:
         g = self.g
         if p.kind == EDGE:
             self.row = row if row is not None else updated_square_row_from(
-                self.row, self.dtilde, g, p.u, p.v, self.v0)
+                self.row, g, p.u, p.v, self.v0)
             self.degree_state.commit_edge(int(g.degrees[p.u]), int(g.degrees[p.v]),
                                           int(not p.insert))
             g.flip_edge_inplace(p.u, p.v)
-            self.dtilde = g.degrees.astype(np.float64) + 1.0
         else:
             self.cvals[p.u] += (1.0 if p.insert else -1.0) * self.w[p.v]
             g.flip_feature_inplace(p.u, p.v)
@@ -307,10 +307,10 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     """
     check_target(g0, cfg.target)
     attackers = resolve_attackers(g0, cfg)
-    run = _Run(g0, model, cfg, na, attackers, cfg.mode, cfg.constrained)
+    run = _Run(g0, model, cfg, na, attackers, cfg.constrained)
     g, v0, c_old = run.g, run.v0, run.c_old
-    allowed_add = {a: (run.na.cooc.allowed_additions(a) if cfg.constrained else None)
-                   for a in attackers}
+    allowed_add = (np.array([run.na.cooc.allowed_additions(a) for a in attackers])
+                   if cfg.constrained else None)
 
     while len(run.result.perturbations) < cfg.budget:
         best = best_row = None
@@ -319,31 +319,34 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
             gate = run.degree_state if cfg.constrained else None
             cands = candidate_edges(g, cfg, gate, attackers)
             if len(cands):
-                losses = _loss(edge_flip_logits(
-                    run.row, run.dtilde, g, run.cvals, v0, cands.pairs, cands.is_edge),
-                    c_old)
+                losses = _loss(edge_flip_logits(run.row, g, run.cvals, v0,
+                                                cands.pairs, cands.is_edge), c_old)
                 # Settle the winner on the exact row: near-ties are rescored
                 # in sorted pair order, so an exact tie goes to the smaller pair.
                 for i in np.flatnonzero(losses >= losses.max() - NEAR_TIE):
                     m, n = cands.pairs[i].tolist()
-                    new_row = updated_square_row_from(run.row, run.dtilde, g, m, n, v0)
+                    new_row = updated_square_row_from(run.row, g, m, n, v0)
                     cand = Perturbation(kind=EDGE, u=m, v=n, insert=not cands.is_edge[i],
                                         score=run.loss(new_row))
                     if _beats(cand, best):
                         best, best_row = cand, new_row
 
         if cfg.perturb_features:
-            logits = run.row @ run.cvals
-            for a in attackers:
-                present = np.zeros(g.n_features, dtype=bool)
-                present[g.features_of(a)] = True
-                losses = score_features(run.row, logits, run.w, a, present, c_old)
-                idx = np.flatnonzero(candidate_features(present, allowed_add[a]))
-                for i in idx[np.argsort(-losses[idx], kind="stable")[:1]]:
-                    cand = Perturbation(kind=FEATURE, u=a, v=int(i),
-                                        insert=not present[i], score=float(losses[i]))
-                    if _beats(cand, best):
-                        best = cand
+            present = np.zeros((len(attackers), g.n_features), dtype=bool)
+            for mask, a in zip(present, attackers):
+                mask[g.features_of(a)] = True
+            losses = score_features(run.row, run.row @ run.cvals, run.w,
+                                    np.asarray(attackers), present, c_old)
+            admissible = candidate_features(present, allowed_add)
+            if admissible.any():
+                # The first maximum in C order: attackers are sorted, so an
+                # exact tie goes to the smaller (attacker, feature), as `_beats`.
+                j, i = np.unravel_index(np.argmax(np.where(admissible, losses, -np.inf)),
+                                        losses.shape)
+                cand = Perturbation(kind=FEATURE, u=attackers[j], v=int(i),
+                                    insert=not present[j, i], score=float(losses[j, i]))
+                if _beats(cand, best):
+                    best = cand
 
         if best is None:
             run.result.starved = True
@@ -359,7 +362,7 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     return run.result
 
 
-def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig, model: SurrogateModel,
+def rnd_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
                  na: NormalizedAdjacency | None = None) -> AttackResult:
     """Random cross-class edge insertions at the target, no constraints."""
     if cfg.mode != DIRECT:
@@ -386,16 +389,17 @@ def rnd_baseline(g0: AttributedGraph, cfg: AttackConfig, model: SurrogateModel,
     return run.result
 
 
-def _structure_gradient(g: AttributedGraph, d: np.ndarray, row2: np.ndarray,
-                        q: np.ndarray, v0: int) -> np.ndarray:
+def _structure_gradient(g: AttributedGraph, row2: np.ndarray, q: np.ndarray,
+                        v0: int) -> np.ndarray:
     """d(loss-gap)/d a_{v0,x} for every x, treating entries as continuous.
 
-    `d` is the self-loop degrees of `g` and `row2` the target's
-    squared-adjacency row. Accounts for the degree renormalization that an
-    edge change induces on both endpoints. Â is never formed: with
-    s = 1/sqrt(d), Â q = s (A (s q) + s q), and row v0 of Â is
-    s[v0] s times v0's adjacency row with its own entry set to 1.
+    `row2` is the target's squared-adjacency row in `g`. Accounts for the
+    degree renormalization that an edge change induces on both endpoints.
+    Â is never formed: with d the self-loop degrees and s = 1/sqrt(d),
+    Â q = s (A (s q) + s q), and row v0 of Â is s[v0] s times v0's
+    adjacency row with its own entry set to 1.
     """
+    d = g.degrees + 1.0
     s = 1.0 / np.sqrt(d)
     sq = s * q
     h1 = s * (g.adj @ sq + sq)
@@ -418,7 +422,7 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     usable gradient each step, then re-evaluate exactly.
 
     It keeps only the running state every attack keeps: the gradient
-    reads the graph and the self-loop degrees. `na` is only read.
+    reads the graph. `na` is only read.
     """
     if cfg.mode != DIRECT:
         raise ValueError("the gradient baseline only runs as a direct attack")
@@ -433,7 +437,7 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 
         best = None
         if cfg.perturb_structure:
-            grad = _structure_gradient(g, run.dtilde, run.row, q, v0)
+            grad = _structure_gradient(g, run.row, q, v0)
             a_row = g.adjacency_row(v0).astype(bool)
             usable = np.where(a_row, grad < 0.0, grad > 0.0)
             usable[v0] = False

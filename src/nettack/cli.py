@@ -96,12 +96,8 @@ def _cmd_attack(args) -> int:
         model = SurrogateModel.from_dict(json.loads(Path(args.model).read_text()))
     else:
         model = train_surrogate(g, na, _load_or_make_split(g, args))
-    if args.baseline == "none":
-        result = run_nettack(g, model, cfg, na=na)
-    elif args.baseline == "fgsm":
-        result = fgsm_baseline(g, model, cfg, na=na)
-    else:
-        result = rnd_baseline(g, cfg, model=model, na=na)
+    attack = {"none": run_nettack, "fgsm": fgsm_baseline, "rnd": rnd_baseline}[args.baseline]
+    result = attack(g, model, cfg, na=na)
     result.save(args.output)
     print(f"attack target={args.target} budget={budget} "
           f"applied={len(result.perturbations)} final_loss={result.final_loss:.6f}"

@@ -98,8 +98,8 @@ class CandidateDegreeTest:
 class DegreeTestState:
     """Running degree-test statistics of the evolving graph.
 
-    Carries the frozen reference-sample statistics (the clean graph),
-    fitted once, alongside the current ones, so the two-sample statistic
+    Carries the frozen sufficient statistics of the reference sample (the
+    clean graph) alongside the current ones, so the two-sample statistic
     against the clean graph updates in constant time per candidate edge.
     """
 
@@ -107,7 +107,6 @@ class DegreeTestState:
     tau: float
     n_ref: int
     log_sum_ref: float
-    loglik_ref: float
     n_cur: int
     log_sum_cur: float
     as_printed: bool = False
@@ -117,11 +116,8 @@ class DegreeTestState:
                    tau: float = DEFAULT_TAU,
                    as_printed: bool = False) -> "DegreeTestState":
         n, log_sum = _filtered_stats(g.degrees, d_min)
-        alpha = alpha_from_stats(n, log_sum, d_min) if n else 1.0
-        loglik = loglik_from_stats(n, log_sum, alpha, d_min, as_printed)
         return cls(d_min=d_min, tau=tau, n_ref=n, log_sum_ref=log_sum,
-                   loglik_ref=loglik, n_cur=n, log_sum_cur=log_sum,
-                   as_printed=as_printed)
+                   n_cur=n, log_sum_cur=log_sum, as_printed=as_printed)
 
     @property
     def alpha(self) -> float:
@@ -143,14 +139,6 @@ class DegreeTestState:
                 r_new += math.log(dk + x)
         return n_new, r_new
 
-    def _lambda(self, n: int, log_sum: float, loglik: float) -> float:
-        """`lambda_from_stats` against the reference, given the other
-        sample's own log-likelihood: only the pooled sample is fitted."""
-        nc, rc = self.n_ref + n, self.log_sum_ref + log_sum
-        ac = alpha_from_stats(nc, rc, self.d_min) if nc else 1.0
-        lc = loglik_from_stats(nc, rc, ac, self.d_min, self.as_printed)
-        return -2.0 * lc + 2.0 * (self.loglik_ref + loglik)
-
     def evaluate_edge(self, d_m: int, d_n: int, a_mn: int) -> CandidateDegreeTest:
         """Test statistics if the edge between degrees (d_m, d_n) flipped.
 
@@ -160,9 +148,10 @@ class DegreeTestState:
         alpha_new = alpha_from_stats(n_new, r_new, self.d_min) if n_new else float("nan")
         ll_new = (loglik_from_stats(n_new, r_new, alpha_new, self.d_min, self.as_printed)
                   if n_new else 0.0)
+        lam = lambda_from_stats(self.n_ref, self.log_sum_ref, n_new, r_new,
+                                self.d_min, self.as_printed)
         return CandidateDegreeTest(n_new=n_new, log_sum_new=r_new,
-                                   alpha_new=alpha_new, loglik_new=ll_new,
-                                   lam=self._lambda(n_new, r_new, ll_new))
+                                   alpha_new=alpha_new, loglik_new=ll_new, lam=lam)
 
     def commit_edge(self, d_m: int, d_n: int, a_mn: int) -> None:
         """Advance the current statistics past an applied edge flip."""
@@ -175,7 +164,11 @@ class DegreeTestState:
                                  self.d_min, self.as_printed)
 
     def edge_allowed(self, d_m: int, d_n: int, a_mn: int) -> bool:
-        return self.evaluate_edge(d_m, d_n, a_mn).lam < self.tau
+        """`evaluate_edge(...).lam < tau`, without fitting the new sample a
+        second time for fields that the gate does not read."""
+        n_new, r_new = self._shift(d_m, d_n, a_mn)
+        return lambda_from_stats(self.n_ref, self.log_sum_ref, n_new, r_new,
+                                 self.d_min, self.as_printed) < self.tau
 
 
 @dataclass

@@ -60,7 +60,7 @@ class DataSplit:
     @staticmethod
     def from_dict(d: dict) -> "DataSplit":
         json_object(d, "split", ("train_ids", "validation_ids", "unlabeled_ids", "rng_seed"))
-        if not isinstance(d["rng_seed"], int):
+        if not is_int(d["rng_seed"]):
             raise BundleError("split rng_seed must be an integer")
         return DataSplit(
             train_ids=node_ids(d["train_ids"], "split train_ids"),
@@ -215,6 +215,8 @@ def extract_lcc(g: AttributedGraph) -> tuple[AttributedGraph, np.ndarray]:
 
 def make_split(g: AttributedGraph, seed: int) -> DataSplit:
     """Uniform 10% train / 10% validation / 80% unlabeled node split."""
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
     n = g.n_nodes
     if n < 10:
         raise BundleError("need at least 10 nodes to split")

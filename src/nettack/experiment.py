@@ -68,9 +68,9 @@ class ExperimentPlan:
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"plan key {name!r} must be a string, "
                                  f"got {getattr(self, name)!r}")
-        if not self.seeds or not all(is_int(s) for s in self.seeds):
-            raise ValueError(f"plan seeds must be a non-empty list of integers, "
-                             f"got {list(self.seeds)!r}")
+        if not self.seeds or not all(is_int(s) and s >= 0 for s in self.seeds):
+            raise ValueError(f"plan key 'seeds' must be a non-empty list of integers of "
+                             f"at least 0, got {list(self.seeds)!r}")
         for a in self.attacks:
             if a not in ATTACK_NAMES:
                 raise ValueError(f"unknown attack {a!r}; choose from {ATTACK_NAMES}")
@@ -222,7 +222,7 @@ def run_attack_by_name(name: str, g0: AttributedGraph, model: SurrogateModel,
     if name == "fgsm":
         return fgsm_baseline(g0, model, AttackConfig(mode=DIRECT, **base), na=na)
     if name == "rnd":
-        return rnd_baseline(g0, AttackConfig(mode=DIRECT, **base), model=model, na=na)
+        return rnd_baseline(g0, model, AttackConfig(mode=DIRECT, **base), na=na)
     raise ValueError(f"unknown attack {name!r}")
 
 

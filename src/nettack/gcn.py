@@ -236,6 +236,9 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
     are its own, its dropout masks come from its own generator, and it leaves
     the stack when it stops.
     """
+    for seed in seeds:
+        if not (is_int(seed) and seed >= 0):
+            raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
     y = training_labels(g, split)
     k = g.n_classes
     p = _Problem(ahat, x, y, split.train_ids, split.validation_ids)

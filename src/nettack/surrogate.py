@@ -2,9 +2,10 @@
 
 The surrogate scores nodes with softmax(S X W) where S is the square of
 the symmetrically normalized self-loop adjacency Â. `NormalizedAdjacency`
-is the context of one clean graph (Â, the self-loop degrees and the
-feature co-occurrence index). S is never formed: an attack reads one
-row of it (`square_row`), the fit the rows of S X it trains on. A single
+is the context of one clean graph (Â and the feature co-occurrence
+index); the self-loop degrees d̃ are read off the graph that each
+function takes. S is never formed: an attack reads one row of it
+(`square_row`), the fit the rows of S X it trains on. A single
 symmetric edge flip changes a node's row of S by five weights, derived
 once (`_flip_weights`). The attack applies them to the node's logits for
 all candidates in one array pass (`edge_flip_logits`), with constant work
@@ -63,30 +64,26 @@ def normalized_adjacency_matrix(g: AttributedGraph) -> sp.csr_matrix:
 @dataclass
 class NormalizedAdjacency:
     """Context of one clean graph, built once and only read by attacks:
-    the normalized self-loop adjacency Â, the self-loop degrees d̃ and the
-    feature co-occurrence index."""
+    the normalized self-loop adjacency Â and the feature co-occurrence
+    index."""
 
     ahat: sp.csr_matrix
-    dtilde: np.ndarray
     cooc: CooccurrenceIndex
 
     @classmethod
     def build(cls, g: AttributedGraph) -> "NormalizedAdjacency":
-        return cls(ahat=normalized_adjacency_matrix(g),
-                   dtilde=g.degrees.astype(np.float64) + 1.0,
-                   cooc=build_cooccurrence(g))
+        return cls(ahat=normalized_adjacency_matrix(g), cooc=build_cooccurrence(g))
 
     def square_row(self, u: int) -> np.ndarray:
         """Dense row u of the squared normalized adjacency, Â[u] Â."""
         return np.asarray((self.ahat[u] @ self.ahat).todense()).ravel()
 
     def apply_edge_flip(self, g: AttributedGraph, m: int, n: int) -> None:
-        """Rebuild Â and d̃ for a flip of edge (m, n); the feature index stays.
+        """Rebuild Â for a flip of edge (m, n); the feature index stays.
 
         `g` must be the graph *before* the flip; it is left unchanged.
         """
-        g = g.flip_edge(m, n)
-        self.ahat, self.dtilde = normalized_adjacency_matrix(g), g.degrees + 1.0
+        self.ahat = normalized_adjacency_matrix(g.flip_edge(m, n))
 
 
 def _flip_weights(row, d, u, m, n, a, at_m, at_n):
@@ -123,53 +120,52 @@ def _flip_weights(row, d, u, m, n, a, at_m, at_n):
             ((be_n + ga_n + a * ga_m) * r_n + x * ga_m / dp_n ** 0.5) * inv)
 
 
-def edge_flip_logits(row: np.ndarray, dtilde: np.ndarray, g: AttributedGraph,
-                     cvals: np.ndarray, u: int, pairs: np.ndarray,
-                     a_mn: np.ndarray) -> np.ndarray:
+def edge_flip_logits(row: np.ndarray, g: AttributedGraph, cvals: np.ndarray,
+                     u: int, pairs: np.ndarray, a_mn: np.ndarray) -> np.ndarray:
     """Logits of node `u` after each single edge flip, shape (M, K).
 
-    `row` is u's squared-adjacency row under the self-loop degrees
-    `dtilde`, `cvals` the X W product (C), `pairs` the (M, 2) flips (m, n)
-    and `a_mn` their current adjacency entries; `g` is the graph before
-    any of them. The flip weights apply to row C, H_m, H_n, C_m and C_n,
-    with H = (A + I) (C / sqrt(d)) built once: O(K) work per candidate,
-    whether or not u is an endpoint.
+    `row` is u's squared-adjacency row in `g`, the graph before any of the
+    flips, `cvals` the X W product (C), `pairs` the (M, 2) flips (m, n)
+    and `a_mn` their current adjacency entries. The flip weights apply to
+    row C, H_m, H_n, C_m and C_n, with H = (A + I) (C / sqrt(d)) built
+    once: O(K) work per candidate, whether or not u is an endpoint.
     """
     m, n = pairs[:, 0], pairs[:, 1]
+    d = g.degrees + 1.0
     a_u = g.adjacency_row(u)
     s, c_m, c_n, w_m, w_n = _flip_weights(
-        row, dtilde, u, m, n, np.asarray(a_mn, dtype=np.float64),
+        row, d, u, m, n, np.asarray(a_mn, dtype=np.float64),
         a_u[m] + (m == u), a_u[n] + (n == u))
-    gm = cvals / np.sqrt(dtilde)[:, None]
+    gm = cvals / np.sqrt(d)[:, None]
     h = g.adj @ gm + gm
     return s[:, None] * (row @ cvals)[None, :] + c_m[:, None] * h[m] + c_n[:, None] * h[n] \
         + w_m[:, None] * cvals[m] + w_n[:, None] * cvals[n]
 
 
-def updated_square_row_from(row: np.ndarray, dtilde: np.ndarray,
-                            g: AttributedGraph, m: int, n: int,
+def updated_square_row_from(row: np.ndarray, g: AttributedGraph, m: int, n: int,
                             node: int) -> np.ndarray:
     """Row `node` of the squared normalized adjacency after flipping (m, n).
 
     The flip weights of `edge_flip_logits` applied to the row itself: its
-    old dense value `row` (under the self-loop degrees `dtilde`) plus the
-    rows (A + I)[m] and (A + I)[n], scaled by 1 / sqrt(d), and two single
-    entries. `g` must be the graph before the flip. The greedy attack
-    builds this row only to settle near-ties exactly and to commit the
-    winner; FGSM and RND advance their row with it.
+    old dense value `row` plus the rows (A + I)[m] and (A + I)[n], scaled
+    by 1 / sqrt(d), and two single entries. `g` must be the graph before
+    the flip, the one `row` belongs to. The greedy attack builds this row
+    only to settle near-ties exactly and to commit the winner; FGSM and
+    RND advance their row with it.
     """
     if m == n:
         raise ValueError("self-loops are not allowed")
     check_target(g, node)
     nb_m, nb_n = g.neighbors(m), g.neighbors(n)
+    d = g.degrees + 1.0
     s, c_m, c_n, w_m, w_n = _flip_weights(
-        row, dtilde, node, m, n, float(n in nb_m),
+        row, d, node, m, n, float(n in nb_m),
         float(node == m or node in nb_m), float(node == n or node in nb_n))
     out = s * row
-    out[nb_m] += c_m / np.sqrt(dtilde[nb_m])
-    out[nb_n] += c_n / np.sqrt(dtilde[nb_n])
-    out[m] += c_m / dtilde[m] ** 0.5 + w_m
-    out[n] += c_n / dtilde[n] ** 0.5 + w_n
+    out[nb_m] += c_m / np.sqrt(d[nb_m])
+    out[nb_n] += c_n / np.sqrt(d[nb_n])
+    out[m] += c_m / d[m] ** 0.5 + w_m
+    out[n] += c_n / d[n] ** 0.5 + w_n
     out[np.abs(out) < PRUNE_EPS] = 0.0
     return out
 

@@ -57,8 +57,7 @@ def test_criterion_1_incremental_square_rows():
                 continue
             done += 1
             v0 = int(rng.integers(n_nodes))
-            got = updated_square_row_from(na.square_row(v0), na.dtilde, g,
-                                          int(m), int(n), v0)
+            got = updated_square_row_from(na.square_row(v0), g, int(m), int(n), v0)
             want = dense_square(g.flip_edge(int(m), int(n)))[v0]
             worst = max(worst, float(np.abs(got - want).max()))
             checked += 1

@@ -24,7 +24,7 @@ from helpers import random_graph, surrogate_loss_scratch
 
 def edge_score(g, na, model, v0, c_old, m, n):
     """Loss after flipping (m, n), scored the way the greedy loop does."""
-    row = updated_square_row_from(na.square_row(v0), na.dtilde, g, m, n, v0)
+    row = updated_square_row_from(na.square_row(v0), g, m, n, v0)
     return float(-margin(row @ (g.feature_matrix() @ model.weights), c_old)[0])
 
 
@@ -370,19 +370,66 @@ def exhaustive_best_single_flip(g, model, cfg, c_old):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("constrained", [True, False])
 def test_single_step_matches_exhaustive_oracle(seed, constrained):
+    # Direct mode, then influencer mode with three attackers (on seed 1 the
+    # target has one neighbor, so two come from its two-hop ring).
     g, na, model = trained_instance(n=18, p=0.2, seed=seed, n_features=6)
     v0 = int((seed * 5) % 18)
-    cfg = AttackConfig(target=v0, budget=1, constrained=constrained)
-    res = run_nettack(g, model, cfg, na=na)
     c_old = infer_old_class(na, g, model, v0)
-    want = exhaustive_best_single_flip(g, model, cfg, c_old)
-    if want is None:
-        assert res.starved
-    else:
-        assert len(res.perturbations) == 1
-        g_att = apply_result(g, res)
-        got = surrogate_loss_scratch(g_att, model.weights, v0, c_old)
-        assert got == pytest.approx(want, abs=1e-9)
+    for cfg in (AttackConfig(target=v0, budget=1, constrained=constrained),
+                AttackConfig(target=v0, budget=1, constrained=constrained,
+                             mode=INFLUENCER, n_influencers=3, seed=seed)):
+        res = run_nettack(g, model, cfg, na=na)
+        want = exhaustive_best_single_flip(g, model, cfg, c_old)
+        if want is None:
+            assert res.starved
+        else:
+            assert len(res.perturbations) == 1
+            g_att = apply_result(g, res)
+            got = surrogate_loss_scratch(g_att, model.weights, v0, c_old)
+            assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_feature_tie_goes_to_smaller_attacker_then_feature():
+    # Influencers 1 and 2 hang symmetrically off target 0 and have no
+    # features; features 2 and 3 carry the same weights, the strongest
+    # push to the wrong class. Four additions tie exactly on the loss.
+    g = AttributedGraph.from_edges(3, 4, [(0, 1), (0, 2)], [(0, 0)],
+                                   labels=np.ones(3, dtype=np.int64), n_classes=2)
+    model = SurrogateModel(weights=np.array([[1.0, -1.0], [-1.0, 1.0],
+                                             [-1.0, 2.0], [-1.0, 2.0]]), n_classes=2)
+    na = NormalizedAdjacency.build(g)
+    row = na.square_row(0)
+    logits = row @ (g.feature_matrix() @ model.weights)
+    scores = [score_features(row, logits, model.weights, a, feature_mask(g, a), 0)
+              for a in (1, 2)]
+    assert scores[0][2] == scores[0][3] == scores[1][2] == scores[1][3] \
+        == max(scores[0].max(), scores[1].max())
+    cfg = AttackConfig(target=0, budget=1, mode=INFLUENCER, n_influencers=2,
+                       perturb_structure=False, constrained=False)
+    res = run_nettack(g, model, cfg, na=na)
+    assert res.attackers == (1, 2)
+    [p] = res.perturbations
+    assert (p.kind, p.u, p.v, p.insert) == (FEATURE, 1, 2, True)
+    assert p.score == scores[0][2]
+
+
+def test_edge_and_feature_tie_goes_to_the_edge():
+    # Every node is featureless, so all logits are 0 and every edge flip
+    # keeps the loss at exactly 0; adding feature 0 (zero weights) does
+    # too, and adding feature 1 lowers it. The edge wins the exact tie,
+    # and among the edges the smallest pair does.
+    g = AttributedGraph.from_edges(6, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [],
+                                   labels=np.array([1, 1, 1, 2, 2, 2]), n_classes=2)
+    model = SurrogateModel(weights=np.array([[0.0, 0.0], [1.0, -1.0]]), n_classes=2)
+    na = NormalizedAdjacency.build(g)
+    row = na.square_row(2)
+    feature = score_features(row, row @ (g.feature_matrix() @ model.weights),
+                             model.weights, 2, feature_mask(g, 2), 0)
+    assert feature[0] == 0.0 > feature[1]
+    res = run_nettack(g, model, AttackConfig(target=2, budget=1, constrained=False), na=na)
+    [p] = res.perturbations
+    assert (p.kind, p.u, p.v, p.insert) == (EDGE, 0, 2, True)
+    assert p.score == feature[0]
 
 
 @given(st.integers(0, 10 ** 6))
@@ -425,7 +472,7 @@ def model_for(g):
 def test_rnd_all_same_class_starves():
     g = AttributedGraph.from_edges(12, 1, [(i, i + 1) for i in range(11)], [],
                                    labels=np.ones(12, dtype=np.int64), n_classes=2)
-    res = rnd_baseline(g, AttackConfig(target=0, budget=3, seed=1), model=model_for(g))
+    res = rnd_baseline(g, model_for(g), AttackConfig(target=0, budget=3, seed=1))
     assert res.starved
     assert res.perturbations == []
 
@@ -433,7 +480,7 @@ def test_rnd_all_same_class_starves():
 def test_rnd_inserts_cross_class_edges():
     g = random_graph(25, 0.1, seed=16)
     v0 = 4
-    res = rnd_baseline(g, AttackConfig(target=v0, budget=5, seed=2), model=model_for(g))
+    res = rnd_baseline(g, model_for(g), AttackConfig(target=v0, budget=5, seed=2))
     assert len(res.perturbations) == 5
     c0 = g.labels[v0]
     for p in res.perturbations:
@@ -445,8 +492,8 @@ def test_rnd_inserts_cross_class_edges():
 
 def test_rnd_deterministic():
     g = random_graph(25, 0.1, seed=17)
-    a = rnd_baseline(g, AttackConfig(target=3, budget=4, seed=9), model=model_for(g))
-    b = rnd_baseline(g, AttackConfig(target=3, budget=4, seed=9), model=model_for(g))
+    a = rnd_baseline(g, model_for(g), AttackConfig(target=3, budget=4, seed=9))
+    b = rnd_baseline(g, model_for(g), AttackConfig(target=3, budget=4, seed=9))
     assert [p.to_dict() for p in a.perturbations] == [p.to_dict() for p in b.perturbations]
 
 
@@ -502,8 +549,9 @@ def test_fgsm_gradient_matches_rebuilt_ahat(seed, p, monkeypatch):
     g, na, model = trained_instance(n=25, p=p, seed=seed)
     gradient, gaps, flips = attack._structure_gradient, [], []
 
-    def checked(g, d, row2, q, v0):
-        got, want = gradient(g, d, row2, q, v0), gradient_from_rebuilt_ahat(g, d, row2, q, v0)
+    def checked(g, row2, q, v0):
+        got = gradient(g, row2, q, v0)
+        want = gradient_from_rebuilt_ahat(g, g.degrees + 1.0, row2, q, v0)
         gaps.append(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
         return got
 
@@ -560,7 +608,7 @@ def test_attack_config_rejects_bad_degree_test_settings(field, value):
     ("target", 1.0), ("target", True),
     ("budget", 0), ("budget", 2.5), ("budget", True),
     ("n_influencers", 0), ("n_influencers", -3), ("n_influencers", 2.0),
-    ("seed", 2.5), ("seed", True),
+    ("seed", 2.5), ("seed", True), ("seed", -1),
 ])
 def test_attack_config_requires_integer_counts(field, value):
     # A float budget would run more flips than the run file records, and a
@@ -575,7 +623,7 @@ def test_rnd_runs_only_as_direct_structure_attack():
                         (AttackConfig(target=4, budget=2, perturb_structure=False),
                          "features-only")):
         with pytest.raises(ValueError, match=needle):
-            rnd_baseline(g, cfg, model=model_for(g))
+            rnd_baseline(g, model_for(g), cfg)
 
 
 @pytest.mark.parametrize("attack", [run_nettack, fgsm_baseline, rnd_baseline])
@@ -588,10 +636,7 @@ def test_attacks_reject_a_model_of_another_shape(attack, shape):
     cfg = AttackConfig(target=int(np.flatnonzero(g.labels == 3)[0]), budget=2)
     message = f"surrogate model shape {list(shape)} does not match the graph's [D, K] = [8, 3]"
     with pytest.raises(ValueError, match=re.escape(message)):
-        if attack is rnd_baseline:
-            attack(g, cfg, model=model)
-        else:
-            attack(g, model, cfg)
+        attack(g, model, cfg)
 
 
 @pytest.mark.parametrize("attack", [run_nettack, fgsm_baseline, rnd_baseline])
@@ -601,10 +646,7 @@ def test_out_of_range_target_rejected(attack, past_end):
     g, na, model = trained_instance(n=12, p=0.3, seed=4)
     cfg = AttackConfig(target=g.n_nodes if past_end else -1, budget=2)
     with pytest.raises(GraphError, match="out of range"):
-        if attack is rnd_baseline:
-            attack(g, cfg, model=model, na=na)
-        else:
-            attack(g, model, cfg, na=na)
+        attack(g, model, cfg, na=na)
 
 
 def strict_json(path):
@@ -616,7 +658,7 @@ def test_rnd_without_model_strict_json_round_trip(tmp_path):
     # RND picks its flips without scoring them: NaN scores are written as
     # null and read back as NaN, while its losses (from the model) are finite.
     g = random_graph(25, 0.1, seed=17)
-    res = rnd_baseline(g, AttackConfig(target=3, budget=2, seed=9), model=model_for(g))
+    res = rnd_baseline(g, model_for(g), AttackConfig(target=3, budget=2, seed=9))
     res.save(tmp_path / "r.json")
     d = strict_json(tmp_path / "r.json")
     assert all(p["score"] is None for p in d["perturbations"])
@@ -643,7 +685,7 @@ def all_attacks(g, model, na, v0):
             out.append(run_nettack(g, model, cfg, na=na).to_dict())
         cfg = AttackConfig(target=v0, budget=4, seed=3)
         out.append(fgsm_baseline(g, model, cfg, na=na).to_dict())
-        out.append(rnd_baseline(g, cfg, model, na=na).to_dict())
+        out.append(rnd_baseline(g, model, cfg, na=na).to_dict())
     return out
 
 
@@ -651,7 +693,7 @@ def test_attacks_leave_shared_context_unchanged():
     # The context is built once per graph and shared by every attack call:
     # no call may write to it, so reusing it gives fresh-context results.
     g, na, model = trained_instance(n=30, p=0.15, seed=6)
-    ahat, dtilde, sigma = na.ahat.copy(), na.dtilde.copy(), na.cooc.sigma.copy()
+    ahat, sigma = na.ahat.copy(), na.cooc.sigma.copy()
     v0 = int(np.argsort(g.degrees)[len(g.degrees) // 2])
     shared = all_attacks(g, model, na, v0)
     fresh = all_attacks(g, model, NormalizedAdjacency.build(g), v0)
@@ -659,7 +701,6 @@ def test_attacks_leave_shared_context_unchanged():
     assert shared == fresh
     assert any(p["kind"] == EDGE for r in shared for p in r["perturbations"])
     assert (na.ahat != ahat).nnz == 0
-    assert np.array_equal(na.dtilde, dtilde)
     assert np.array_equal(na.cooc.sigma, sigma)
 
 

@@ -147,7 +147,8 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "plan-out-dir-a-number", "rnd-features-only",
                                   "rnd-influencer", "attack-d-min-zero", "attack-tau-nan",
                                   "split-empty-train", "synth-no-nodes", "synth-one-node",
-                                  "synth-negative-nodes", "synth-no-classes"])
+                                  "synth-negative-nodes", "synth-no-classes",
+                                  "split-negative-seed", "evaluate-negative-seed"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
     root, path, g = bundle
     out = tmp_path / "x.json"
@@ -257,6 +258,12 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "synth-one-node": (synth + ["--n-nodes", "1"], "n_nodes"),
         "synth-negative-nodes": (synth + ["--n-nodes", "-5"], "n_nodes"),
         "synth-no-classes": (synth + ["--n-classes", "0"], "n_classes"),
+        "split-negative-seed": (["split", "--in", str(path), "--seed", "-1", "--out", str(out)],
+                                "seed must be"),
+        "evaluate-negative-seed": (["evaluate", "--graph", str(path), "--mode", "poisoning",
+                                    "--runs", "2", "--split", str(tmp_path / "split.json"),
+                                    "--targets", str(targets), "--seed", "-1",
+                                    "--out", str(out)], "seed must be"),
     }[case]
     rc, err = run_cli(args)
     assert rc == 2

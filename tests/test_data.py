@@ -263,6 +263,14 @@ def test_write_json_is_strict_sorted_json(tmp_path):
         write_json(tmp_path / "nan.json", {"a": float("nan")})
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "1"])
+def test_split_rng_seed_must_be_an_integer(seed):
+    # A bool is an int to Python; a split file's seed must be a JSON integer.
+    split = {"train_ids": [0], "validation_ids": [1], "unlabeled_ids": [2], "rng_seed": seed}
+    with pytest.raises(BundleError, match="^split rng_seed must be an integer$"):
+        DataSplit.from_dict(split)
+
+
 def test_split_from_dict_needs_an_object_with_every_key():
     with pytest.raises(BundleError, match="^a split must be a JSON object$"):
         DataSplit.from_dict([1])

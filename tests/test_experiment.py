@@ -418,7 +418,7 @@ def test_plan_rejects_unknown_attack():
     ("poisoning_runs", 2.5), ("poisoning_runs", 0), ("d_min", 0),
     ("tau", "a"), ("tau", float("nan")), ("tau", float("inf")),
     ("dataset", 5), ("out_dir", 7), ("dataset", None), ("seeds", (1, 2, 1)),
-    ("attacks", ("rnd", "rnd")), ("limited_fractions", (1.0, 1.0)),
+    ("attacks", ("rnd", "rnd")), ("limited_fractions", (1.0, 1.0)), ("seeds", (-1,)),
 ])
 def test_plan_rejects_bad_counts_and_tau(field, value):
     with pytest.raises(ValueError, match=f"plan key '{field}' must be"):

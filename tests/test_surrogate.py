@@ -20,7 +20,7 @@ def square_rows(na, n_nodes):
 
 
 def row_after(na, g, m, n, v):
-    return updated_square_row_from(na.square_row(v), na.dtilde, g, m, n, v)
+    return updated_square_row_from(na.square_row(v), g, m, n, v)
 
 
 def test_normalized_single_isolated_node():
@@ -56,7 +56,7 @@ def test_incremental_row_involution():
     row0 = na.square_row(4)
     row = row0
     for _ in range(2):
-        row = updated_square_row_from(row, g.degrees + 1.0, g, 2, 9, 4)
+        row = updated_square_row_from(row, g, 2, 9, 4)
         g.flip_edge_inplace(2, 9)
     assert np.abs(row - row0).max() < 1e-12
 
@@ -95,7 +95,6 @@ def test_apply_edge_flip_chain_matches_fresh_build():
             continue
         na.apply_edge_flip(g, m, n)
         g.flip_edge_inplace(m, n)
-    assert np.array_equal(na.dtilde, g.degrees + 1.0)
     assert np.abs(na.ahat.toarray() - dense_normalized(g)).max() < 1e-10
     assert np.abs(square_rows(na, 25) - dense_square(g)).max() < 1e-10
 
@@ -116,7 +115,7 @@ def test_pruning_drift_does_not_move_scores():
         n = int(rng.integers(40))
         if m == n:
             continue
-        row = updated_square_row_from(row, g.degrees + 1.0, g, m, n, v0)
+        row = updated_square_row_from(row, g, m, n, v0)
         g.flip_edge_inplace(m, n)
         if step % 20 == 0:
             cvals = g.feature_matrix().toarray() @ w
@@ -136,8 +135,8 @@ def batched_and_loop_losses(g, w, v0, pairs, c_old=0):
     row, cvals = na.square_row(v0), g.feature_matrix() @ w
     pairs = np.asarray(pairs)
     a_mn = np.array([g.has_edge(m, n) for m, n in pairs.tolist()])
-    got = -margin(edge_flip_logits(row, na.dtilde, g, cvals, v0, pairs, a_mn), c_old)[0]
-    want = [-margin(updated_square_row_from(row, na.dtilde, g, m, n, v0) @ cvals,
+    got = -margin(edge_flip_logits(row, g, cvals, v0, pairs, a_mn), c_old)[0]
+    want = [-margin(updated_square_row_from(row, g, m, n, v0) @ cvals,
                     c_old)[0] for m, n in pairs.tolist()]
     dense = [-margin(dense_square(g.flip_edge(m, n))[v0] @ cvals, c_old)[0]
              for m, n in pairs.tolist()]
