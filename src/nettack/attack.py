@@ -1,13 +1,14 @@
 """Greedy targeted perturbation search plus random and gradient baselines.
 
-Each greedy step scores every admissible edge flip in one closed-form
-array pass over the target's logits (constant work per candidate) and
-the feature flips of all attackers in one more, through their exact
-(linear) effect on the target's logits, then applies the single best
-flip; near-ties among edge flips are settled on the exact row update of
-the squared normalized adjacency, which also commits the winner.
+Each greedy step scores every structurally admissible edge flip in one
+closed-form array pass over the target's logits (constant work per
+candidate) and the feature flips of all attackers in one more, through
+their exact (linear) effect on the target's logits, then applies the
+single best flip; near-ties among edge flips are settled on the exact row
+update of the squared normalized adjacency, which also commits the winner.
 Admissibility combines the attacker locality rule, the budget, and (in
-constrained mode) the degree and co-occurrence unnoticeability gates.
+constrained mode) the co-occurrence gate and, after scoring, the degree
+gate, asked only about the degree triples that can still win.
 
 All three attacks take (graph, surrogate, config, context) and advance
 one running state (`_Run`): the graph, the target's squared-adjacency
@@ -161,40 +162,65 @@ class EdgeCandidates:
 
 
 def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
-                    degree_state: DegreeTestState | None = None,
                     attackers: tuple[int, ...] | None = None) -> EdgeCandidates:
-    """Admissible edge flips, sorted by (m, n) with m < n.
+    """Structurally admissible edge flips, sorted by (m, n) with m < n.
 
-    A pair is admissible when one endpoint is an attacker, the flip keeps
-    the degree-test statistic under the threshold (when a state is given),
-    it would not isolate the target, and - in influencer mode - it does
-    not touch the target. The degree test depends on a pair only through
-    (deg m, deg n, a_mn), so it runs once per distinct triple.
+    A pair is a candidate when one endpoint is an attacker, the flip would
+    not isolate the target, and - in influencer mode - it does not touch
+    the target. `gate_from_top` applies the degree test after scoring.
     """
     if attackers is None:
         attackers = resolve_attackers(g, cfg)
-    v0, degs, n_nodes = cfg.target, g.degrees, g.n_nodes
+    v0, n_nodes = cfg.target, g.n_nodes
     att, others = np.asarray(attackers)[:, None], np.arange(n_nodes)[None, :]
-    lo, hi = np.minimum(att, others).ravel(), np.maximum(att, others).ravel()
-    key = np.unique((lo * n_nodes + hi)[lo != hi])
-    pairs = np.c_[key // n_nodes, key % n_nodes]
-    is_edge = np.asarray(g.adj[pairs[:, 0], pairs[:, 1]]).ravel()
-    at_target = (pairs == v0).any(axis=1)
+    is_attacker = np.zeros(n_nodes, dtype=bool)
+    is_attacker[att] = True
+    # Each pair once: a pair of two attackers only from its smaller end.
+    once = ~is_attacker[others] | (others > att)
+    lo, hi = np.minimum(att, others)[once], np.maximum(att, others)[once]
+    is_edge = np.zeros((len(attackers), n_nodes), dtype=bool)
+    for row, a in zip(is_edge, attackers):
+        row[g.neighbors(a)] = True
+    is_edge = is_edge[once]
+    if len(attackers) > 1:  # one attacker's pairs already ascend
+        order = np.argsort(lo * n_nodes + hi)
+        lo, hi, is_edge = lo[order], hi[order], is_edge[order]
+    at_target = (lo == v0) | (hi == v0)
     if cfg.mode == INFLUENCER:
         keep = ~at_target
     else:  # removing the target's last edge degenerates its row
-        keep = ~(at_target & is_edge & (degs[v0] == 1))
-    pairs, is_edge = pairs[keep], is_edge[keep]
-    if degree_state is not None:
-        d_m, d_n = degs[pairs[:, 0]], degs[pairs[:, 1]]
-        triple = (d_m * (n_nodes + 1) + d_n) * 2 + is_edge
-        _, first, inverse = np.unique(triple, return_index=True, return_inverse=True)
-        allowed = np.array([degree_state.edge_allowed(int(d_m[i]), int(d_n[i]),
-                                                      int(is_edge[i]))
-                            for i in first], dtype=bool)
-        keep = allowed[inverse]
-        pairs, is_edge = pairs[keep], is_edge[keep]
-    return EdgeCandidates(pairs=pairs, is_edge=is_edge)
+        keep = ~(at_target & is_edge & (g.degree(v0) == 1))
+    return EdgeCandidates(pairs=np.c_[lo[keep], hi[keep]], is_edge=is_edge[keep])
+
+
+def gate_from_top(g: AttributedGraph, cands: EdgeCandidates, losses: np.ndarray,
+                  degree_state: DegreeTestState) -> np.ndarray:
+    """`losses` with -inf where the degree test rejects a candidate or is not
+    asked. It is asked once per (deg m, deg n, a_mn) triple, from the best
+    loss down, until a triple's best loss falls below the best admitted loss
+    minus `NEAR_TIE`: the band that the greedy step rescores is the one that
+    gating every pair would leave.
+    """
+    degs = g.degrees
+    d_m, d_n = degs[cands.pairs[:, 0]], degs[cands.pairs[:, 1]]
+    # Degrees are coded by rank among the values present, so the triple
+    # table grows with the number of distinct degrees, not with the largest.
+    present = np.zeros(degs.max() + 1, dtype=bool)
+    present[d_m], present[d_n] = True, True
+    values, rank = np.flatnonzero(present), np.cumsum(present) - 1
+    k = len(values)
+    code = (rank[d_m] * k + rank[d_n]) * 2 + cands.is_edge
+    best = np.full(2 * k * k, -np.inf)
+    np.maximum.at(best, code, losses)
+    triples = np.flatnonzero(best > -np.inf)
+    admitted, top = np.zeros(len(best), dtype=bool), -np.inf
+    for t in triples[np.argsort(-best[triples], kind="stable")].tolist():
+        if best[t] < top - NEAR_TIE:
+            break
+        if degree_state.edge_allowed(int(values[t // 2 // k]), int(values[t // 2 % k]), t % 2):
+            admitted[t] = True
+            top = max(top, best[t])
+    return np.where(admitted[code], losses, -np.inf)
 
 
 def candidate_features(present: np.ndarray,
@@ -316,14 +342,16 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
         best = best_row = None
 
         if cfg.perturb_structure:
-            gate = run.degree_state if cfg.constrained else None
-            cands = candidate_edges(g, cfg, gate, attackers)
+            cands = candidate_edges(g, cfg, attackers)
             if len(cands):
                 losses = _loss(edge_flip_logits(run.row, g, run.cvals, v0,
                                                 cands.pairs, cands.is_edge), c_old)
+                if cfg.constrained:
+                    losses = gate_from_top(g, cands, losses, run.degree_state)
                 # Settle the winner on the exact row: near-ties are rescored
                 # in sorted pair order, so an exact tie goes to the smaller pair.
-                for i in np.flatnonzero(losses >= losses.max() - NEAR_TIE):
+                # Gated-off candidates (-inf) are never rescored.
+                for i in np.flatnonzero((losses >= losses.max() - NEAR_TIE) & (losses > -np.inf)):
                     m, n = cands.pairs[i].tolist()
                     new_row = updated_square_row_from(run.row, g, m, n, v0)
                     cand = Perturbation(kind=EDGE, u=m, v=n, insert=not cands.is_edge[i],

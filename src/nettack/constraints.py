@@ -84,17 +84,6 @@ def lambda_statistic(deg0, deg1, d_min: int = DEFAULT_D_MIN,
 
 
 @dataclass
-class CandidateDegreeTest:
-    """Constant-time degree-test evaluation of one candidate edge flip."""
-
-    n_new: int
-    log_sum_new: float
-    alpha_new: float
-    loglik_new: float
-    lam: float
-
-
-@dataclass
 class DegreeTestState:
     """Running degree-test statistics of the evolving graph.
 
@@ -139,20 +128,6 @@ class DegreeTestState:
                 r_new += math.log(dk + x)
         return n_new, r_new
 
-    def evaluate_edge(self, d_m: int, d_n: int, a_mn: int) -> CandidateDegreeTest:
-        """Test statistics if the edge between degrees (d_m, d_n) flipped.
-
-        `a_mn` is the current adjacency entry (1 removes, 0 inserts).
-        """
-        n_new, r_new = self._shift(d_m, d_n, a_mn)
-        alpha_new = alpha_from_stats(n_new, r_new, self.d_min) if n_new else float("nan")
-        ll_new = (loglik_from_stats(n_new, r_new, alpha_new, self.d_min, self.as_printed)
-                  if n_new else 0.0)
-        lam = lambda_from_stats(self.n_ref, self.log_sum_ref, n_new, r_new,
-                                self.d_min, self.as_printed)
-        return CandidateDegreeTest(n_new=n_new, log_sum_new=r_new,
-                                   alpha_new=alpha_new, loglik_new=ll_new, lam=lam)
-
     def commit_edge(self, d_m: int, d_n: int, a_mn: int) -> None:
         """Advance the current statistics past an applied edge flip."""
         self.n_cur, self.log_sum_cur = self._shift(d_m, d_n, a_mn)
@@ -164,8 +139,9 @@ class DegreeTestState:
                                  self.d_min, self.as_printed)
 
     def edge_allowed(self, d_m: int, d_n: int, a_mn: int) -> bool:
-        """`evaluate_edge(...).lam < tau`, without fitting the new sample a
-        second time for fields that the gate does not read."""
+        """Whether the statistic stays under `tau` if the edge between
+        degrees (d_m, d_n) flipped; `a_mn` is the current adjacency entry
+        (1 removes, 0 inserts)."""
         n_new, r_new = self._shift(d_m, d_n, a_mn)
         return lambda_from_stats(self.n_ref, self.log_sum_ref, n_new, r_new,
                                  self.d_min, self.as_printed) < self.tau

@@ -221,11 +221,6 @@ def _loss_and_grads(p: _Problem, h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     return loss, grad_w1, grad_w2
 
 
-def _columns(blocks: np.ndarray, hidden: int) -> np.ndarray:
-    """Stacked first-layer columns of the given replica blocks."""
-    return (blocks[:, None] * hidden + np.arange(hidden)).ravel()
-
-
 def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
          ahat: sp.csr_matrix, x: sp.csr_matrix) -> list[GcnModel]:
     """Train one replica per seed on one graph and split, all at once.
@@ -288,15 +283,16 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
         better = val_loss < best_val - 1e-12
         best_val = np.where(better, val_loss, best_val)
         stale = np.where(better, 0, stale + 1)
-        best_w1[:, _columns(live[better], hid)] = w1[:, _columns(np.flatnonzero(better), hid)]
+        blocks = (len(w1), -1, hid)  # (D, replica, H) views: one copy per replica
+        best_w1.reshape(blocks)[:, live[better]] = w1.reshape(blocks)[:, better]
         best_w2[live[better]] = w2[better]
 
         stop = diverged | (stale >= cfg.patience)
         if stop.any():
             epochs_run[live[stop]] = epoch
             go = ~stop
-            cols = _columns(np.flatnonzero(go), hid)
-            w1, m_w1, v_w1, h = w1[:, cols], m_w1[:, cols], v_w1[:, cols], h[:, cols]
+            w1, m_w1, v_w1, h = (a.reshape(len(a), -1, hid)[:, go].reshape(len(a), -1)
+                                 for a in (w1, m_w1, v_w1, h))
             w2, m_w2, v_w2 = w2[go], m_w2[go], v_w2[go]
             live, best_val, stale = live[go], best_val[go], stale[go]
             if not len(live):

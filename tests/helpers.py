@@ -13,6 +13,9 @@ tests, so what they check is the path the library runs:
 - `estimate_alpha` and `powerlaw_loglikelihood`: the power-law fit of a
   degree multiset through `constraints._filtered_stats`,
   `alpha_from_stats` and `loglik_from_stats`, the degree test's own path;
+- `evaluate_edge`: every degree-test quantity of one candidate edge flip,
+  through `DegreeTestState._shift`, `alpha_from_stats`,
+  `loglik_from_stats` and `lambda_from_stats`, the gate's own path;
 - `reproduction_summary`: headline numbers read from the CSVs and run
   files that `experiment.run_experiment` writes.
 """
@@ -21,13 +24,14 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from nettack.constraints import (DEFAULT_D_MIN, _filtered_stats, alpha_from_stats,
-                                 loglik_from_stats)
+from nettack.constraints import (DEFAULT_D_MIN, DegreeTestState, _filtered_stats,
+                                 alpha_from_stats, lambda_from_stats, loglik_from_stats)
 from nettack.experiment import ExperimentPlan, run_experiment
 from nettack.gcn import _loss_and_grads, _Problem
 from nettack.graph import AttributedGraph
@@ -139,6 +143,33 @@ def powerlaw_loglikelihood(degrees, alpha: float, d_min: int = DEFAULT_D_MIN,
     """Log-likelihood of a degree multiset under a fitted power law."""
     n, log_sum = _filtered_stats(degrees, d_min)
     return loglik_from_stats(n, log_sum, alpha, d_min, as_printed)
+
+
+@dataclass
+class CandidateDegreeTest:
+    """Degree-test quantities of one candidate edge flip."""
+
+    n_new: int
+    log_sum_new: float
+    alpha_new: float
+    loglik_new: float
+    lam: float
+
+
+def evaluate_edge(state: DegreeTestState, d_m: int, d_n: int,
+                  a_mn: int) -> CandidateDegreeTest:
+    """Test statistics if the edge between degrees (d_m, d_n) flipped.
+
+    `a_mn` is the current adjacency entry (1 removes, 0 inserts).
+    """
+    n_new, r_new = state._shift(d_m, d_n, a_mn)
+    alpha_new = alpha_from_stats(n_new, r_new, state.d_min) if n_new else float("nan")
+    ll_new = (loglik_from_stats(n_new, r_new, alpha_new, state.d_min, state.as_printed)
+              if n_new else 0.0)
+    lam = lambda_from_stats(state.n_ref, state.log_sum_ref, n_new, r_new,
+                            state.d_min, state.as_printed)
+    return CandidateDegreeTest(n_new=n_new, log_sum_new=r_new,
+                               alpha_new=alpha_new, loglik_new=ll_new, lam=lam)
 
 
 def reproduction_summary(bundle_path: str | Path, out_dir: str | Path,

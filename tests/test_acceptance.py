@@ -27,8 +27,9 @@ from nettack.surrogate import (NormalizedAdjacency, infer_old_class,
                                normalized_adjacency_matrix, train_surrogate,
                                updated_square_row_from)
 from nettack.synthetic import planted_partition
-from helpers import (dense_square, estimate_alpha, gcn_loss_and_grads, powerlaw_loglikelihood,
-                     random_graph, reproduction_summary, surrogate_loss_scratch, zeta_sample)
+from helpers import (dense_square, estimate_alpha, evaluate_edge, gcn_loss_and_grads,
+                     powerlaw_loglikelihood, random_graph, reproduction_summary,
+                     surrogate_loss_scratch, zeta_sample)
 from test_attack import exhaustive_best_single_flip
 
 CHI2_95 = 3.841  # chi-square(1) 95th percentile
@@ -90,7 +91,7 @@ def test_criterion_2_incremental_degree_test():
             continue
         m, n = int(m), int(n)
         a_mn = int(g.has_edge(m, n))
-        cand = state.evaluate_edge(int(g.degrees[m]), int(g.degrees[n]), a_mn)
+        cand = evaluate_edge(state, int(g.degrees[m]), int(g.degrees[n]), a_mn)
         g2 = g.flip_edge(m, n)
         degs2 = g2.degrees
         n_scratch = int(np.sum(degs2 >= 2))

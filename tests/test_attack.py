@@ -7,10 +7,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from nettack import attack
-from nettack.attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER,
-                            apply_result, candidate_edges, candidate_features,
-                            fgsm_baseline, replay_constraints, resolve_attackers,
-                            rnd_baseline, run_nettack, score_features)
+from nettack.attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER, NEAR_TIE,
+                            EdgeCandidates, apply_result, candidate_edges,
+                            candidate_features, fgsm_baseline, gate_from_top,
+                            replay_constraints, resolve_attackers, rnd_baseline,
+                            run_nettack, score_features)
 from nettack.constraints import (DegreeTestState, build_cooccurrence,
                                  feature_addition_allowed, lambda_statistic)
 from nettack.data import make_split
@@ -30,6 +31,13 @@ def edge_score(g, na, model, v0, c_old, m, n):
 
 def pair_set(cands):
     return set(map(tuple, cands.pairs.tolist()))
+
+
+def admitted(g, cands, state):
+    """The candidates the degree test admits: with equal losses the gate
+    asks every triple."""
+    keep = gate_from_top(g, cands, np.zeros(len(cands)), state) > -np.inf
+    return EdgeCandidates(pairs=cands.pairs[keep], is_edge=cands.is_edge[keep])
 
 
 def feature_mask(g, u):
@@ -53,7 +61,7 @@ def test_candidate_edges_unconstrained_direct_all_pairs():
     g = random_graph(12, 0.3, seed=2)
     v0 = max(range(12), key=g.degree)  # degree >= 2, so no isolation guard
     cfg = AttackConfig(target=v0, budget=1, constrained=False)
-    cands = candidate_edges(g, cfg, None)
+    cands = candidate_edges(g, cfg)
     assert len(cands) == g.n_nodes - 1
     assert all(v0 in pair for pair in pair_set(cands))
 
@@ -61,7 +69,7 @@ def test_candidate_edges_unconstrained_direct_all_pairs():
 def test_candidate_edges_isolation_guard():
     g = AttributedGraph.from_edges(12, 0, [(0, 1)] + [(i, i + 1) for i in range(1, 11)])
     cfg = AttackConfig(target=0, budget=1, constrained=False)
-    cands = candidate_edges(g, cfg, None)
+    cands = candidate_edges(g, cfg)
     assert (0, 1) not in pair_set(cands)  # only edge of the target: removing isolates it
     assert len(cands) == g.n_nodes - 2
 
@@ -70,8 +78,8 @@ def test_candidate_edges_lambda_gate_excludes():
     g = random_graph(40, 0.08, seed=5)
     cfg = AttackConfig(target=0, budget=1, constrained=True, tau=1e-6)
     state = DegreeTestState.from_graph(g, d_min=2, tau=1e-6)
-    gated = pair_set(candidate_edges(g, cfg, state))
-    ungated = pair_set(candidate_edges(g, cfg, None))
+    gated = pair_set(admitted(g, candidate_edges(g, cfg), state))
+    ungated = pair_set(candidate_edges(g, cfg))
     dropped = ungated - gated
     assert dropped  # a tiny threshold must exclude something
     for (m, n) in dropped:
@@ -81,7 +89,7 @@ def test_candidate_edges_lambda_gate_excludes():
 
 def test_candidate_edges_match_scratch_filter():
     # Direct mode, and influencer mode with two adjacent attackers (their
-    # shared pair must appear once): the gate runs once per distinct
+    # shared pair must appear once): the gate asks once per distinct
     # degree triple, the scratch filter once per pair.
     g = random_graph(100, 0.05, seed=7)
     v0 = max(range(100), key=g.degree)
@@ -91,7 +99,7 @@ def test_candidate_edges_match_scratch_filter():
     for cfg, attackers in ((AttackConfig(target=v0, budget=1), None),
                            (AttackConfig(target=v0, budget=1, mode=INFLUENCER),
                             (a, b, nbrs[0]))):
-        cands = candidate_edges(g, cfg, state, attackers)
+        cands = admitted(g, candidate_edges(g, cfg, attackers), state)
         want = set()
         for att in attackers or resolve_attackers(g, cfg):
             for x in range(100):
@@ -113,10 +121,80 @@ def test_candidate_edges_influencer_excludes_target():
     v0 = 3
     attackers = tuple(sorted(g.neighbors(v0)))[:2]
     cfg = AttackConfig(target=v0, budget=1, mode=INFLUENCER, constrained=False)
-    cands = pair_set(candidate_edges(g, cfg, None, attackers))
+    cands = pair_set(candidate_edges(g, cfg, attackers))
     assert cands
     assert all(v0 not in pair for pair in cands)
     assert all(pair[0] in attackers or pair[1] in attackers for pair in cands)
+
+
+class CountingGate:
+    """A degree-test state whose `edge_allowed` records each question."""
+
+    def __init__(self, state):
+        self.state, self.asked = state, []
+
+    def edge_allowed(self, d_m, d_n, a_mn):
+        self.asked.append((d_m, d_n, a_mn))
+        return self.state.edge_allowed(d_m, d_n, a_mn)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([0.004, 1e-4, 1e-6]), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_gate_from_top_matches_per_pair_filter(seed, tau, influencer):
+    # Random losses from a few levels, so that exact ties and ties within
+    # NEAR_TIE fall across different degree triples; the band at the top
+    # must be the one a per-pair scratch filter leaves.
+    rng = np.random.default_rng(seed)
+    g = random_graph(30, 0.12, seed=seed % 997)
+    if influencer:  # two adjacent attackers: their shared pair comes once
+        edges = g.edge_list()
+        a, b = edges[rng.integers(len(edges))]
+        v0 = int(rng.choice(np.setdiff1d(np.arange(30), [a, b])))
+        c = int(rng.choice(np.setdiff1d(np.arange(30), [a, b, v0])))
+        cfg = AttackConfig(target=v0, budget=1, mode=INFLUENCER, tau=tau)
+        attackers = tuple(sorted((a, b, c)))
+    else:
+        cfg = AttackConfig(target=int(rng.integers(30)), budget=1, tau=tau)
+        attackers = None
+    cands = candidate_edges(g, cfg, attackers)
+    levels = rng.normal(size=rng.integers(1, 4))
+    jitter = np.array([0.0, 0.0, 0.4, -0.4, 0.9, 3.0]) * NEAR_TIE
+    losses = rng.choice(levels, size=len(cands)) + rng.choice(jitter, size=len(cands))
+    gate = CountingGate(DegreeTestState.from_graph(g, d_min=2, tau=tau))
+    gated = gate_from_top(g, cands, losses, gate)
+
+    ok = np.array([lambda_statistic(g.degrees, g.flip_edge(m, n).degrees, 2) < tau
+                   for m, n in cands.pairs.tolist()], dtype=bool)
+    want = np.where(ok, losses, -np.inf)
+    finite = gated > -np.inf
+    assert np.array_equal(gated[finite], losses[finite]) and ok[finite].all()
+    if not ok.any():
+        assert not finite.any()
+    else:
+        top = want.max()
+        assert gated.max() == top
+        assert np.array_equal(np.flatnonzero(gated >= top - NEAR_TIE),
+                              np.flatnonzero(want >= top - NEAR_TIE))
+    degs = g.degrees
+    triples = set(zip(degs[cands.pairs[:, 0]].tolist(), degs[cands.pairs[:, 1]].tolist(),
+                      cands.is_edge.astype(int).tolist()))
+    assert len(gate.asked) == len(set(gate.asked)) and set(gate.asked) <= triples
+
+
+def test_gate_from_top_asks_once_for_a_clear_winner():
+    g = random_graph(60, 0.08, seed=3)
+    cfg = AttackConfig(target=int(np.argmax(g.degrees)), budget=1)
+    cands = candidate_edges(g, cfg)
+    state = DegreeTestState.from_graph(g, d_min=2)
+    degs = g.degrees
+    win = next(i for i, (m, n) in enumerate(cands.pairs.tolist())
+               if state.edge_allowed(int(degs[m]), int(degs[n]), int(cands.is_edge[i])))
+    losses = np.zeros(len(cands))
+    losses[win] = 1.0
+    gate = CountingGate(state)
+    gated = gate_from_top(g, cands, losses, gate)
+    assert len(gate.asked) == 1
+    assert np.flatnonzero(gated == gated.max()).tolist() == [win]
 
 
 def test_candidate_features_rules():

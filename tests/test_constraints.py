@@ -9,8 +9,8 @@ from nettack.constraints import (DegreeTestError,
                                  DegreeTestState, build_cooccurrence,
                                  feature_addition_allowed, lambda_statistic)
 from nettack.graph import AttributedGraph
-from helpers import (brute_cooccurrence, estimate_alpha, powerlaw_loglikelihood,
-                     random_graph, zeta_sample)
+from helpers import (brute_cooccurrence, estimate_alpha, evaluate_edge,
+                     powerlaw_loglikelihood, random_graph, zeta_sample)
 
 
 def test_alpha_all_ones_closed_form():
@@ -101,7 +101,7 @@ def test_lambda_separates_distinct_exponents():
 
 def test_lambda_acceptance_rule():
     state = DegreeTestState.from_graph(random_graph(60, 0.1, seed=4), d_min=2)
-    cand = state.evaluate_edge(3, 4, 0)
+    cand = evaluate_edge(state, 3, 4, 0)
     assert (cand.lam < state.tau) == state.edge_allowed(3, 4, 0)
 
 
@@ -126,7 +126,7 @@ def test_incremental_boundary_entry():
     # Inserting an edge at a node of degree d_min - 1 grows the sample.
     g = AttributedGraph.from_edges(4, 0, [(0, 1), (0, 2)])  # node 3 isolated, node 1 deg 1
     state = DegreeTestState.from_graph(g, d_min=2)
-    cand = state.evaluate_edge(d_m=1, d_n=0, a_mn=0)  # edge (1, 3)
+    cand = evaluate_edge(state, d_m=1, d_n=0, a_mn=0)  # edge (1, 3)
     assert cand.n_new == state.n_cur + 1  # node 1 enters at degree 2
 
 
@@ -141,7 +141,7 @@ def test_incremental_matches_scratch_over_candidates():
             continue
         m, n = int(m), int(n)
         a_mn = int(g.has_edge(m, n))
-        cand = state.evaluate_edge(int(g.degrees[m]), int(g.degrees[n]), a_mn)
+        cand = evaluate_edge(state, int(g.degrees[m]), int(g.degrees[n]), a_mn)
         alpha_new, ll_new, lam = cand.alpha_new, cand.loglik_new, cand.lam
         g2 = g.flip_edge(m, n)
         assert lam == pytest.approx(lambda_statistic(g0.degrees, g2.degrees, 2), abs=1e-9)
