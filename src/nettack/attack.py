@@ -6,9 +6,14 @@ candidate) and the feature flips of all attackers in one more, through
 their exact (linear) effect on the target's logits, then applies the
 single best flip; near-ties among edge flips are settled on the exact row
 update of the squared normalized adjacency, which also commits the winner.
-Admissibility combines the attacker locality rule, the budget, and (in
-constrained mode) the co-occurrence gate and, after scoring, the degree
-gate, asked only about the degree triples that can still win.
+Both passes are class-major (the K classes on the outer axis), and the
+loss is one max over the other classes per candidate. Admissibility
+combines the attacker locality rule, the budget, and (in constrained
+mode) the co-occurrence gate and, after scoring, the degree gate, asked
+only about the degree triples that can still win. The structural
+candidate set is built once per run and follows the committed edge flips;
+the rules that change within a run (the isolation guard, the degree gate)
+set a candidate's loss to -inf.
 
 All three attacks take (graph, surrogate, config, context) and advance
 one running state (`_Run`): the graph, the target's squared-adjacency
@@ -152,7 +157,9 @@ def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class EdgeCandidates:
     """Admissible edge flips: sorted (m, n) rows with m < n, and whether
-    each pair is currently an edge (the flip removes it) or not."""
+    each pair is currently an edge (the flip removes it) or not.
+    `run_nettack` builds one per run and sets `is_edge` of each edge flip
+    it commits."""
 
     pairs: np.ndarray    # (M, 2) int
     is_edge: np.ndarray  # (M,) bool
@@ -165,9 +172,11 @@ def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
                     attackers: tuple[int, ...] | None = None) -> EdgeCandidates:
     """Structurally admissible edge flips, sorted by (m, n) with m < n.
 
-    A pair is a candidate when one endpoint is an attacker, the flip would
-    not isolate the target, and - in influencer mode - it does not touch
-    the target. `gate_from_top` applies the degree test after scoring.
+    A pair is a candidate when one endpoint is an attacker and - in
+    influencer mode - it does not touch the target: the rules that hold for
+    a whole run. The ones that change as flips are committed act on the
+    scores: `run_nettack` sets -inf on the target's last edge (removing it
+    would isolate the target) and `gate_from_top` applies the degree test.
     """
     if attackers is None:
         attackers = resolve_attackers(g, cfg)
@@ -185,12 +194,10 @@ def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
     if len(attackers) > 1:  # one attacker's pairs already ascend
         order = np.argsort(lo * n_nodes + hi)
         lo, hi, is_edge = lo[order], hi[order], is_edge[order]
-    at_target = (lo == v0) | (hi == v0)
     if cfg.mode == INFLUENCER:
-        keep = ~at_target
-    else:  # removing the target's last edge degenerates its row
-        keep = ~(at_target & is_edge & (g.degree(v0) == 1))
-    return EdgeCandidates(pairs=np.c_[lo[keep], hi[keep]], is_edge=is_edge[keep])
+        keep = (lo != v0) & (hi != v0)
+        lo, hi, is_edge = lo[keep], hi[keep], is_edge[keep]
+    return EdgeCandidates(pairs=np.c_[lo, hi], is_edge=is_edge)
 
 
 def gate_from_top(g: AttributedGraph, cands: EdgeCandidates, losses: np.ndarray,
@@ -238,8 +245,9 @@ def candidate_features(present: np.ndarray,
 
 
 def _loss(logits: np.ndarray, c_old: int) -> np.ndarray:
-    """Surrogate loss per row of logits: the best wrong class minus `c_old`."""
-    return 0.0 - margin(logits, c_old)[0]
+    """Surrogate loss of class-major logits (K, ...), one per trailing
+    index: the best wrong class minus `c_old`."""
+    return 0.0 - margin(np.moveaxis(logits, 0, -1), c_old)
 
 
 def score_features(row: np.ndarray, logits: np.ndarray, w: np.ndarray,
@@ -251,11 +259,15 @@ def score_features(row: np.ndarray, logits: np.ndarray, w: np.ndarray,
     or (A, D) for an array of A nodes, giving (D,) or (A, D) losses. A
     single feature flip moves the logits linearly, so the new loss is
     re-evaluated exactly for the same cost as the paper's gradient score;
-    unlike that score it sees a switch of the best wrong class.
+    unlike that score it sees a switch of the best wrong class. The new
+    logits are built class-major, (K, D) or (K, A, D).
     """
     direction = 1.0 - 2.0 * present.astype(np.float64)
     step = np.asarray(row[u])[..., None] * direction  # (r direction) first: it fixes the rounding
-    return _loss(logits + step[..., None] * w, c_old)
+    ones = (1,) * (step.ndim - 1)
+    out = np.ascontiguousarray(w.T).reshape(w.shape[1], *ones, w.shape[0]) * step  # (K, ..., D)
+    out += logits.reshape(-1, *ones, 1)
+    return _loss(out, c_old)
 
 
 def _beats(p: Perturbation, best: Perturbation | None) -> bool:
@@ -292,7 +304,7 @@ class _Run:
         self.g = g0.copy()
         self.w = model.weights
         self.row = na.square_row(v0)
-        self.cvals = self.g.feature_matrix() @ self.w  # one row moves per feature flip
+        self.cvals = self.g.feat @ self.w  # one row moves per feature flip
         self.c_old = infer_old_class(na, g0, model, v0)
         self.degree_state = DegreeTestState.from_graph(g0, cfg.d_min, cfg.tau,
                                                        cfg.eq7_as_printed)
@@ -312,8 +324,7 @@ class _Run:
         if p.kind == EDGE:
             self.row = row if row is not None else updated_square_row_from(
                 self.row, g, p.u, p.v, self.v0)
-            self.degree_state.commit_edge(int(g.degrees[p.u]), int(g.degrees[p.v]),
-                                          int(not p.insert))
+            self.degree_state.commit_edge(g.degree(p.u), g.degree(p.v), int(not p.insert))
             g.flip_edge_inplace(p.u, p.v)
         else:
             self.cvals[p.u] += (1.0 if p.insert else -1.0) * self.w[p.v]
@@ -337,27 +348,30 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     g, v0, c_old = run.g, run.v0, run.c_old
     allowed_add = (np.array([run.na.cooc.allowed_additions(a) for a in attackers])
                    if cfg.constrained else None)
+    cands = candidate_edges(g, cfg, attackers) if cfg.perturb_structure else None
 
     while len(run.result.perturbations) < cfg.budget:
-        best = best_row = None
+        best = best_row = best_i = None
 
-        if cfg.perturb_structure:
-            cands = candidate_edges(g, cfg, attackers)
-            if len(cands):
-                losses = _loss(edge_flip_logits(run.row, g, run.cvals, v0,
-                                                cands.pairs, cands.is_edge), c_old)
-                if cfg.constrained:
-                    losses = gate_from_top(g, cands, losses, run.degree_state)
-                # Settle the winner on the exact row: near-ties are rescored
-                # in sorted pair order, so an exact tie goes to the smaller pair.
-                # Gated-off candidates (-inf) are never rescored.
-                for i in np.flatnonzero((losses >= losses.max() - NEAR_TIE) & (losses > -np.inf)):
-                    m, n = cands.pairs[i].tolist()
-                    new_row = updated_square_row_from(run.row, g, m, n, v0)
-                    cand = Perturbation(kind=EDGE, u=m, v=n, insert=not cands.is_edge[i],
-                                        score=run.loss(new_row))
-                    if _beats(cand, best):
-                        best, best_row = cand, new_row
+        if cands is not None and len(cands):
+            losses = _loss(edge_flip_logits(run.row, g, run.cvals, v0,
+                                            cands.pairs, cands.is_edge), c_old)
+            if cfg.mode == DIRECT and g.degree(v0) == 1:
+                # Every direct pair is at the target, and only its last
+                # edge is an edge: removing it would isolate the target.
+                losses[cands.is_edge] = -np.inf
+            if cfg.constrained:
+                losses = gate_from_top(g, cands, losses, run.degree_state)
+            # Settle the winner on the exact row: near-ties are rescored
+            # in sorted pair order, so an exact tie goes to the smaller pair.
+            # Gated-off candidates (-inf) are never rescored.
+            for i in np.flatnonzero((losses >= losses.max() - NEAR_TIE) & (losses > -np.inf)):
+                m, n = cands.pairs[i].tolist()
+                new_row = updated_square_row_from(run.row, g, m, n, v0)
+                cand = Perturbation(kind=EDGE, u=m, v=n, insert=not cands.is_edge[i],
+                                    score=run.loss(new_row))
+                if _beats(cand, best):
+                    best, best_row, best_i = cand, new_row, i
 
         if cfg.perturb_features:
             present = np.zeros((len(attackers), g.n_features), dtype=bool)
@@ -386,6 +400,8 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
                 {"step": len(run.result.perturbations), "u": int(best.u),
                  "i": int(best.v), "insert": bool(best.insert), "test": check})
         run.commit(best, best_row)
+        if best.kind == EDGE:
+            cands.is_edge[best_i] = best.insert
 
     return run.result
 
@@ -460,7 +476,9 @@ def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     g, w, c_old = run.g, run.w, run.c_old
 
     for _ in range(cfg.budget):
-        c_best = int(margin(run.row @ run.cvals, c_old)[1])
+        # The best wrong class, the first one on a tie.
+        logits = run.row @ run.cvals
+        c_best = int(np.argmax(np.where(np.arange(len(logits)) == c_old, -np.inf, logits)))
         q = run.cvals[:, c_best] - run.cvals[:, c_old]
 
         best = None

@@ -148,7 +148,7 @@ def select_targets(model: SurrogateModel, g: AttributedGraph,
     y = g.labels - 1
     pool = split.unlabeled_ids[y[split.unlabeled_ids] >= 0]
     pool = pool[probs[pool].argmax(axis=1) == y[pool]]
-    m = margin(probs[pool], y[pool])[0]
+    m = margin(probs[pool], y[pool])
 
     want = n_high + n_low + n_random
     if len(pool) < want:

@@ -337,7 +337,7 @@ def _target_report(g: AttributedGraph, models: list[GcnModel], rows: np.ndarray,
     nb = np.unique(ahat[rows].indices)
     h = _Layer1(ahat, x, nb)(np.hstack([m.w1 for m in models]))
     _, probs = _Rows(ahat, rows, nb).forward(h, np.stack([m.w2 for m in models]))
-    margins = margin(probs, g.labels[rows] - 1)[0]  # (R, targets)
+    margins = margin(probs, g.labels[rows] - 1)  # (R, targets)
     return MarginReport([TargetMargin(node=int(v0), margin=float(margins[:, j].mean()),
                                       correct_fraction=float(np.mean(margins[:, j] > 0)))
                          for j, v0 in enumerate(rows)])

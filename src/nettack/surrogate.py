@@ -8,12 +8,13 @@ function takes. S is never formed: an attack reads one row of it
 (`square_row`), the fit the rows of S X it trains on. A single
 symmetric edge flip changes a node's row of S by five weights, derived
 once (`_flip_weights`). The attack applies them to the node's logits for
-all candidates in one array pass (`edge_flip_logits`), with constant work
-per candidate, and to the row itself (`updated_square_row_from`) to
-settle near-ties and commit flips. This module owns both, the one
-margin rule (`margin`) that the attack loss, target selection and victim
-evaluation share, and the one cross-entropy (`mean_cross_entropy`) that
-the surrogate and victim fits minimise.
+all candidates in one class-major array pass (`edge_flip_logits`, K x M,
+so that each pass runs along the candidates), with constant work per
+candidate, and to the row itself (`updated_square_row_from`) to settle
+near-ties and commit flips. This module owns both, the one margin rule
+(`margin`, which returns the value only) that the attack loss, target
+selection and victim evaluation share, and the one cross-entropy
+(`mean_cross_entropy`) that the surrogate and victim fits minimise.
 """
 
 from __future__ import annotations
@@ -122,13 +123,15 @@ def _flip_weights(row, d, u, m, n, a, at_m, at_n):
 
 def edge_flip_logits(row: np.ndarray, g: AttributedGraph, cvals: np.ndarray,
                      u: int, pairs: np.ndarray, a_mn: np.ndarray) -> np.ndarray:
-    """Logits of node `u` after each single edge flip, shape (M, K).
+    """Logits of node `u` after each single edge flip, class-major: (K, M).
 
     `row` is u's squared-adjacency row in `g`, the graph before any of the
     flips, `cvals` the X W product (C), `pairs` the (M, 2) flips (m, n)
     and `a_mn` their current adjacency entries. The flip weights apply to
     row C, H_m, H_n, C_m and C_n, with H = (A + I) (C / sqrt(d)) built
-    once: O(K) work per candidate, whether or not u is an endpoint.
+    once: O(K) work per candidate, whether or not u is an endpoint. Each
+    term is gathered from a K x N table and added in place, so the K
+    classes are the outer axis and every pass runs along the M candidates.
     """
     m, n = pairs[:, 0], pairs[:, 1]
     d = g.degrees + 1.0
@@ -137,9 +140,14 @@ def edge_flip_logits(row: np.ndarray, g: AttributedGraph, cvals: np.ndarray,
         row, d, u, m, n, np.asarray(a_mn, dtype=np.float64),
         a_u[m] + (m == u), a_u[n] + (n == u))
     gm = cvals / np.sqrt(d)[:, None]
-    h = g.adj @ gm + gm
-    return s[:, None] * (row @ cvals)[None, :] + c_m[:, None] * h[m] + c_n[:, None] * h[n] \
-        + w_m[:, None] * cvals[m] + w_n[:, None] * cvals[n]
+    h, c = np.ascontiguousarray((g.adj @ gm + gm).T), np.ascontiguousarray(cvals.T)
+    out = np.multiply.outer(row @ cvals, s)
+    term = np.empty_like(out)
+    for table, k, weight in ((h, m, c_m), (h, n, c_n), (c, m, w_m), (c, n, w_n)):
+        np.take(table, k, axis=1, out=term)
+        term *= weight
+        out += term
+    return out
 
 
 def updated_square_row_from(row: np.ndarray, g: AttributedGraph, m: int, n: int,
@@ -279,25 +287,27 @@ def surrogate_logits(na: NormalizedAdjacency, g: AttributedGraph,
     return na.ahat @ (na.ahat @ (g.feature_matrix() @ model.weights))
 
 
-def margin(scores: np.ndarray, ref) -> tuple[np.ndarray, np.ndarray]:
-    """Reference-class score minus the best other score, and that other class.
+def margin(scores: np.ndarray, ref) -> np.ndarray:
+    """Reference-class score minus the best other score, per row.
 
-    `scores` is (..., K) with K >= 2, and `ref` holds one class per row (an
-    array of the leading shape, or one class for every row). On the
-    victim's probabilities this is its evaluation margin; the paper's
-    surrogate loss (best wrong class minus reference class) is `0.0 -
-    margin` of the logits, which keeps an exact tie at +0.0.
+    `scores` is (..., K) with K >= 2: row-major, or a class-major array
+    seen through its transpose, which is reduced along its class axis
+    without a copy. `ref` holds one class per row (an array of the leading
+    shape, or one class for every row). On the victim's probabilities this
+    is its evaluation margin; the paper's surrogate loss (best wrong class
+    minus reference class) is `0.0 - margin` of the logits, which keeps an
+    exact tie at +0.0.
     """
     k = scores.shape[-1]
     if k < 2:
         raise ValueError("need at least two classes")
     ref = np.asarray(ref)
-    others = np.where(np.arange(k) == ref[..., None], -np.inf, scores)
-    best = others.argmax(axis=-1)[..., None]
-    # One class for every row is a plain index, much cheaper on one row.
-    own = scores[..., ref] if ref.ndim == 0 else np.take_along_axis(
+    if ref.ndim == 0:  # one class for every row: the classes on either side of it
+        return scores[..., ref] - np.maximum(scores[..., :ref].max(-1, initial=-np.inf),
+                                             scores[..., ref + 1:].max(-1, initial=-np.inf))
+    own = np.take_along_axis(
         scores, np.broadcast_to(ref, scores.shape[:-1])[..., None], -1)[..., 0]
-    return own - np.take_along_axis(others, best, -1)[..., 0], best[..., 0]
+    return own - np.where(np.arange(k) == ref[..., None], -np.inf, scores).max(-1)
 
 
 def infer_old_class(na: NormalizedAdjacency, g: AttributedGraph,

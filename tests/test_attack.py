@@ -26,7 +26,7 @@ from helpers import random_graph, surrogate_loss_scratch
 def edge_score(g, na, model, v0, c_old, m, n):
     """Loss after flipping (m, n), scored the way the greedy loop does."""
     row = updated_square_row_from(na.square_row(v0), g, m, n, v0)
-    return float(-margin(row @ (g.feature_matrix() @ model.weights), c_old)[0])
+    return float(-margin(row @ (g.feature_matrix() @ model.weights), c_old))
 
 
 def pair_set(cands):
@@ -38,6 +38,39 @@ def admitted(g, cands, state):
     asks every triple."""
     keep = gate_from_top(g, cands, np.zeros(len(cands)), state) > -np.inf
     return EdgeCandidates(pairs=cands.pairs[keep], is_edge=cands.is_edge[keep])
+
+
+def run_steps(monkeypatch, g, model, cfg):
+    """Run Nettack with every batched edge score equal, so that each step
+    rescores on the exact row every candidate whose loss is finite before
+    the degree gate. Returns the result and, per step, the run's graph, the
+    candidates scored ({pair: is_edge}) and the pairs rescored."""
+    steps = []
+
+    def equal_logits(row, g_run, cvals, u, pairs, a_mn):
+        scored = dict(zip(map(tuple, pairs.tolist()), np.asarray(a_mn, dtype=bool).tolist()))
+        steps.append((g_run.copy(), scored, set()))
+        return np.zeros((cvals.shape[1], len(pairs)))
+
+    def rescored(row, g_run, m, n, node):
+        steps[-1][2].add((m, n))
+        return updated_square_row_from(row, g_run, m, n, node)
+
+    monkeypatch.setattr(attack, "edge_flip_logits", equal_logits)
+    monkeypatch.setattr(attack, "updated_square_row_from", rescored)
+    return run_nettack(g, model, cfg), steps
+
+
+def scratch_candidates(g, cfg, attackers):
+    """{pair: is_edge} of every pair at an attacker (not at the target in
+    influencer mode), read off `g` pair by pair."""
+    out = {}
+    for a in attackers:
+        for x in range(g.n_nodes):
+            pair = (min(a, x), max(a, x))
+            if x != a and not (cfg.mode == INFLUENCER and cfg.target in pair):
+                out[pair] = g.has_edge(*pair)
+    return out
 
 
 def feature_mask(g, u):
@@ -66,11 +99,17 @@ def test_candidate_edges_unconstrained_direct_all_pairs():
     assert all(v0 in pair for pair in pair_set(cands))
 
 
-def test_candidate_edges_isolation_guard():
-    g = AttributedGraph.from_edges(12, 0, [(0, 1)] + [(i, i + 1) for i in range(1, 11)])
+def test_candidate_edges_isolation_guard(monkeypatch):
+    # The guard acts on the scores of a run, so the path graph gets a
+    # feature and two classes to run on.
+    g = AttributedGraph.from_edges(12, 1, [(0, 1)] + [(i, i + 1) for i in range(1, 11)],
+                                   [(i, 0) for i in range(12)],
+                                   labels=np.array([1 + i % 2 for i in range(12)]),
+                                   n_classes=2)
+    model = SurrogateModel(weights=np.array([[1.0, -1.0]]), n_classes=2)
     cfg = AttackConfig(target=0, budget=1, constrained=False)
-    cands = candidate_edges(g, cfg)
-    assert (0, 1) not in pair_set(cands)  # only edge of the target: removing isolates it
+    cands = run_steps(monkeypatch, g, model, cfg)[1][0][2]  # can win at the first step
+    assert (0, 1) not in cands  # only edge of the target: removing isolates it
     assert len(cands) == g.n_nodes - 2
 
 
@@ -125,6 +164,28 @@ def test_candidate_edges_influencer_excludes_target():
     assert cands
     assert all(v0 not in pair for pair in cands)
     assert all(pair[0] in attackers or pair[1] in attackers for pair in cands)
+
+
+def test_run_candidate_set_matches_rebuild_every_step(monkeypatch):
+    # Target 10 has degree 2 and its first flip removes an edge, so the
+    # isolation guard switches on mid-run; its later flips insert and then
+    # remove one pair, which the candidate set must follow both ways.
+    g, na, model = trained_instance(p=0.12)
+    v0 = 10
+    assert g.degree(v0) == 2
+    for cfg in (AttackConfig(target=v0, budget=4, perturb_features=False, constrained=False),
+                AttackConfig(target=v0, budget=4, mode=INFLUENCER, n_influencers=3,
+                             perturb_features=False, constrained=False)):
+        result, steps = run_steps(monkeypatch, g, model, cfg)
+        assert len(steps) == len(result.perturbations) == cfg.budget
+        for graph, scored, can_win in steps:
+            want = scratch_candidates(graph, cfg, result.attackers)
+            assert scored == want
+            guard = cfg.mode == DIRECT and graph.degree(v0) == 1
+            assert can_win == {pair for pair, edge in want.items() if not (guard and edge)}
+        if cfg.mode == DIRECT:
+            assert not result.perturbations[0].insert
+            assert [graph.degree(v0) for graph, _, _ in steps][:2] == [2, 1]
 
 
 class CountingGate:
@@ -228,7 +289,7 @@ def test_score_structure_zero_effect_flip():
     model = SurrogateModel(weights=np.array([[1.0, -1.0], [-1.0, 1.0]]), n_classes=2)
     v0, c_old = 0, 0
     cur = -margin(
-        na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)[0]
+        na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)
     got = edge_score(g, na, model, v0, c_old, 8, 11)
     assert got == pytest.approx(cur, abs=1e-12)
 
@@ -261,7 +322,7 @@ def test_best_structural_flip_strictly_improves():
     v0 = 1
     c_old = int(g.labels[v0] - 1)
     cur = -margin(
-        na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)[0]
+        na.square_row(v0) @ (g.feature_matrix() @ model.weights), c_old)
     best = max(edge_score(g, na, model, v0, c_old, min(v0, x), max(v0, x))
                for x in range(12) if x != v0)
     assert best > cur
@@ -277,7 +338,7 @@ def test_score_features_outside_two_hop_is_current_loss():
     v0, c_old = 0, 0
     row = na.square_row(v0)
     logits = row @ (g.feature_matrix() @ model.weights)
-    cur = -margin(logits, c_old)[0]
+    cur = -margin(logits, c_old)
     scores = score_features(row, logits, model.weights, 9, feature_mask(g, 9), c_old)
     assert scores == pytest.approx([cur, cur], abs=1e-12)
 
@@ -581,6 +642,19 @@ def test_fgsm_zero_gradients_stop():
     res = fgsm_baseline(g, model, AttackConfig(target=2, budget=4))
     assert res.perturbations == []
     assert res.starved
+
+
+def test_fgsm_wrong_class_tie_goes_to_the_first():
+    # Classes 1 and 2 tie exactly on the target's logits. Against class 1
+    # the best usable feature flip inserts feature 1; against class 2 it
+    # would remove feature 0.
+    g = AttributedGraph.from_edges(2, 2, [(0, 1)], [(0, 0), (1, 0)],
+                                   labels=np.array([1, 1]), n_classes=3)
+    model = SurrogateModel(weights=np.array([[1.0, 0.5, 0.5], [0.0, 1.0, -1.0]]),
+                           n_classes=3)
+    res = fgsm_baseline(g, model, AttackConfig(target=0, budget=1, perturb_structure=False))
+    p = res.perturbations[0]
+    assert (p.kind, p.u, p.v, p.insert) == (FEATURE, 0, 1, True)
 
 
 def test_fgsm_direct_only():

@@ -131,13 +131,13 @@ def test_training_deterministic_per_seed():
 
 def test_margin_uniform_output_zero():
     # An exact tie is +0.0, never -0.0, so it is written as 0.0.
-    m = float(margin(np.array([0.25, 0.25, 0.25, 0.25]), 2)[0])
+    m = float(margin(np.array([0.25, 0.25, 0.25, 0.25]), 2))
     assert m == 0.0 and math.copysign(1.0, m) == 1.0
 
 
 def test_margin_one_hot():
-    assert margin(np.array([1.0, 0.0, 0.0]), 0)[0] == pytest.approx(1.0)
-    assert margin(np.array([1.0, 0.0, 0.0]), 1)[0] == pytest.approx(-1.0)
+    assert margin(np.array([1.0, 0.0, 0.0]), 0) == pytest.approx(1.0)
+    assert margin(np.array([1.0, 0.0, 0.0]), 1) == pytest.approx(-1.0)
 
 
 def test_margin_sign_agrees_with_argmax():
@@ -146,7 +146,7 @@ def test_margin_sign_agrees_with_argmax():
     probs = gcn_forward(model, normalized_adjacency_matrix(g), g.feature_matrix())
     for u in range(g.n_nodes):
         c_old = int(g.labels[u] - 1)
-        m = margin(probs[u], c_old)[0]
+        m = margin(probs[u], c_old)
         if m > 0:
             assert int(np.argmax(probs[u])) == c_old
         elif m < 0:
@@ -402,7 +402,7 @@ def test_poisoning_eval_reads_margins_of_sequential_models():
     for seed in (5, 6, 7):
         w1, w2, _ = sequential_fit(g, split, seed, cfg)
         probs = gcn_forward(GcnModel(w1=w1, w2=w2), ahat, x)
-        margins.append([margin(probs[v], int(g.labels[v] - 1))[0] for v in targets])
+        margins.append([margin(probs[v], int(g.labels[v] - 1)) for v in targets])
     margins = np.array(margins)
     assert [t.node for t in report.targets] == targets
     for j, t in enumerate(report.targets):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from nettack.attack import AttackConfig, run_nettack
@@ -119,8 +119,8 @@ def test_pruning_drift_does_not_move_scores():
         g.flip_edge_inplace(m, n)
         if step % 20 == 0:
             cvals = g.feature_matrix().toarray() @ w
-            pruned = -margin(row @ cvals, 0)[0]
-            exact = -margin(dense_square(g)[v0] @ cvals, 0)[0]
+            pruned = -margin(row @ cvals, 0)
+            exact = -margin(dense_square(g)[v0] @ cvals, 0)
             worst = max(worst, abs(pruned - exact))
     assert worst < 1e-8
 
@@ -135,10 +135,10 @@ def batched_and_loop_losses(g, w, v0, pairs, c_old=0):
     row, cvals = na.square_row(v0), g.feature_matrix() @ w
     pairs = np.asarray(pairs)
     a_mn = np.array([g.has_edge(m, n) for m, n in pairs.tolist()])
-    got = -margin(edge_flip_logits(row, g, cvals, v0, pairs, a_mn), c_old)[0]
+    got = -margin(edge_flip_logits(row, g, cvals, v0, pairs, a_mn).T, c_old)
     want = [-margin(updated_square_row_from(row, g, m, n, v0) @ cvals,
-                    c_old)[0] for m, n in pairs.tolist()]
-    dense = [-margin(dense_square(g.flip_edge(m, n))[v0] @ cvals, c_old)[0]
+                    c_old) for m, n in pairs.tolist()]
+    dense = [-margin(dense_square(g.flip_edge(m, n))[v0] @ cvals, c_old)
              for m, n in pairs.tolist()]
     assert np.abs(got - dense).max() < 1e-10
     return got, np.array(want), a_mn
@@ -301,18 +301,45 @@ def test_loss_all_equal_logits_zero():
     g = random_graph(10, 0.3, seed=13)
     result = run_nettack(g, SurrogateModel(weights=np.zeros((8, 3)), n_classes=3),
                          AttackConfig(target=0, budget=2, constrained=False))
-    for loss in [0.0 - margin(np.array([2.0, 2.0, 2.0]), 1)[0],
+    for loss in [0.0 - margin(np.array([2.0, 2.0, 2.0]), 1),
                  result.initial_loss, *result.loss_trace]:
         assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
 
 def test_loss_direct_formula():
-    assert -margin(np.array([3.0, 1.0, 0.0]), 0)[0] == pytest.approx(-2.0)
+    assert -margin(np.array([3.0, 1.0, 0.0]), 0) == pytest.approx(-2.0)
 
 
 def test_loss_needs_two_classes():
     with pytest.raises(ValueError):
         margin(np.array([1.0]), 0)
+
+
+def first_best_other_margin(scores, ref):
+    """Own score minus the other classes' first maximum, by argmax."""
+    ref = np.broadcast_to(ref, scores.shape[:-1])[..., None]
+    others = np.where(np.arange(scores.shape[-1]) == ref, -np.inf, scores)
+    best = others.argmax(axis=-1)[..., None]
+    return (np.take_along_axis(scores, ref, -1) - np.take_along_axis(others, best, -1))[..., 0]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 7), st.integers(0, 2), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_margin_is_own_minus_first_best_other(seed, k, lead, one_ref):
+    # Values from a few levels, so that exact ties are common, plus noise.
+    # Signed zeros are left out: a max may return either zero of a +-0 tie,
+    # and the loss 0.0 - margin is +0.0 either way.
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 5, size=lead)) + (k,)
+    levels = rng.normal(size=3)
+    scores = np.where(rng.random(shape) < 0.6, rng.choice(levels, size=shape),
+                      rng.normal(size=shape)) + 0.0
+    ref = int(rng.integers(k)) if one_ref else rng.integers(k, size=shape[:-1])
+    want = first_best_other_margin(scores, ref)
+    class_major = np.ascontiguousarray(np.moveaxis(scores, -1, 0))
+    for view in (scores, np.moveaxis(class_major, 0, -1)):
+        got = np.asarray(margin(view, ref))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_loss_sign_iff_argmax_moved():
@@ -324,7 +351,7 @@ def test_loss_sign_iff_argmax_moved():
         model = SurrogateModel(weights=w, n_classes=4)
         v0 = int(rng.integers(12))
         c_old = int(rng.integers(4))
-        loss = -margin(na.square_row(v0) @ (g.feature_matrix() @ w), c_old)[0]
+        loss = -margin(na.square_row(v0) @ (g.feature_matrix() @ w), c_old)
         pred = int(np.argmax(surrogate_logits(na, g, model)[v0]))
         if loss > 0:
             assert pred != c_old
