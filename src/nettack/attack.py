@@ -29,8 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import (DegreeTestState, build_cooccurrence,
-                          feature_addition_allowed, lambda_statistic,
+from .constraints import (DegreeTestState, build_cooccurrence, lambda_statistic,
                           DEFAULT_D_MIN, DEFAULT_TAU)
 from .data import write_json
 from .graph import (EDGE, FEATURE, AttributedGraph, GraphError, Perturbation,
@@ -542,7 +541,7 @@ def replay_constraints(g0: AttributedGraph, result: AttackResult,
             if lam >= tau:
                 violations.append({"step": step, "kind": EDGE, "lambda": lam})
         else:
-            if p.insert and not feature_addition_allowed(coidx, p.u, p.v):
+            if p.insert and not coidx.allowed_additions(p.u)[p.v]:
                 violations.append({"step": step, "kind": FEATURE,
                                    "u": p.u, "i": p.v})
             g.flip_feature_inplace(p.u, p.v)

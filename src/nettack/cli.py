@@ -11,12 +11,11 @@ import json
 import sys
 from pathlib import Path
 
-from .attack import (AttackConfig, DIRECT, fgsm_baseline, rnd_baseline,
-                     run_nettack)
+from .attack import AttackConfig, DIRECT
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import (DataSplit, extract_lcc, load_bundle, load_bundle_stats, make_split,
                    node_ids, save_bundle, write_json)
-from .experiment import ExperimentPlan, run_experiment, table3_csv
+from .experiment import ExperimentPlan, run_experiment, run_roster_attack, table3_csv
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
 from .surrogate import (NormalizedAdjacency, SurrogateModel, TrainingError,
                         train_surrogate)
@@ -96,8 +95,8 @@ def _cmd_attack(args) -> int:
         model = SurrogateModel.from_dict(json.loads(Path(args.model).read_text()))
     else:
         model = train_surrogate(g, na, _load_or_make_split(g, args))
-    attack = {"none": run_nettack, "fgsm": fgsm_baseline, "rnd": rnd_baseline}[args.baseline]
-    result = attack(g, model, cfg, na=na)
+    name = "nettack" if args.baseline == "none" else args.baseline
+    result = run_roster_attack(name, g, model, cfg, na)
     result.save(args.output)
     print(f"attack target={args.target} budget={budget} "
           f"applied={len(result.perturbations)} final_loss={result.final_loss:.6f}"

@@ -108,10 +108,6 @@ class DegreeTestState:
         return cls(d_min=d_min, tau=tau, n_ref=n, log_sum_ref=log_sum,
                    n_cur=n, log_sum_cur=log_sum, as_printed=as_printed)
 
-    @property
-    def alpha(self) -> float:
-        return alpha_from_stats(self.n_cur, self.log_sum_cur, self.d_min)
-
     def _shift(self, d_m: int, d_n: int, a_mn: int) -> tuple[int, float]:
         """(n, log-sum) after flipping an edge between nodes of degree d_m, d_n."""
         x = 1 - 2 * a_mn
@@ -162,18 +158,17 @@ class CooccurrenceIndex:
     sigma: np.ndarray            # per-node acceptance threshold
     walk_rows: sp.csr_matrix     # cooc with row j scaled by 1/degree(j)
 
-    def reach_probabilities(self, u: int) -> np.ndarray:
-        """One-step reach probability from u's original features to each feature."""
+    def allowed_additions(self, u: int) -> np.ndarray:
+        """Boolean mask over the features that may be set on node u: its
+        original features, and those a walk from them reaches above sigma[u].
+        A node with no original features admits no additions (the walk has
+        nowhere to start). Removals are not gated and never reach this check."""
         idx = self.features[u].indices
         if not len(idx):
-            return np.zeros(self.cooc.shape[0], dtype=np.float64)
-        p = np.asarray(self.walk_rows[idx].sum(axis=0)).ravel()
-        return p / len(idx)
-
-    def allowed_additions(self, u: int) -> np.ndarray:
-        """Boolean mask over features whose addition to u passes the test."""
-        mask = self.reach_probabilities(u) > self.sigma[u]
-        mask[self.features[u].indices] = True
+            return np.zeros(self.cooc.shape[0], dtype=bool)
+        reach = np.asarray(self.walk_rows[idx].sum(axis=0)).ravel() / len(idx)
+        mask = reach > self.sigma[u]
+        mask[idx] = True
         return mask
 
 
@@ -195,13 +190,3 @@ def build_cooccurrence(g0: AttributedGraph) -> CooccurrenceIndex:
                       out=np.zeros(g0.n_nodes), where=n_feats > 0)
     return CooccurrenceIndex(cooc=cooc, feature_degrees=deg, features=g0.feat,
                              sigma=sigma, walk_rows=walk_rows)
-
-
-def feature_addition_allowed(idx: CooccurrenceIndex, u: int, i: int) -> bool:
-    """Whether setting feature i on node u passes the co-occurrence test.
-
-    Features originally present always pass; a node with no original
-    features admits no additions (the walk has nowhere to start).
-    Removals are not gated and never reach this check.
-    """
-    return bool(idx.allowed_additions(u)[i])

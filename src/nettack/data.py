@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csgraph
 
-from .graph import (AttributedGraph, GraphError, connected_components, induced_subgraph,
-                    is_int)
+from .graph import AttributedGraph, GraphError, induced_subgraph, is_int
 
 log = logging.getLogger(__name__)
 
@@ -204,13 +204,12 @@ def extract_lcc(g: AttributedGraph) -> tuple[AttributedGraph, np.ndarray]:
 
     Returns the subgraph with densely remapped ids and an array mapping
     new id -> original id. Ties between equally large components go to
-    the one containing the smallest original id.
+    the one with the smallest original id, which scipy numbers first.
     """
     if g.n_nodes == 0:
         raise GraphError("cannot extract a component from an empty graph")
-    comps = connected_components(g)
-    best = max(comps, key=lambda c: (len(c), -c[0]))
-    return induced_subgraph(g, best)
+    _, comp = csgraph.connected_components(g.adj, directed=False)
+    return induced_subgraph(g, np.flatnonzero(comp == np.argmax(np.bincount(comp))))
 
 
 def make_split(g: AttributedGraph, seed: int) -> DataSplit:

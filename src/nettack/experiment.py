@@ -2,12 +2,13 @@
 
 One experiment sweeps split seeds. Per seed it trains the surrogate and
 picks margin-extreme plus random targets; its tasks are the clean step,
-each roster attack on each target (degree-plus-two budget, evasion and
-poisoning margins of the victim) and, on the first seed, each (fraction,
-target) task of the limited-knowledge sweep. Worker processes run them.
-Target selection ranks margins with `surrogate.margin`, the rule behind
-the attack loss and the victim's margins too. Everything is seeded, and
-all emitted files are byte-stable across reruns.
+each attack of `ROSTER` (the one roster table, which the CLI's
+`--baseline` reads too) on each target (degree-plus-two budget, evasion
+and poisoning margins of the victim) and, on the first seed, each
+(fraction, target) task of the limited-knowledge sweep. Worker processes
+run them. Target selection ranks margins with `surrogate.margin`, the rule
+behind the attack loss and the victim's margins too. Everything is seeded,
+and all emitted files are byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from .attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER, apply_result,
+from .attack import (AttackConfig, AttackResult, INFLUENCER, apply_result,
                      fgsm_baseline, replay_constraints, rnd_baseline, run_nettack)
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import BUNDLE_FILES, DataSplit, json_object, load_bundle, make_split, write_json
@@ -39,7 +40,15 @@ from .surrogate import (NormalizedAdjacency, SurrogateModel, margin, softmax,
 
 log = logging.getLogger(__name__)
 
-ATTACK_NAMES = ("nettack", "nettack-in", "fgsm", "rnd", "nettack-u")
+# Table 3's attacks, in the order that numbers run seeds: name -> (function name, overrides).
+ROSTER = {
+    "nettack": ("run_nettack", {}),
+    "nettack-in": ("run_nettack", {"mode": INFLUENCER}),
+    "fgsm": ("fgsm_baseline", {}),
+    "rnd": ("rnd_baseline", {}),
+    "nettack-u": ("run_nettack", {"constrained": False}),
+}
+ATTACK_NAMES = tuple(ROSTER)
 
 DEGREE_BUCKETS = ((1, 5), (6, 10), (11, 20), (21, 100), (101, None))
 
@@ -82,9 +91,9 @@ class ExperimentPlan:
                                  f"{least}, got {value!r}")
         if not is_finite_number(self.tau):
             raise ValueError(f"plan key 'tau' must be a finite number, got {self.tau!r}")
-        if not all(is_finite_number(f) and f > 0 for f in self.limited_fractions):
-            raise ValueError(f"plan key 'limited_fractions' must hold finite numbers above "
-                             f"0, got {list(self.limited_fractions)!r}")
+        if not all(is_finite_number(f) and 0 < f <= 1 for f in self.limited_fractions):
+            raise ValueError(f"plan key 'limited_fractions' must hold numbers in (0, 1], "
+                             f"got {list(self.limited_fractions)!r}")
         for name, what in (("seeds", "seed"), ("attacks", "attack"),
                            ("limited_fractions", "fraction")):
             values = getattr(self, name)
@@ -176,9 +185,8 @@ def limited_knowledge_subgraph(g: AttributedGraph, v0: int,
     the component is exhausted. Returns the subgraph (dense ids) plus the
     new-id -> original-id map.
     """
-    if fraction <= 0:
-        raise ValueError("fraction must be positive")
-    fraction = min(fraction, 1.0)
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
     hops = shortest_path(g.adj, directed=False, unweighted=True, indices=v0)
     nearest = np.lexsort((np.arange(g.n_nodes), hops))[:math.ceil(fraction * g.n_nodes)]
     return induced_subgraph(g, nearest)
@@ -206,24 +214,23 @@ def degree_bucket_report(rows) -> list[dict]:
     return out
 
 
+def run_roster_attack(name: str, g0: AttributedGraph, model: SurrogateModel,
+                      cfg: AttackConfig, na: NormalizedAdjacency) -> AttackResult:
+    """Roster attack `name` on `cfg` with the attack's overrides applied. The
+    function is looked up by name now, so a patch of this module sees the call."""
+    if name not in ROSTER:
+        raise ValueError(f"unknown attack {name!r}")
+    attack, overrides = ROSTER[name]
+    return globals()[attack](g0, model, replace(cfg, **overrides), na=na)
+
+
 def run_attack_by_name(name: str, g0: AttributedGraph, model: SurrogateModel,
                        na: NormalizedAdjacency, target: int, budget: int,
                        seed: int, d_min: int = DEFAULT_D_MIN,
                        tau: float = DEFAULT_TAU) -> AttackResult:
-    """Dispatch one roster attack with shared constraint settings."""
-    base = dict(target=target, budget=budget, seed=seed, d_min=d_min, tau=tau)
-    if name == "nettack":
-        return run_nettack(g0, model, AttackConfig(mode=DIRECT, **base), na=na)
-    if name == "nettack-u":
-        return run_nettack(g0, model,
-                           AttackConfig(mode=DIRECT, constrained=False, **base), na=na)
-    if name == "nettack-in":
-        return run_nettack(g0, model, AttackConfig(mode=INFLUENCER, **base), na=na)
-    if name == "fgsm":
-        return fgsm_baseline(g0, model, AttackConfig(mode=DIRECT, **base), na=na)
-    if name == "rnd":
-        return rnd_baseline(g0, model, AttackConfig(mode=DIRECT, **base), na=na)
-    raise ValueError(f"unknown attack {name!r}")
+    """One roster attack with shared constraint settings."""
+    return run_roster_attack(name, g0, model, AttackConfig(
+        target=target, budget=budget, seed=seed, d_min=d_min, tau=tau), na)
 
 
 def _content_hash(paths) -> str:

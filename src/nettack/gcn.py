@@ -85,10 +85,6 @@ class TargetMargin:
     margin: float
     correct_fraction: float
 
-    @property
-    def correct(self) -> bool:
-        return self.margin > 0.0
-
 
 @dataclass
 class MarginReport:

@@ -2,11 +2,11 @@
 
 The adjacency (N x N, symmetric, zero diagonal) and the binary features
 (N x D) are each held as one boolean CSR matrix with sorted indices and
-no duplicates; nothing else is stored. Degrees and the edge count are
-read off the adjacency's `indptr`, matrix views are dtype casts, and a
-flip replaces the one matrix it changes by a new one whose index arrays
-are copies with the flipped entries inserted or deleted, so copies can
-share matrices. Labels are 1-based class ids with 0 meaning "unlabeled".
+no duplicates; nothing else is stored. Degrees, the edge count and rows
+(`neighbors`, `features_of`) are read off the index arrays, views are
+dtype casts, and a flip replaces the one matrix it changes by a new one
+whose index arrays are copies with the flipped entries inserted or
+deleted, so copies share matrices. Labels are 1-based, 0 = unlabeled.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 EDGE = "edge"
 FEATURE = "feature"
@@ -190,10 +189,6 @@ class AttributedGraph:
         if not 0 <= u < self.n_nodes:
             raise GraphError(f"node id {u} out of range [0, {self.n_nodes})")
 
-    def _check_feature(self, i: int) -> None:
-        if not 0 <= i < self.n_features:
-            raise GraphError(f"feature id {i} out of range [0, {self.n_features})")
-
     # -- queries ----------------------------------------------------------
 
     @staticmethod
@@ -201,11 +196,6 @@ class AttributedGraph:
         out = m.indices[m.indptr[u]:m.indptr[u + 1]]
         out.flags.writeable = False
         return out
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._row(self.adj, u)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of u (read-only)."""
@@ -224,11 +214,6 @@ class AttributedGraph:
     @property
     def n_edges(self) -> int:
         return self.adj.nnz // 2
-
-    def has_feature(self, u: int, i: int) -> bool:
-        self._check_node(u)
-        self._check_feature(i)
-        return i in self._row(self.feat, u)
 
     def features_of(self, u: int) -> np.ndarray:
         """Sorted feature ids of u (read-only)."""
@@ -266,13 +251,9 @@ class AttributedGraph:
 
     def flip_feature_inplace(self, u: int, i: int) -> None:
         self._check_node(u)
-        self._check_feature(i)
+        if not 0 <= i < self.n_features:
+            raise GraphError(f"feature id {i} out of range [0, {self.n_features})")
         self.feat = _toggled(self.feat, (u,), (i,))
-
-    def flip_feature(self, u: int, i: int) -> "AttributedGraph":
-        g = self.copy()
-        g.flip_feature_inplace(u, i)
-        return g
 
     def apply_inplace(self, p: Perturbation) -> None:
         if p.kind == EDGE:
@@ -296,19 +277,6 @@ class AttributedGraph:
         row[a.indices[a.indptr[u]:a.indptr[u + 1]]] = 1.0
         return row
 
-    # -- invariants ---------------------------------------------------------
-
-    def validate(self) -> None:
-        """Raise GraphError if any structural invariant is broken."""
-        if self.adj.diagonal().any():
-            raise GraphError("self-loop in the adjacency")
-        if (self.adj != self.adj.T).nnz:
-            raise GraphError("asymmetric adjacency")
-        if self.labels.min(initial=0) < 0:
-            raise GraphError("negative label id")
-        if self.n_classes and self.labels.max(initial=0) > self.n_classes:
-            raise GraphError("label id exceeds n_classes")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AttributedGraph):
             return NotImplemented
@@ -328,18 +296,6 @@ def check_target(g: AttributedGraph, v0: int) -> None:
     """Reject a target id outside [0, N) (so -1 never indexes from the end)."""
     if not 0 <= v0 < g.n_nodes:
         raise GraphError(f"target {v0} out of range [0, {g.n_nodes})")
-
-
-def connected_components(g: AttributedGraph) -> list[list[int]]:
-    """Components, each sorted ascending, ordered by smallest contained id.
-
-    scipy numbers components in order of their smallest node id, so a
-    stable sort by component label yields both orders at once.
-    """
-    _, comp = csgraph.connected_components(g.adj, directed=False)
-    order = np.argsort(comp, kind="stable")
-    cuts = np.flatnonzero(np.diff(comp[order])) + 1
-    return [c.tolist() for c in np.split(order, cuts) if c.size]
 
 
 def induced_subgraph(g: AttributedGraph,

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .constraints import CooccurrenceIndex, build_cooccurrence
 from .data import DataSplit, json_object
-from .graph import AttributedGraph, check_target
+from .graph import AttributedGraph, check_target, is_int
 
 PRUNE_EPS = 1e-12  # drop row-update entries below this (cancellation residue)
 # Surrogate fit: gradient step, epoch cap, and validation epochs without
@@ -201,15 +201,19 @@ class SurrogateModel:
         json_object(d, "surrogate model", ("shape", "weights", "n_classes"))
         try:
             w = np.asarray(d["weights"], dtype=np.float64).reshape(tuple(d["shape"]))
-            model = SurrogateModel(weights=w, n_classes=int(d["n_classes"]),
-                                   epochs_run=int(d.get("epochs_run", 0)))
         except TypeError as exc:
             raise ValueError(f"malformed surrogate model: {exc}") from exc
         if w.ndim != 2:
             raise ValueError(f"surrogate model shape must be [D, K], got {list(w.shape)}")
+        k, epochs_run = d["n_classes"], d.get("epochs_run", 0)
+        for key, value in (("n_classes", k), ("epochs_run", epochs_run)):
+            if not is_int(value):
+                raise ValueError(f"surrogate model key {key!r} is not an integer: {value!r}")
+        if k != w.shape[1]:
+            raise ValueError(f"surrogate model key 'n_classes' is {k}; shape is {list(w.shape)}")
         if not np.all(np.isfinite(w)):
             raise ValueError("surrogate model weights must be finite")
-        return model
+        return SurrogateModel(weights=w, n_classes=k, epochs_run=epochs_run)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

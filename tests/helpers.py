@@ -53,6 +53,13 @@ def random_graph(n_nodes: int, p_edge: float, seed: int, n_features: int = 8,
     return g
 
 
+def flipped_feature(g: AttributedGraph, u: int, i: int) -> AttributedGraph:
+    """A copy of `g` with feature i of node u flipped."""
+    g = g.copy()
+    g.flip_feature_inplace(u, i)
+    return g
+
+
 def dense_normalized(g: AttributedGraph) -> np.ndarray:
     a = g.adjacency_matrix().toarray() + np.eye(g.n_nodes)
     d = g.degrees.astype(float) + 1.0

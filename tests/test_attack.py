@@ -12,15 +12,14 @@ from nettack.attack import (AttackConfig, AttackResult, DIRECT, INFLUENCER, NEAR
                             candidate_features, fgsm_baseline, gate_from_top,
                             replay_constraints, resolve_attackers, rnd_baseline,
                             run_nettack, score_features)
-from nettack.constraints import (DegreeTestState, build_cooccurrence,
-                                 feature_addition_allowed, lambda_statistic)
+from nettack.constraints import DegreeTestState, build_cooccurrence, lambda_statistic
 from nettack.data import make_split
 from nettack.graph import AttributedGraph, EDGE, FEATURE, GraphError, Perturbation
 from nettack.surrogate import (NormalizedAdjacency, SurrogateModel,
                                infer_old_class, margin, normalized_adjacency_matrix,
                                surrogate_logits, train_surrogate,
                                updated_square_row_from)
-from helpers import random_graph, surrogate_loss_scratch
+from helpers import flipped_feature, random_graph, surrogate_loss_scratch
 
 
 def edge_score(g, na, model, v0, c_old, m, n):
@@ -69,7 +68,7 @@ def scratch_candidates(g, cfg, attackers):
         for x in range(g.n_nodes):
             pair = (min(a, x), max(a, x))
             if x != a and not (cfg.mode == INFLUENCER and cfg.target in pair):
-                out[pair] = g.has_edge(*pair)
+                out[pair] = pair[1] in g.neighbors(pair[0])
     return out
 
 
@@ -134,7 +133,7 @@ def test_candidate_edges_match_scratch_filter():
     v0 = max(range(100), key=g.degree)
     state = DegreeTestState.from_graph(g, d_min=2, tau=0.004)
     nbrs = g.neighbors(v0).tolist()
-    a, b = next((a, b) for a in nbrs for b in nbrs if a < b and g.has_edge(a, b))
+    a, b = next((a, b) for a in nbrs for b in nbrs if a < b and b in g.neighbors(a))
     for cfg, attackers in ((AttackConfig(target=v0, budget=1), None),
                            (AttackConfig(target=v0, budget=1, mode=INFLUENCER),
                             (a, b, nbrs[0]))):
@@ -147,12 +146,12 @@ def test_candidate_edges_match_scratch_filter():
                 pair = (min(att, x), max(att, x))
                 if cfg.mode == INFLUENCER and v0 in pair:
                     continue
-                if g.has_edge(*pair) and v0 in pair and g.degree(v0) == 1:
+                if pair[1] in g.neighbors(pair[0]) and v0 in pair and g.degree(v0) == 1:
                     continue
                 if lambda_statistic(g.degrees, g.flip_edge(*pair).degrees, 2) < 0.004:
                     want.add(pair)
         assert cands.pairs.tolist() == [list(p) for p in sorted(want)]  # each once
-        assert cands.is_edge.tolist() == [g.has_edge(*p) for p in sorted(want)]
+        assert cands.is_edge.tolist() == [p[1] in g.neighbors(p[0]) for p in sorted(want)]
 
 
 def test_candidate_edges_influencer_excludes_target():
@@ -264,10 +263,10 @@ def test_candidate_features_rules():
     a = 4
     cands = candidate_features(feature_mask(g, a), coidx.allowed_additions(a))
     for i in range(6):
-        if g.has_feature(a, i):
+        if i in g.features_of(a):
             assert cands[i]  # removal always legal
         else:
-            assert cands[i] == feature_addition_allowed(coidx, a, i)
+            assert cands[i] == coidx.allowed_additions(a)[i]
 
 
 def test_candidate_features_unconstrained_full_grid():
@@ -354,7 +353,7 @@ def test_score_features_match_rebuild_oracle():
     for u in (v0, 4):
         scores = score_features(row, logits, model.weights, u, feature_mask(g, u), c_old)
         for i in range(10):
-            exact = surrogate_loss_scratch(g.flip_feature(u, i), model.weights, v0, c_old)
+            exact = surrogate_loss_scratch(flipped_feature(g, u, i), model.weights, v0, c_old)
             assert scores[i] == pytest.approx(exact, abs=1e-9)
 
 
@@ -371,7 +370,7 @@ def test_score_features_best_wrong_class_switch_exact():
     logits = row @ (g.feature_matrix() @ w)
     assert int(np.argmax(logits[1:])) + 1 == 1  # best wrong class before
     scores = score_features(row, logits, w, v0, feature_mask(g, v0), c_old)
-    exact = surrogate_loss_scratch(g.flip_feature(v0, 1), w, v0, c_old)
+    exact = surrogate_loss_scratch(flipped_feature(g, v0, 1), w, v0, c_old)
     assert exact == pytest.approx(0.5, abs=1e-12)  # class 2 now leads
     assert scores[1] == pytest.approx(exact, abs=1e-12)
 
@@ -486,7 +485,7 @@ def exhaustive_best_single_flip(g, model, cfg, c_old):
             pair = (min(a, x), max(a, x))
             if cfg.mode == INFLUENCER and v0 in pair:
                 continue
-            if g.has_edge(*pair) and v0 in pair and g.degree(v0) == 1:
+            if pair[1] in g.neighbors(pair[0]) and v0 in pair and g.degree(v0) == 1:
                 continue
             if cfg.constrained:
                 lam = lambda_statistic(g.degrees, g.flip_edge(*pair).degrees,
@@ -497,10 +496,10 @@ def exhaustive_best_single_flip(g, model, cfg, c_old):
             if best is None or loss > best:
                 best = loss
         for i in range(g.n_features):
-            if not g.has_feature(a, i) and cfg.constrained and \
-                    not feature_addition_allowed(coidx, a, i):
+            if i not in g.features_of(a) and cfg.constrained and \
+                    not coidx.allowed_additions(a)[i]:
                 continue
-            loss = surrogate_loss_scratch(g.flip_feature(a, i), model.weights, v0, c_old)
+            loss = surrogate_loss_scratch(flipped_feature(g, a, i), model.weights, v0, c_old)
             if best is None or loss > best:
                 best = loss
     return best
@@ -726,7 +725,7 @@ def test_apply_result_repeated_pair_equals_sequential():
     for p in res.perturbations:
         seq.apply_inplace(p)
     assert apply_result(g, res) == seq
-    assert apply_result(g, res) == g.flip_feature(3, 2).flip_edge(4, 7)
+    assert apply_result(g, res) == flipped_feature(g, 3, 2).flip_edge(4, 7)
 
 
 def test_resolve_attackers_influencer_fill():

@@ -136,9 +136,10 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "plan-seeds-empty", "plan-count-a-string",
                                   "plan-runs-a-fraction", "plan-tau-not-a-number",
                                   "plan-fraction-a-string", "plan-fraction-zero",
-                                  "plan-fraction-nan", "model-missing-shape",
-                                  "model-too-few-classes", "model-too-few-features",
-                                  "model-nan-weight",
+                                  "plan-fraction-nan", "plan-fraction-above-one",
+                                  "model-missing-shape", "model-too-few-classes",
+                                  "model-too-few-features", "model-nan-weight",
+                                  "model-classes-disagree", "model-epochs-not-integer",
                                   "targets-not-integers", "split-out-of-range",
                                   "split-overlap", "split-missing-key",
                                   "meta-not-an-object", "meta-null-count",
@@ -167,6 +168,7 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "plan-fraction-a-string": {**plan, "limited_fractions": ["a"]},
         "plan-fraction-zero": {**plan, "limited_fractions": [0]},
         "plan-fraction-nan": {**plan, "limited_fractions": [float("nan")]},
+        "plan-fraction-above-one": {**plan, "limited_fractions": [1.0, 1.5]},
         "model-missing-shape": {"weights": [0.0] * (3 * g.n_features), "n_classes": 3},
         "model-too-few-classes": {"shape": [g.n_features, 2],
                                   "weights": [0.0] * (2 * g.n_features), "n_classes": 2},
@@ -175,6 +177,11 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "model-nan-weight": {"shape": [g.n_features, 3],
                              "weights": [float("nan")] + [0.0] * (3 * g.n_features - 1),
                              "n_classes": 3},
+        "model-classes-disagree": {"shape": [g.n_features, 3],
+                                   "weights": [0.0] * (3 * g.n_features), "n_classes": 9},
+        "model-epochs-not-integer": {"shape": [g.n_features, 3],
+                                     "weights": [0.0] * (3 * g.n_features), "n_classes": 3,
+                                     "epochs_run": "ten"},
         "targets-not-integers": [1, "5"],
         "split-out-of-range": {**split, "validation_ids": [3, 4, 999]},
         "split-overlap": {**split, "validation_ids": [2, 3, 4]},
@@ -223,6 +230,7 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "plan-fraction-a-string": (["experiment", "--plan", str(data)], "limited_fractions"),
         "plan-fraction-zero": (["experiment", "--plan", str(data)], "limited_fractions"),
         "plan-fraction-nan": (["experiment", "--plan", str(data)], "limited_fractions"),
+        "plan-fraction-above-one": (["experiment", "--plan", str(data)], "limited_fractions"),
         "model-missing-shape": (["attack", "--in", str(path), "--target", "1",
                                  "--model", str(data), "--out", str(out)], "shape"),
         "model-too-few-classes": (attack, f"{[g.n_features, 2]} does not match "
@@ -230,6 +238,8 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "model-too-few-features": (attack, f"{[g.n_features - 1, 3]} does not match "
                                            f"the graph's [D, K] = {graph_shape}"),
         "model-nan-weight": (attack, "finite"),
+        "model-classes-disagree": (attack, "'n_classes'"),
+        "model-epochs-not-integer": (attack, "'epochs_run'"),
         "targets-not-integers": (evaluate + ["--split", str(tmp_path / "split.json"),
                                              "--targets", str(data)], "--targets"),
         "split-out-of-range": (["train-surrogate", "--in", str(path), "--split", str(data),

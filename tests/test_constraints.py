@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nettack.constraints import (DegreeTestError,
-                                 DegreeTestState, build_cooccurrence,
-                                 feature_addition_allowed, lambda_statistic)
+from nettack.constraints import (DegreeTestError, DegreeTestState, alpha_from_stats,
+                                 build_cooccurrence, lambda_statistic)
 from nettack.graph import AttributedGraph
 from helpers import (brute_cooccurrence, estimate_alpha, evaluate_edge,
                      powerlaw_loglikelihood, random_graph, zeta_sample)
@@ -114,9 +113,9 @@ def test_incremental_involution():
     g = random_graph(30, 0.15, seed=6)
     state = DegreeTestState.from_graph(g, d_min=2)
     n0, r0 = state.n_cur, state.log_sum_cur
-    state.commit_edge(int(g.degrees[1]), int(g.degrees[2]), int(g.has_edge(1, 2)))
+    state.commit_edge(int(g.degrees[1]), int(g.degrees[2]), int(2 in g.neighbors(1)))
     g.flip_edge_inplace(1, 2)
-    state.commit_edge(int(g.degrees[1]), int(g.degrees[2]), int(g.has_edge(1, 2)))
+    state.commit_edge(int(g.degrees[1]), int(g.degrees[2]), int(2 in g.neighbors(1)))
     g.flip_edge_inplace(1, 2)
     assert state.n_cur == n0
     assert state.log_sum_cur == pytest.approx(r0, abs=1e-12)
@@ -140,7 +139,7 @@ def test_incremental_matches_scratch_over_candidates():
         if m == n:
             continue
         m, n = int(m), int(n)
-        a_mn = int(g.has_edge(m, n))
+        a_mn = int(n in g.neighbors(m))
         cand = evaluate_edge(state, int(g.degrees[m]), int(g.degrees[n]), a_mn)
         alpha_new, ll_new, lam = cand.alpha_new, cand.loglik_new, cand.lam
         g2 = g.flip_edge(m, n)
@@ -164,13 +163,15 @@ def test_incremental_state_equals_rebuild(seed):
         if m == n:
             continue
         m, n = int(m), int(n)
-        state.commit_edge(int(g.degrees[m]), int(g.degrees[n]), int(g.has_edge(m, n)))
+        state.commit_edge(int(g.degrees[m]), int(g.degrees[n]), int(n in g.neighbors(m)))
         g.flip_edge_inplace(m, n)
     fresh = DegreeTestState.from_graph(g, d_min=2)
     assert state.n_cur == fresh.n_cur
     assert state.log_sum_cur == pytest.approx(fresh.log_sum_cur, abs=1e-9)
     if state.n_cur:
-        assert state.alpha == pytest.approx(fresh.alpha, abs=1e-9)
+        assert alpha_from_stats(state.n_cur, state.log_sum_cur, state.d_min) == \
+            pytest.approx(alpha_from_stats(fresh.n_cur, fresh.log_sum_cur, fresh.d_min),
+                          abs=1e-9)
 
 
 def test_cooccurrence_single_pair():
@@ -224,7 +225,7 @@ def test_cooccurrence_gate_matches_loop_reference():
 def test_feature_addition_original_always_allowed():
     g = AttributedGraph.from_edges(2, 4, [], [(0, 1), (0, 2), (1, 3)])
     idx = build_cooccurrence(g)
-    assert feature_addition_allowed(idx, 0, 1)
+    assert idx.allowed_additions(0)[1]
 
 
 def test_feature_addition_full_cooccurrence_allowed():
@@ -233,21 +234,21 @@ def test_feature_addition_full_cooccurrence_allowed():
     g = AttributedGraph.from_edges(3, 4, [], [(0, 0), (0, 1),
                                               (1, 0), (1, 3), (2, 1), (2, 3)])
     idx = build_cooccurrence(g)
-    assert feature_addition_allowed(idx, 0, 3)
+    assert idx.allowed_additions(0)[3]
 
 
 def test_feature_addition_disconnected_feature_blocked():
     g = AttributedGraph.from_edges(2, 4, [], [(0, 0), (0, 1), (1, 2), (1, 3)])
     idx = build_cooccurrence(g)
     # features 2,3 never co-occur with node 0's originals {0,1}
-    assert not feature_addition_allowed(idx, 0, 2)
-    assert not feature_addition_allowed(idx, 0, 3)
+    assert not idx.allowed_additions(0)[2]
+    assert not idx.allowed_additions(0)[3]
 
 
 def test_feature_addition_empty_set_blocked():
     g = AttributedGraph.from_edges(2, 3, [], [(1, 0), (1, 1)])
     idx = build_cooccurrence(g)
-    assert not feature_addition_allowed(idx, 0, 0)
+    assert not idx.allowed_additions(0)[0]
 
 
 def test_allowed_additions_frozen_against_graph_changes():

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from nettack.data import (BundleError, DataSplit, extract_lcc, load_bundle,
                           load_bundle_stats, make_split, save_bundle, write_json)
-from nettack.graph import AttributedGraph, GraphError, connected_components
+from nettack.graph import AttributedGraph, GraphError
 from helpers import random_graph
 
 
@@ -69,6 +70,13 @@ def test_lcc_tie_break_two_triangles():
     assert sub.n_nodes == 3
     assert list(mapping) == [0, 1, 2]  # smallest-id component wins the tie
     assert sub.edge_list() == [(0, 1), (0, 2), (1, 2)]
+    # An isolated node 0 comes first, and the tied triangles {1, 4, 5} and
+    # {2, 3, 6} interleave their ids: the one holding the smaller id wins.
+    g = AttributedGraph.from_edges(7, 0, [(1, 4), (4, 5), (1, 5),
+                                          (2, 3), (3, 6), (2, 6)])
+    sub, mapping = extract_lcc(g)
+    assert list(mapping) == [1, 4, 5]
+    assert sub.edge_list() == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_lcc_connected_graph_identity():
@@ -83,7 +91,7 @@ def test_lcc_connected_graph_identity():
 def test_lcc_output_connected():
     g = random_graph(40, 0.05, seed=9)
     sub, _ = extract_lcc(g)
-    assert len(connected_components(sub)) == 1
+    assert csgraph.connected_components(sub.adj, directed=False)[0] == 1
 
 
 def test_lcc_keeps_labels_and_features():
@@ -92,7 +100,7 @@ def test_lcc_keeps_labels_and_features():
     sub, mapping = extract_lcc(g)
     assert list(mapping) == [1, 2, 3]
     assert list(sub.labels) == [2, 1, 2]
-    assert sub.has_feature(1, 1)
+    assert 1 in sub.features_of(1)
 
 
 def test_lcc_empty_graph_rejected():

@@ -128,7 +128,7 @@ def test_limited_knowledge_induced_subgraph_correct(small_world):
     for new_u, orig_u in enumerate(mapping):
         for orig_v in g.neighbors(int(orig_u)):
             if int(orig_v) in inverse:
-                assert sub.has_edge(new_u, inverse[int(orig_v)])
+                assert inverse[int(orig_v)] in sub.neighbors(new_u)
         assert np.array_equal(sub.features_of(new_u), g.features_of(int(orig_u)))
         assert sub.labels[new_u] == g.labels[int(orig_u)]
 
@@ -137,6 +137,8 @@ def test_limited_knowledge_rejects_bad_fraction(small_world):
     g, _, _, _ = small_world
     with pytest.raises(ValueError):
         limited_knowledge_subgraph(g, 0, 0.0)
+    with pytest.raises(ValueError):
+        limited_knowledge_subgraph(g, 0, 1.5)
 
 
 def test_degree_bucket_report_rows_and_omission():
@@ -452,6 +454,9 @@ def test_reproduction_summary_structure(tmp_path):
 
 def test_run_attack_by_name_full_roster(small_world):
     from nettack.experiment import run_attack_by_name
+    # Each run's seed holds its attack's index in this order.
+    assert ExperimentPlan(dataset="d", out_dir="o").attacks == (
+        "nettack", "nettack-in", "fgsm", "rnd", "nettack-u")
     g, split, na, model = small_world
     v0 = int(split.unlabeled_ids[0])
     budget = g.degree(v0) + 2

@@ -134,7 +134,7 @@ def batched_and_loop_losses(g, w, v0, pairs, c_old=0):
     na = NormalizedAdjacency.build(g)
     row, cvals = na.square_row(v0), g.feature_matrix() @ w
     pairs = np.asarray(pairs)
-    a_mn = np.array([g.has_edge(m, n) for m, n in pairs.tolist()])
+    a_mn = np.array([n in g.neighbors(m) for m, n in pairs.tolist()])
     got = -margin(edge_flip_logits(row, g, cvals, v0, pairs, a_mn).T, c_old)
     want = [-margin(updated_square_row_from(row, g, m, n, v0) @ cvals,
                     c_old) for m, n in pairs.tolist()]
@@ -177,7 +177,7 @@ def test_edge_flip_losses_match_row_update_influencers():
     w = np.random.default_rng(5).normal(size=(8, 3))
     v0 = int(np.argmax(g.degrees))
     near = int(g.neighbors(v0)[0])
-    far = next(x for x in range(40) if x != v0 and not g.has_edge(v0, x))
+    far = next(x for x in range(40) if x != v0 and x not in g.neighbors(v0))
     pairs = sorted(set(flips_of(near, 40, skip=(v0,)) + flips_of(far, 40, skip=(v0,))))
     got, want, a_mn = batched_and_loop_losses(g, w, v0, pairs, c_old=1)
     assert a_mn.any()
