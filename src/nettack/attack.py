@@ -33,9 +33,9 @@ from .constraints import (DegreeTestState, build_cooccurrence, lambda_statistic,
                           DEFAULT_D_MIN, DEFAULT_TAU)
 from .data import write_json
 from .graph import (EDGE, FEATURE, AttributedGraph, GraphError, Perturbation,
-                    check_target, is_finite_number, is_int, nan_to_none, none_to_nan)
-from .surrogate import (NormalizedAdjacency, SurrogateModel, edge_flip_logits,
-                        infer_old_class, margin, updated_square_row_from)
+                    check_target, is_finite_number, is_int, nan_to_none, require_int)
+from .surrogate import (NormalizedAdjacency, SurrogateModel, edge_flip_logits, margin,
+                        updated_square_row_from)
 
 DIRECT = "direct"
 INFLUENCER = "influencer"
@@ -64,10 +64,7 @@ class AttackConfig:
         if not is_int(self.target):
             raise ValueError(f"target must be an integer, got {self.target!r}")
         for name, least in (("seed", 0), ("budget", 1), ("n_influencers", 1), ("d_min", 1)):
-            value = getattr(self, name)
-            if not (is_int(value) and value >= least):
-                raise ValueError(f"{name} must be an integer of at least {least}, "
-                                 f"got {value!r}")
+            require_int(name, getattr(self, name), least)
         if not is_finite_number(self.tau):
             raise ValueError(f"tau must be a finite number, got {self.tau!r}")
         if self.mode not in (DIRECT, INFLUENCER):
@@ -110,20 +107,6 @@ class AttackResult:
             "feature_checks": self.feature_checks,
             "starved": bool(self.starved),
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AttackResult":
-        return AttackResult(
-            target=int(d["target"]), attackers=tuple(d["attackers"]),
-            budget=int(d["budget"]), mode=d["mode"],
-            constrained=bool(d["constrained"]),
-            perturbations=[Perturbation.from_dict(p) for p in d["perturbations"]],
-            initial_loss=none_to_nan(d["initial_loss"]),
-            loss_trace=[none_to_nan(v) for v in d["loss_trace"]],
-            lambda_trace=[float(v) for v in d["lambda_trace"]],
-            feature_checks=list(d["feature_checks"]),
-            starved=bool(d["starved"]),
-        )
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict(), indent=1)
@@ -168,7 +151,7 @@ class EdgeCandidates:
 
 
 def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
-                    attackers: tuple[int, ...] | None = None) -> EdgeCandidates:
+                    attackers: tuple[int, ...]) -> EdgeCandidates:
     """Structurally admissible edge flips, sorted by (m, n) with m < n.
 
     A pair is a candidate when one endpoint is an attacker and - in
@@ -177,8 +160,6 @@ def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
     scores: `run_nettack` sets -inf on the target's last edge (removing it
     would isolate the target) and `gate_from_top` applies the degree test.
     """
-    if attackers is None:
-        attackers = resolve_attackers(g, cfg)
     v0, n_nodes = cfg.target, g.n_nodes
     att, others = np.asarray(attackers)[:, None], np.arange(n_nodes)[None, :]
     is_attacker = np.zeros(n_nodes, dtype=bool)
@@ -285,26 +266,26 @@ class _Run:
 
     Holds the graph, the target's squared-adjacency row, the X W product
     C, the degree-test state and the result log; `commit` advances all of
-    them past one flip. The clean graph's context `na` (built here when
-    not given) is only read.
+    them past one flip. The clean graph's context `na` is only read. The
+    reference class is the target's label, or else the surrogate's
+    clean-graph prediction from the row and C held here.
     """
 
     def __init__(self, g0: AttributedGraph, model: SurrogateModel,
-                 cfg: AttackConfig, na: NormalizedAdjacency | None,
+                 cfg: AttackConfig, na: NormalizedAdjacency,
                  attackers: tuple[int, ...] | None = None, constrained: bool = False):
         shape, want = list(model.weights.shape), [g0.n_features, g0.n_classes]
         if shape != want:
             raise ValueError(f"surrogate model shape {shape} does not match "
                              f"the graph's [D, K] = {want}")
-        if na is None:
-            na = NormalizedAdjacency.build(g0)
         self.na = na
         self.v0 = v0 = cfg.target
         self.g = g0.copy()
         self.w = model.weights
         self.row = na.square_row(v0)
         self.cvals = self.g.feat @ self.w  # one row moves per feature flip
-        self.c_old = infer_old_class(na, g0, model, v0)
+        self.c_old = (int(g0.labels[v0] - 1) if g0.labels[v0] > 0
+                      else int(np.argmax(self.row @ self.cvals)))
         self.degree_state = DegreeTestState.from_graph(g0, cfg.d_min, cfg.tau,
                                                        cfg.eq7_as_printed)
         self.result = AttackResult(target=v0, attackers=attackers or (v0,),
@@ -334,7 +315,7 @@ class _Run:
 
 
 def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
-                na: NormalizedAdjacency | None = None) -> AttackResult:
+                na: NormalizedAdjacency) -> AttackResult:
     """Greedy budgeted attack on one target node.
 
     Applies up to `budget` flips, each step taking the admissible flip
@@ -406,7 +387,7 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
 
 
 def rnd_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
-                 na: NormalizedAdjacency | None = None) -> AttackResult:
+                 na: NormalizedAdjacency) -> AttackResult:
     """Random cross-class edge insertions at the target, no constraints."""
     if cfg.mode != DIRECT:
         raise ValueError("the random baseline only runs as a direct attack")
@@ -460,7 +441,7 @@ def _structure_gradient(g: AttributedGraph, row2: np.ndarray, q: np.ndarray,
 
 
 def fgsm_baseline(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
-                  na: NormalizedAdjacency | None = None) -> AttackResult:
+                  na: NormalizedAdjacency) -> AttackResult:
     """Sign-gradient direct attack: flip the entry with the largest
     usable gradient each step, then re-evaluate exactly.
 
@@ -520,8 +501,7 @@ def apply_result(g0: AttributedGraph, result: AttackResult) -> AttributedGraph:
 
 
 def replay_constraints(g0: AttributedGraph, result: AttackResult,
-                       d_min: int = DEFAULT_D_MIN, tau: float = DEFAULT_TAU,
-                       as_printed: bool = False) -> dict:
+                       d_min: int = DEFAULT_D_MIN, tau: float = DEFAULT_TAU) -> dict:
     """Re-run every logged flip through from-scratch constraint checks.
 
     Independent of the incremental machinery: the degree statistic is
@@ -536,7 +516,7 @@ def replay_constraints(g0: AttributedGraph, result: AttackResult,
     for step, p in enumerate(result.perturbations):
         if p.kind == EDGE:
             g.flip_edge_inplace(p.u, p.v)
-            lam = lambda_statistic(deg0, g.degrees, d_min, as_printed)
+            lam = lambda_statistic(deg0, g.degrees, d_min)
             lam_trace.append(lam)
             if lam >= tau:
                 violations.append({"step": step, "kind": EDGE, "lambda": lam})

@@ -73,14 +73,13 @@ def lambda_from_stats(n0: int, r0: float, n1: int, r1: float, d_min: int,
     return -2.0 * lc + 2.0 * (l0 + l1)
 
 
-def lambda_statistic(deg0, deg1, d_min: int = DEFAULT_D_MIN,
-                     as_printed: bool = False) -> float:
+def lambda_statistic(deg0, deg1, d_min: int = DEFAULT_D_MIN) -> float:
     """Two-sample degree-distribution test statistic (multiset inputs)."""
     n0, r0 = _filtered_stats(deg0, d_min)
     n1, r1 = _filtered_stats(deg1, d_min)
     if n0 == 0 or n1 == 0:
         raise DegreeTestError("both degree samples need entries at or above d_min")
-    return lambda_from_stats(n0, r0, n1, r1, d_min, as_printed)
+    return lambda_from_stats(n0, r0, n1, r1, d_min)
 
 
 @dataclass
@@ -153,7 +152,6 @@ class CooccurrenceIndex:
     """
 
     cooc: sp.csr_matrix          # binary feature-feature co-occurrence
-    feature_degrees: np.ndarray  # degree of each feature in the co-occurrence graph
     features: sp.csr_matrix      # the clean graph's boolean node-feature matrix
     sigma: np.ndarray            # per-node acceptance threshold
     walk_rows: sp.csr_matrix     # cooc with row j scaled by 1/degree(j)
@@ -188,5 +186,4 @@ def build_cooccurrence(g0: AttributedGraph) -> CooccurrenceIndex:
     n_feats = np.diff(g0.feat.indptr)
     sigma = np.divide(0.5 * (g0.feat @ inv_deg), n_feats,
                       out=np.zeros(g0.n_nodes), where=n_feats > 0)
-    return CooccurrenceIndex(cooc=cooc, feature_degrees=deg, features=g0.feat,
-                             sigma=sigma, walk_rows=walk_rows)
+    return CooccurrenceIndex(cooc=cooc, features=g0.feat, sigma=sigma, walk_rows=walk_rows)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csgraph
 
-from .graph import AttributedGraph, GraphError, induced_subgraph, is_int
+from .graph import AttributedGraph, GraphError, induced_subgraph, is_int, require_int
 
 log = logging.getLogger(__name__)
 
@@ -214,8 +214,7 @@ def extract_lcc(g: AttributedGraph) -> tuple[AttributedGraph, np.ndarray]:
 
 def make_split(g: AttributedGraph, seed: int) -> DataSplit:
     """Uniform 10% train / 10% validation / 80% unlabeled node split."""
-    if not (is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
+    require_int("seed", seed, 0)
     n = g.n_nodes
     if n < 10:
         raise BundleError("need at least 10 nodes to split")

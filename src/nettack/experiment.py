@@ -34,7 +34,8 @@ from .attack import (AttackConfig, AttackResult, INFLUENCER, apply_result,
 from .constraints import DEFAULT_D_MIN, DEFAULT_TAU
 from .data import BUNDLE_FILES, DataSplit, json_object, load_bundle, make_split, write_json
 from .gcn import GcnConfig, evasion_eval, poisoning_eval, train_gcn
-from .graph import EDGE, AttributedGraph, induced_subgraph, is_finite_number, is_int
+from .graph import (EDGE, AttributedGraph, induced_subgraph, is_finite_number, is_int,
+                    require_int)
 from .surrogate import (NormalizedAdjacency, SurrogateModel, margin, softmax,
                         surrogate_logits, train_surrogate)
 
@@ -85,10 +86,7 @@ class ExperimentPlan:
                 raise ValueError(f"unknown attack {a!r}; choose from {ATTACK_NAMES}")
         for name, least in (("n_high", 0), ("n_low", 0), ("n_random", 0),
                             ("budget_offset", 0), ("poisoning_runs", 1), ("d_min", 1)):
-            value = getattr(self, name)
-            if not (is_int(value) and value >= least):
-                raise ValueError(f"plan key {name!r} must be an integer of at least "
-                                 f"{least}, got {value!r}")
+            require_int(f"plan key {name!r}", getattr(self, name), least)
         if not is_finite_number(self.tau):
             raise ValueError(f"plan key 'tau' must be a finite number, got {self.tau!r}")
         if not all(is_finite_number(f) and 0 < f <= 1 for f in self.limited_fractions):

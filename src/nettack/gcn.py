@@ -40,8 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DataSplit
-from .graph import (AttributedGraph, GraphError, check_target, is_finite_number, is_int,
-                    nan_to_none)
+from .graph import (AttributedGraph, GraphError, check_target, is_finite_number, nan_to_none,
+                    require_int)
 from .surrogate import (TrainingError, margin, mean_cross_entropy,
                         normalized_adjacency_matrix, softmax, training_labels)
 
@@ -58,8 +58,7 @@ class GcnConfig:
     def __post_init__(self):
         """Reject settings that cannot train, naming the field."""
         for name in ("hidden", "max_epochs", "patience"):
-            value = getattr(self, name)
-            self._require(name, is_int(value) and value >= 1, "an integer of at least 1")
+            require_int(f"GcnConfig.{name}", getattr(self, name), 1)
         for name in ("learning_rate", "dropout", "weight_decay"):
             self._require(name, is_finite_number(getattr(self, name)), "a finite number")
         self._require("learning_rate", self.learning_rate > 0, "above 0")
@@ -75,7 +74,6 @@ class GcnConfig:
 class GcnModel:
     w1: np.ndarray  # (D, H)
     w2: np.ndarray  # (H, K)
-    seed: int = 0
     epochs_run: int = 0
 
 
@@ -228,8 +226,7 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
     the stack when it stops.
     """
     for seed in seeds:
-        if not (is_int(seed) and seed >= 0):
-            raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
+        require_int("seed", seed, 0)
     y = training_labels(g, split)
     k = g.n_classes
     p = _Problem(ahat, x, y, split.train_ids, split.validation_ids)
@@ -297,8 +294,8 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
     if errors:  # the error a sequential loop over the seeds would meet first
         raise TrainingError(errors[min(errors)])
     return [GcnModel(w1=best_w1[:, i * hid:(i + 1) * hid].copy(), w2=best_w2[i].copy(),
-                     seed=seed, epochs_run=int(epochs_run[i]))
-            for i, seed in enumerate(seeds)]
+                     epochs_run=int(epochs_run[i]))
+            for i in range(len(seeds))]
 
 
 def train_gcn(g: AttributedGraph, split: DataSplit, seed: int,
@@ -343,6 +340,11 @@ def evasion_eval(model_clean: GcnModel, g_attacked: AttributedGraph,
                  targets) -> MarginReport:
     """Margins under clean-graph weights evaluated on the perturbed graph:
     the one-model case of the poisoning report."""
+    shape = [model_clean.w1.shape[0], model_clean.w2.shape[1]]
+    want = [g_attacked.n_features, g_attacked.n_classes]
+    if shape != want:
+        raise ValueError(f"victim model [D, K] = {shape} does not match "
+                         f"the graph's [D, K] = {want}")
     return _target_report(g_attacked, [model_clean], _target_rows(g_attacked, targets),
                           normalized_adjacency_matrix(g_attacked), g_attacked.feature_matrix())
 

@@ -33,14 +33,15 @@ def nan_to_none(x: float) -> float | None:
     return None if np.isnan(x) else x
 
 
-def none_to_nan(x: float | None) -> float:
-    """Inverse of `nan_to_none` for values read back from JSON."""
-    return float("nan") if x is None else float(x)
-
-
 def is_int(x) -> bool:
     """An integer that is not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def require_int(what: str, value, least: int) -> None:
+    """Reject `value` unless it is an integer (not a bool) of at least `least`."""
+    if not (is_int(value) and value >= least):
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
 
 
 def is_finite_number(x) -> bool:
@@ -76,13 +77,6 @@ class Perturbation:
             "insert": bool(self.insert),
             "score": nan_to_none(self.score),
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Perturbation":
-        return Perturbation(
-            kind=d["kind"], u=int(d["u"]), v=int(d["v"]),
-            insert=bool(d["insert"]), score=none_to_nan(d.get("score")),
-        )
 
 
 def _bool_csr(rows, cols, shape: tuple[int, int]) -> sp.csr_matrix:

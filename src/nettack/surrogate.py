@@ -185,7 +185,6 @@ class SurrogateModel:
     weights: np.ndarray  # (D, K)
     n_classes: int
     epochs_run: int = 0
-    train_loss: float = float("nan")
     validation_loss: float = float("nan")
 
     def to_dict(self) -> dict:
@@ -257,7 +256,6 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
     best_b = b
     best_val = np.inf
     stale = 0
-    train_loss = np.nan
     epoch = 0
     for epoch in range(1, MAX_EPOCHS + 1):
         grad_out = probs[:n_train]
@@ -281,7 +279,6 @@ def train_surrogate(g: AttributedGraph, na: NormalizedAdjacency,
                 break
 
     return SurrogateModel(weights=m[:n_train].T @ best_b, n_classes=k, epochs_run=epoch,
-                          train_loss=train_loss,
                           validation_loss=float(best_val) if np.isfinite(best_val) else float("nan"))
 
 
@@ -312,12 +309,3 @@ def margin(scores: np.ndarray, ref) -> np.ndarray:
     own = np.take_along_axis(
         scores, np.broadcast_to(ref, scores.shape[:-1])[..., None], -1)[..., 0]
     return own - np.where(np.arange(k) == ref[..., None], -np.inf, scores).max(-1)
-
-
-def infer_old_class(na: NormalizedAdjacency, g: AttributedGraph,
-                    model: SurrogateModel, v0: int) -> int:
-    """Reference class for a target: its label when known, else the
-    surrogate's clean-graph prediction. Returned 0-based."""
-    if g.labels[v0] > 0:
-        return int(g.labels[v0] - 1)
-    return int(np.argmax(na.square_row(v0) @ (g.feature_matrix() @ model.weights)))

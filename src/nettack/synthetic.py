@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import AttributedGraph, is_int
+from .graph import AttributedGraph, require_int
 
 
 def planted_partition(n_nodes: int = 500, n_classes: int = 4,
@@ -31,9 +31,8 @@ def planted_partition(n_nodes: int = 500, n_classes: int = 4,
     elevated probability; everything else is sparse background noise.
     """
     # A lone node has no other node to attach to.
-    for name, value, low in (("n_nodes", n_nodes, 2), ("n_classes", n_classes, 1)):
-        if not (is_int(value) and value >= low):
-            raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    require_int("n_nodes", n_nodes, 2)
+    require_int("n_classes", n_classes, 1)
     if markers_per_class * n_classes > n_features:
         raise ValueError("marker blocks exceed the feature count")
     rng = np.random.default_rng(seed)

@@ -22,9 +22,8 @@ from nettack.cli import main as cli_main
 from nettack.data import extract_lcc, load_bundle, make_split, save_bundle
 from nettack.experiment import ExperimentPlan, run_experiment
 from nettack.graph import AttributedGraph
-from nettack.surrogate import (NormalizedAdjacency, infer_old_class,
-                               normalized_adjacency_matrix, train_surrogate,
-                               updated_square_row_from)
+from nettack.surrogate import (NormalizedAdjacency, normalized_adjacency_matrix,
+                               train_surrogate, updated_square_row_from)
 from nettack.synthetic import planted_partition
 from helpers import (dense_square, estimate_alpha, evaluate_edge, gcn_loss_and_grads,
                      powerlaw_loglikelihood, random_graph, reproduction_summary,
@@ -134,7 +133,7 @@ def test_criterion_3_greedy_optimality_budget_one():
         v0 = int(rng.integers(n))
         cfg = AttackConfig(target=v0, budget=1, constrained=bool(graphs % 2))
         res = run_nettack(g, model, cfg, na=na)
-        c_old = infer_old_class(na, g, model, v0)
+        c_old = int(g.labels[v0] - 1)
         want = exhaustive_best_single_flip(g, model, cfg, c_old)
         if want is None:
             assert res.starved

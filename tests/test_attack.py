@@ -16,7 +16,7 @@ from nettack.constraints import DegreeTestState, build_cooccurrence, lambda_stat
 from nettack.data import make_split
 from nettack.graph import AttributedGraph, EDGE, FEATURE, GraphError, Perturbation
 from nettack.surrogate import (NormalizedAdjacency, SurrogateModel,
-                               infer_old_class, margin, normalized_adjacency_matrix,
+                               margin, normalized_adjacency_matrix,
                                surrogate_logits, train_surrogate,
                                updated_square_row_from)
 from helpers import flipped_feature, random_graph, surrogate_loss_scratch
@@ -57,7 +57,7 @@ def run_steps(monkeypatch, g, model, cfg):
 
     monkeypatch.setattr(attack, "edge_flip_logits", equal_logits)
     monkeypatch.setattr(attack, "updated_square_row_from", rescored)
-    return run_nettack(g, model, cfg), steps
+    return run_nettack(g, model, cfg, NormalizedAdjacency.build(g)), steps
 
 
 def scratch_candidates(g, cfg, attackers):
@@ -93,7 +93,7 @@ def test_candidate_edges_unconstrained_direct_all_pairs():
     g = random_graph(12, 0.3, seed=2)
     v0 = max(range(12), key=g.degree)  # degree >= 2, so no isolation guard
     cfg = AttackConfig(target=v0, budget=1, constrained=False)
-    cands = candidate_edges(g, cfg)
+    cands = candidate_edges(g, cfg, (v0,))
     assert len(cands) == g.n_nodes - 1
     assert all(v0 in pair for pair in pair_set(cands))
 
@@ -116,8 +116,8 @@ def test_candidate_edges_lambda_gate_excludes():
     g = random_graph(40, 0.08, seed=5)
     cfg = AttackConfig(target=0, budget=1, constrained=True, tau=1e-6)
     state = DegreeTestState.from_graph(g, d_min=2, tau=1e-6)
-    gated = pair_set(admitted(g, candidate_edges(g, cfg), state))
-    ungated = pair_set(candidate_edges(g, cfg))
+    gated = pair_set(admitted(g, candidate_edges(g, cfg, (0,)), state))
+    ungated = pair_set(candidate_edges(g, cfg, (0,)))
     dropped = ungated - gated
     assert dropped  # a tiny threshold must exclude something
     for (m, n) in dropped:
@@ -134,12 +134,12 @@ def test_candidate_edges_match_scratch_filter():
     state = DegreeTestState.from_graph(g, d_min=2, tau=0.004)
     nbrs = g.neighbors(v0).tolist()
     a, b = next((a, b) for a in nbrs for b in nbrs if a < b and b in g.neighbors(a))
-    for cfg, attackers in ((AttackConfig(target=v0, budget=1), None),
+    for cfg, attackers in ((AttackConfig(target=v0, budget=1), (v0,)),
                            (AttackConfig(target=v0, budget=1, mode=INFLUENCER),
                             (a, b, nbrs[0]))):
         cands = admitted(g, candidate_edges(g, cfg, attackers), state)
         want = set()
-        for att in attackers or resolve_attackers(g, cfg):
+        for att in attackers:
             for x in range(100):
                 if x == att:
                     continue
@@ -215,7 +215,7 @@ def test_gate_from_top_matches_per_pair_filter(seed, tau, influencer):
         attackers = tuple(sorted((a, b, c)))
     else:
         cfg = AttackConfig(target=int(rng.integers(30)), budget=1, tau=tau)
-        attackers = None
+        attackers = (cfg.target,)
     cands = candidate_edges(g, cfg, attackers)
     levels = rng.normal(size=rng.integers(1, 4))
     jitter = np.array([0.0, 0.0, 0.4, -0.4, 0.9, 3.0]) * NEAR_TIE
@@ -244,7 +244,7 @@ def test_gate_from_top_matches_per_pair_filter(seed, tau, influencer):
 def test_gate_from_top_asks_once_for_a_clear_winner():
     g = random_graph(60, 0.08, seed=3)
     cfg = AttackConfig(target=int(np.argmax(g.degrees)), budget=1)
-    cands = candidate_edges(g, cfg)
+    cands = candidate_edges(g, cfg, (cfg.target,))
     state = DegreeTestState.from_graph(g, d_min=2)
     degs = g.degrees
     win = next(i for i, (m, n) in enumerate(cands.pairs.tolist())
@@ -296,7 +296,7 @@ def test_score_structure_zero_effect_flip():
 def test_score_structure_matches_rebuild_oracle():
     g, na, model = trained_instance(n=30, p=0.2, seed=3)
     v0 = 5
-    c_old = infer_old_class(na, g, model, v0)
+    c_old = int(g.labels[v0] - 1)
     rng = np.random.default_rng(0)
     for _ in range(200):
         m, n = rng.integers(30, size=2)
@@ -347,7 +347,7 @@ def test_score_features_match_rebuild_oracle():
     # loss of a full rebuild of the flipped graph.
     g, na, model = trained_instance(n=25, p=0.2, seed=6, n_features=10)
     v0 = 3
-    c_old = infer_old_class(na, g, model, v0)
+    c_old = int(g.labels[v0] - 1)
     row = na.square_row(v0)
     logits = surrogate_logits(na, g, model)[v0]
     for u in (v0, 4):
@@ -512,7 +512,7 @@ def test_single_step_matches_exhaustive_oracle(seed, constrained):
     # target has one neighbor, so two come from its two-hop ring).
     g, na, model = trained_instance(n=18, p=0.2, seed=seed, n_features=6)
     v0 = int((seed * 5) % 18)
-    c_old = infer_old_class(na, g, model, v0)
+    c_old = int(g.labels[v0] - 1)
     for cfg in (AttackConfig(target=v0, budget=1, constrained=constrained),
                 AttackConfig(target=v0, budget=1, constrained=constrained,
                              mode=INFLUENCER, n_influencers=3, seed=seed)):
@@ -581,7 +581,7 @@ def test_locality_property(seed):
         return
     cfg = AttackConfig(target=v0, budget=int(rng.integers(1, 4)), mode=mode,
                        constrained=bool(rng.random() < 0.5), seed=seed % 101)
-    res = run_nettack(g, model_for(g), cfg)
+    res = run_nettack(g, model_for(g), cfg, NormalizedAdjacency.build(g))
     attackers = set(res.attackers)
     assert len(res.perturbations) <= cfg.budget
     for p in res.perturbations:
@@ -610,7 +610,8 @@ def model_for(g):
 def test_rnd_all_same_class_starves():
     g = AttributedGraph.from_edges(12, 1, [(i, i + 1) for i in range(11)], [],
                                    labels=np.ones(12, dtype=np.int64), n_classes=2)
-    res = rnd_baseline(g, model_for(g), AttackConfig(target=0, budget=3, seed=1))
+    res = rnd_baseline(g, model_for(g), AttackConfig(target=0, budget=3, seed=1),
+                       NormalizedAdjacency.build(g))
     assert res.starved
     assert res.perturbations == []
 
@@ -618,7 +619,8 @@ def test_rnd_all_same_class_starves():
 def test_rnd_inserts_cross_class_edges():
     g = random_graph(25, 0.1, seed=16)
     v0 = 4
-    res = rnd_baseline(g, model_for(g), AttackConfig(target=v0, budget=5, seed=2))
+    res = rnd_baseline(g, model_for(g), AttackConfig(target=v0, budget=5, seed=2),
+                       NormalizedAdjacency.build(g))
     assert len(res.perturbations) == 5
     c0 = g.labels[v0]
     for p in res.perturbations:
@@ -630,15 +632,16 @@ def test_rnd_inserts_cross_class_edges():
 
 def test_rnd_deterministic():
     g = random_graph(25, 0.1, seed=17)
-    a = rnd_baseline(g, model_for(g), AttackConfig(target=3, budget=4, seed=9))
-    b = rnd_baseline(g, model_for(g), AttackConfig(target=3, budget=4, seed=9))
+    na = NormalizedAdjacency.build(g)
+    a = rnd_baseline(g, model_for(g), AttackConfig(target=3, budget=4, seed=9), na)
+    b = rnd_baseline(g, model_for(g), AttackConfig(target=3, budget=4, seed=9), na)
     assert [p.to_dict() for p in a.perturbations] == [p.to_dict() for p in b.perturbations]
 
 
 def test_fgsm_zero_gradients_stop():
     g = random_graph(15, 0.2, seed=18, p_feat=0.3)
     model = SurrogateModel(weights=np.zeros((8, 3)), n_classes=3)
-    res = fgsm_baseline(g, model, AttackConfig(target=2, budget=4))
+    res = fgsm_baseline(g, model, AttackConfig(target=2, budget=4), NormalizedAdjacency.build(g))
     assert res.perturbations == []
     assert res.starved
 
@@ -651,7 +654,8 @@ def test_fgsm_wrong_class_tie_goes_to_the_first():
                                    labels=np.array([1, 1]), n_classes=3)
     model = SurrogateModel(weights=np.array([[1.0, 0.5, 0.5], [0.0, 1.0, -1.0]]),
                            n_classes=3)
-    res = fgsm_baseline(g, model, AttackConfig(target=0, budget=1, perturb_structure=False))
+    res = fgsm_baseline(g, model, AttackConfig(target=0, budget=1, perturb_structure=False),
+                        NormalizedAdjacency.build(g))
     p = res.perturbations[0]
     assert (p.kind, p.u, p.v, p.insert) == (FEATURE, 0, 1, True)
 
@@ -676,7 +680,7 @@ def test_fgsm_loss_trace_consistent_with_replay():
     g, na, model = trained_instance(n=25, p=0.2, seed=20)
     v0 = 6
     res = fgsm_baseline(g, model, AttackConfig(target=v0, budget=4), na=na)
-    c_old = infer_old_class(na, g, model, v0)
+    c_old = int(g.labels[v0] - 1)
     g_att = apply_result(g, res)
     assert res.loss_trace[-1] == pytest.approx(
         surrogate_loss_scratch(g_att, model.weights, v0, c_old), abs=1e-9)
@@ -774,7 +778,7 @@ def test_rnd_runs_only_as_direct_structure_attack():
                         (AttackConfig(target=4, budget=2, perturb_structure=False),
                          "features-only")):
         with pytest.raises(ValueError, match=needle):
-            rnd_baseline(g, model_for(g), cfg)
+            rnd_baseline(g, model_for(g), cfg, NormalizedAdjacency.build(g))
 
 
 @pytest.mark.parametrize("attack", [run_nettack, fgsm_baseline, rnd_baseline])
@@ -787,7 +791,7 @@ def test_attacks_reject_a_model_of_another_shape(attack, shape):
     cfg = AttackConfig(target=int(np.flatnonzero(g.labels == 3)[0]), budget=2)
     message = f"surrogate model shape {list(shape)} does not match the graph's [D, K] = [8, 3]"
     with pytest.raises(ValueError, match=re.escape(message)):
-        attack(g, model, cfg)
+        attack(g, model, cfg, NormalizedAdjacency.build(g))
 
 
 @pytest.mark.parametrize("attack", [run_nettack, fgsm_baseline, rnd_baseline])
@@ -807,24 +811,23 @@ def strict_json(path):
 
 def test_rnd_without_model_strict_json_round_trip(tmp_path):
     # RND picks its flips without scoring them: NaN scores are written as
-    # null and read back as NaN, while its losses (from the model) are finite.
+    # null, while its losses (from the model) are finite.
     g = random_graph(25, 0.1, seed=17)
-    res = rnd_baseline(g, model_for(g), AttackConfig(target=3, budget=2, seed=9))
+    res = rnd_baseline(g, model_for(g), AttackConfig(target=3, budget=2, seed=9),
+                       NormalizedAdjacency.build(g))
     res.save(tmp_path / "r.json")
     d = strict_json(tmp_path / "r.json")
     assert all(p["score"] is None for p in d["perturbations"])
     assert np.isfinite([d["initial_loss"]] + d["loss_trace"]).all()
-    back = AttackResult.from_dict(d)
-    assert np.isnan([p.score for p in back.perturbations]).all()
-    assert back.to_dict() == res.to_dict()
-    # A result without losses round-trips its NaN losses the same way.
+    assert np.isnan([p.score for p in res.perturbations]).all()
+    assert d == res.to_dict()
+    # A result without losses writes its NaN losses the same way.
     bare = AttackResult(target=3, attackers=(3,), budget=2, mode=DIRECT,
                         constrained=False, loss_trace=[float("nan")] * 2)
     bare.save(tmp_path / "bare.json")
     d = strict_json(tmp_path / "bare.json")
     assert d["initial_loss"] is None and d["loss_trace"] == [None, None]
-    back = AttackResult.from_dict(d)
-    assert np.isnan(back.initial_loss) and np.isnan(back.loss_trace).all()
+    assert d == bare.to_dict()
 
 
 def all_attacks(g, model, na, v0):
@@ -859,7 +862,6 @@ def test_context_cooccurrence_matches_fresh_build():
     g = random_graph(30, 0.15, seed=8, n_features=12)
     got, want = NormalizedAdjacency.build(g).cooc, build_cooccurrence(g)
     assert np.array_equal(got.sigma, want.sigma)
-    assert np.array_equal(got.feature_degrees, want.feature_degrees)
     for a, b in ((got.cooc, want.cooc), (got.walk_rows, want.walk_rows),
                  (got.features, want.features)):
         assert (a != b).nnz == 0
@@ -871,6 +873,4 @@ def test_result_json_round_trip(tmp_path):
     g, na, model = trained_instance()
     res = run_nettack(g, model, AttackConfig(target=2, budget=2), na=na)
     res.save(tmp_path / "r.json")
-    loaded = json.loads((tmp_path / "r.json").read_text())
-    back = AttackResult.from_dict(loaded)
-    assert back.to_dict() == res.to_dict()
+    assert strict_json(tmp_path / "r.json") == res.to_dict()

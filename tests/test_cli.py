@@ -11,6 +11,7 @@ import pytest
 import nettack
 from nettack.cli import main
 from nettack.data import extract_lcc, load_bundle, save_bundle
+from nettack.graph import AttributedGraph
 from nettack.synthetic import planted_partition
 
 
@@ -149,7 +150,9 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "rnd-influencer", "attack-d-min-zero", "attack-tau-nan",
                                   "split-empty-train", "synth-no-nodes", "synth-one-node",
                                   "synth-negative-nodes", "synth-no-classes",
-                                  "split-negative-seed", "evaluate-negative-seed"])
+                                  "split-negative-seed", "evaluate-negative-seed",
+                                  "evasion-clean-fewer-classes",
+                                  "evasion-clean-other-features"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
     root, path, g = bundle
     out = tmp_path / "x.json"
@@ -205,12 +208,22 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         shutil.copytree(path, tmp_path / "bad")
         (tmp_path / "bad" / "meta.json").write_text(json.dumps(metas[case]))
     (tmp_path / "split.json").write_text(json.dumps(split))
+    # Evasion trains on the clean bundle and reads the attacked one (`path`).
+    cleans = {"evasion-clean-fewer-classes": (g.n_features, (g.labels - 1) % 2 + 1, 2),
+              "evasion-clean-other-features": (g.n_features + 2, g.labels, 3)}
+    if case in cleans:
+        n_features, labels, n_classes = cleans[case]
+        save_bundle(AttributedGraph.from_edges(g.n_nodes, n_features, g.edge_list(),
+                                               g.feature_list(), labels=labels,
+                                               n_classes=n_classes), tmp_path / "clean")
     evaluate = ["evaluate", "--graph", str(path), "--mode", "evasion", "--out", str(out)]
     # A target of the class a 2-class model lacks, which indexes past its logits.
     target = int(np.flatnonzero(g.labels == 3)[0])
     attack = ["attack", "--in", str(path), "--target", str(target), "--model", str(data),
               "--out", str(out)]
     graph_shape = [g.n_features, 3]
+    evasion = evaluate + ["--clean-graph", str(tmp_path / "clean"),
+                          "--split", str(tmp_path / "split.json"), "--targets", str(targets)]
     attack5 = ["attack", "--in", str(path), "--target", "5", "--budget", "2", "--out", str(out)]
     lcc = ["lcc", "--in", str(tmp_path / "bad"), "--out", str(out)]
     synth = ["synth", "--out", str(out)]
@@ -274,6 +287,12 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
                                     "--runs", "2", "--split", str(tmp_path / "split.json"),
                                     "--targets", str(targets), "--seed", "-1",
                                     "--out", str(out)], "seed must be"),
+        "evasion-clean-fewer-classes": (evasion, f"victim model [D, K] = {[g.n_features, 2]} "
+                                                 f"does not match the graph's [D, K] = "
+                                                 f"{graph_shape}"),
+        "evasion-clean-other-features": (evasion, f"victim model [D, K] = "
+                                                  f"{[g.n_features + 2, 3]} does not match "
+                                                  f"the graph's [D, K] = {graph_shape}"),
     }[case]
     rc, err = run_cli(args)
     assert rc == 2

@@ -178,8 +178,9 @@ def test_cooccurrence_single_pair():
     g = AttributedGraph.from_edges(1, 3, [], [(0, 1), (0, 2)])
     idx = build_cooccurrence(g)
     assert idx.cooc[1, 2] == 1 and idx.cooc[2, 1] == 1
-    assert idx.feature_degrees[1] == 1 and idx.feature_degrees[2] == 1
-    assert idx.feature_degrees[0] == 0
+    # Features 1 and 2 have degree 1 in the co-occurrence graph, feature 0 degree 0.
+    assert idx.walk_rows[1, 2] == 1.0 and idx.walk_rows[2, 1] == 1.0
+    assert idx.walk_rows[0].nnz == 0
 
 
 def test_cooccurrence_no_multifeature_nodes():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -94,7 +96,9 @@ def test_perturbation_validation():
     with pytest.raises(GraphError):
         Perturbation(kind="nope", u=0, v=1, insert=True)
     p = Perturbation(kind=FEATURE, u=0, v=3, insert=False, score=0.5)
-    assert Perturbation.from_dict(p.to_dict()) == p
+    d = p.to_dict()
+    assert d == {"kind": FEATURE, "u": 0, "v": 3, "insert": False, "score": 0.5}
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
     assert p.direction == "remove"
 
 

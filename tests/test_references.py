@@ -1,12 +1,15 @@
 """Every function, class, method and property of `src/nettack` has a caller
-in the program (`src/`, `scripts/` or `perfbench/`), not only in the tests.
+in the program (`src/`, `scripts/` or `perfbench/`), not only in the tests,
+and every dataclass field has a reader there.
 
 Names are matched by spelling, not by type. A method or property counts as
 referenced through an attribute read (`x.name`) or a string constant other
 than a dict key (the benchmark's tracer patches attributes by name, while
 keys such as `{"correct": ...}` name data); a module-level function or
 class also counts through a bare name or an import. References inside the
-definition itself (recursion) do not count, and dunders are exempt.
+definition itself (recursion) do not count, and dunders are exempt. A
+dataclass field counts as read through an attribute read or such a string
+constant (`getattr(plan, name)` over a tuple of field names).
 """
 
 from __future__ import annotations
@@ -79,13 +82,29 @@ class _References(ast.NodeVisitor):
         self._add(self.module, node.name.rsplit(".", 1)[-1])
 
 
-def unreferenced(root: Path) -> list[str]:
-    """Sorted "file:name" of each definition in `root/src/nettack` that no
-    program file references."""
+def _fields(tree: ast.Module) -> list[str]:
+    """Names of the fields of each class decorated with `dataclass`."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            names += [f.target.id for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return names
+
+
+def _program_references(root: Path) -> _References:
     refs = _References()
     for top in ("src", "scripts", "perfbench"):
         for path in sorted((root / top).rglob("*.py")):
             refs.visit(ast.parse(path.read_text(), str(path)))
+    return refs
+
+
+def unreferenced(root: Path) -> list[str]:
+    """Sorted "file:name" of each definition in `root/src/nettack` that no
+    program file references."""
+    refs = _program_references(root)
     missing = []
     for path in sorted((root / "src" / "nettack").glob("*.py")):
         for name, kind in _definitions(ast.parse(path.read_text(), str(path))):
@@ -94,5 +113,19 @@ def unreferenced(root: Path) -> list[str]:
     return sorted(missing)
 
 
+def unread_fields(root: Path) -> list[str]:
+    """Sorted "file:field" of each dataclass field in `root/src/nettack` that
+    no program file reads."""
+    refs = _program_references(root)
+    return sorted(f"{path.name}:{name}"
+                  for path in sorted((root / "src" / "nettack").glob("*.py"))
+                  for name in _fields(ast.parse(path.read_text(), str(path)))
+                  if name not in refs.members)
+
+
 def test_every_library_name_has_a_program_caller():
     assert unreferenced(ROOT) == []
+
+
+def test_every_dataclass_field_has_a_program_reader():
+    assert unread_fields(ROOT) == []

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nettack.attack import AttackConfig, run_nettack
+from nettack.attack import AttackConfig, _Run, run_nettack
 from nettack.data import make_split
 from nettack.graph import AttributedGraph
 from nettack.surrogate import (MAX_EPOCHS, PATIENCE, STEP, NormalizedAdjacency,
                                SurrogateModel, TrainingError, edge_flip_logits,
-                               infer_old_class, margin, softmax, surrogate_logits,
+                               margin, softmax, surrogate_logits,
                                train_surrogate, updated_square_row_from)
 from helpers import dense_normalized, dense_square, random_graph
 
@@ -300,7 +300,8 @@ def test_loss_all_equal_logits_zero():
     # weights make every logit equal).
     g = random_graph(10, 0.3, seed=13)
     result = run_nettack(g, SurrogateModel(weights=np.zeros((8, 3)), n_classes=3),
-                         AttackConfig(target=0, budget=2, constrained=False))
+                         AttackConfig(target=0, budget=2, constrained=False),
+                         NormalizedAdjacency.build(g))
     for loss in [0.0 - margin(np.array([2.0, 2.0, 2.0]), 1),
                  result.initial_loss, *result.loss_trace]:
         assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
@@ -359,13 +360,17 @@ def test_loss_sign_iff_argmax_moved():
             assert pred == c_old
 
 
-def test_infer_old_class_prefers_label():
+def test_reference_class_prefers_label():
     g = random_graph(10, 0.3, seed=13)
     na = NormalizedAdjacency.build(g)
     model = SurrogateModel(weights=np.zeros((8, 3)), n_classes=3)
-    assert infer_old_class(na, g, model, 0) == int(g.labels[0] - 1)
+    assert _Run(g, model, AttackConfig(target=0, budget=1), na).c_old == int(g.labels[0] - 1)
     g.labels[0] = 0
-    assert infer_old_class(na, g, model, 0) == 0  # zero logits, argmax 0
+    # Unlabeled: the clean-graph prediction, argmax 0 of the zero logits.
+    assert _Run(g, model, AttackConfig(target=0, budget=1), na).c_old == 0
+    model = SurrogateModel(weights=np.random.default_rng(0).normal(size=(8, 3)), n_classes=3)
+    want = int(np.argmax(surrogate_logits(na, g, model)[0]))
+    assert _Run(g, model, AttackConfig(target=0, budget=1), na).c_old == want
 
 
 def test_model_json_round_trip():
