@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 
 BUNDLE_FILES = ("edges.tsv", "features.tsv", "labels.tsv", "meta.json")
 META_KEYS = ("n_nodes", "n_features", "n_classes")
+INT64 = np.iinfo(np.int64)
 
 
 class BundleError(ValueError):
@@ -90,9 +91,12 @@ class DataSplit:
 
 
 def node_ids(values, what: str) -> np.ndarray:
-    """Node ids read from JSON: a list of integers, else a BundleError."""
+    """Node ids read from JSON: a list of int64 integers, else a BundleError."""
     if not isinstance(values, list) or not all(is_int(v) for v in values):
         raise BundleError(f"{what} must be a list of integer node ids")
+    wide = [v for v in values if not INT64.min <= v <= INT64.max]
+    if wide:
+        raise BundleError(f"{what} node ids must fit in int64, got {wide[0]}")
     return np.asarray(values, dtype=np.int64)
 
 
@@ -157,6 +161,8 @@ def load_bundle_stats(path: str | Path) -> tuple[AttributedGraph, LoadStats]:
     counts = {k: meta[k] for k in META_KEYS}
     if not all(is_int(c) for c in counts.values()):
         raise BundleError(f"meta.json counts must be integers, got {counts}")
+    if not all(INT64.min <= c <= INT64.max for c in counts.values()):
+        raise BundleError(f"meta.json counts must fit in int64, got {counts}")
     n_nodes, n_features, n_classes = counts.values()
 
     node = ("node", n_nodes)

@@ -11,7 +11,7 @@ Training has one loop, `_fit`, which trains R replicas of one graph and
 split (one per seed) as one batched fit: `train_gcn` is its R = 1 case and
 `poisoning_eval` fits all its runs at once. The replicas' first-layer
 weights are stacked as (D, R·H); each replica keeps its own second layer,
-Adam moments, dropout generator and early-stopping state, and leaves the
+Adam moments and early-stopping state, and leaves the
 stack when it stops. The loss reads class scores only at the training
 rows and early stopping only at the validation rows, so the hidden layer
 is computed only on the closed one-hop neighbourhood of those rows, X·W1
@@ -52,22 +52,15 @@ class GcnConfig:
     learning_rate: float = 0.01
     max_epochs: int = 200
     patience: int = 30
-    weight_decay: float = 0.0
-    dropout: float = 0.0
 
     def __post_init__(self):
         """Reject settings that cannot train, naming the field."""
         for name in ("hidden", "max_epochs", "patience"):
             require_int(f"GcnConfig.{name}", getattr(self, name), 1)
-        for name in ("learning_rate", "dropout", "weight_decay"):
-            self._require(name, is_finite_number(getattr(self, name)), "a finite number")
-        self._require("learning_rate", self.learning_rate > 0, "above 0")
-        self._require("dropout", 0 <= self.dropout < 1, "in [0, 1)")
-        self._require("weight_decay", self.weight_decay >= 0, "at least 0")
-
-    def _require(self, name: str, ok: bool, rule: str) -> None:
-        if not ok:
-            raise ValueError(f"GcnConfig.{name} must be {rule}, got {getattr(self, name)!r}")
+        lr = self.learning_rate
+        if not (is_finite_number(lr) and lr > 0):
+            rule = "above 0" if is_finite_number(lr) else "a finite number"
+            raise ValueError(f"GcnConfig.learning_rate must be {rule}, got {lr!r}")
 
 
 @dataclass
@@ -182,22 +175,17 @@ class _Problem:
         self.a1_t, self.x_t = back.a.T.tocsr(), back.x.T.tocsr()
 
 
-def _loss_and_grads(p: _Problem, h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                    weight_decay: float, hidden_mask: np.ndarray | None,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _loss_and_grads(p: _Problem, h: np.ndarray,
+                    w2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Training losses (R,) of R replicas and their weight gradients.
 
-    `w1` is (D, R·H) with replica r in columns r·H to (r+1)·H, `h` is
-    `p.layer1(w1)` and `w2` is (R, H, K). Gradients have the shapes of the
-    weights. `hidden_mask` (|nb|, R·H), when given, multiplies the hidden
-    activations (dropout).
+    `h` is `p.layer1(w1)` for the stacked first-layer weights w1 (D, R·H),
+    replica r in columns r·H to (r+1)·H, and `w2` is (R, H, K). Gradients
+    have the shapes of the weights.
     """
     r, hidden, _ = w2.shape
-    m2, probs = p.train.forward(h if hidden_mask is None else h * hidden_mask, w2)
+    m2, probs = p.train.forward(h, w2)
     loss = mean_cross_entropy(probs, p.y_train)
-    if weight_decay:
-        loss += [0.5 * weight_decay * (float(np.sum(a * a)) + float(np.sum(b * b)))
-                 for a, b in zip(np.hsplit(w1, r), w2)]
 
     n = len(p.y_train)
     grad_logits = probs  # formed in place: probs is not read again
@@ -206,12 +194,7 @@ def _loss_and_grads(p: _Problem, h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     grad_w2 = m2.transpose(0, 2, 1) @ grad_logits
     grad_m2 = grad_logits @ w2.transpose(0, 2, 1)
     grad_h = p.train_t @ grad_m2.transpose(1, 0, 2).reshape(n, r * hidden)  # at nb[near]
-    if hidden_mask is not None:
-        grad_h = grad_h * hidden_mask[p.near]
     grad_w1 = p.x_t @ (p.a1_t @ (grad_h * (h[p.near] > 0.0)))
-    if weight_decay:
-        grad_w1 = grad_w1 + weight_decay * w1
-        grad_w2 = grad_w2 + weight_decay * w2
     return loss, grad_w1, grad_w2
 
 
@@ -221,9 +204,9 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
 
     Replica r is bit-identical to a model trained alone from seed r through
     the same row-read pass: its first-layer weights are columns r·H to
-    (r+1)·H of one stacked (D, R·H) matrix, its second layer and Adam moments
-    are its own, its dropout masks come from its own generator, and it leaves
-    the stack when it stops.
+    (r+1)·H of one stacked (D, R·H) matrix, its Glorot init comes from its
+    own generator, its second layer and Adam moments are its own, and it
+    leaves the stack when it stops.
     """
     for seed in seeds:
         require_int("seed", seed, 0)
@@ -232,8 +215,8 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
     p = _Problem(ahat, x, y, split.train_ids, split.validation_ids)
     hid = cfg.hidden
 
-    rngs = [np.random.default_rng(s) for s in seeds]
-    inits = [(_glorot(rng, g.n_features, hid), _glorot(rng, hid, k)) for rng in rngs]
+    inits = [(_glorot(rng, g.n_features, hid), _glorot(rng, hid, k))
+             for rng in map(np.random.default_rng, seeds)]
     w1 = np.hstack([a for a, _ in inits])
     w2 = np.stack([b for _, b in inits])
     best_w1, best_w2 = w1.copy(), w2.copy()
@@ -250,12 +233,7 @@ def _fit(g: AttributedGraph, split: DataSplit, seeds: list[int], cfg: GcnConfig,
 
     h = p.layer1(w1)
     for epoch in range(1, cfg.max_epochs + 1):
-        mask = None
-        if cfg.dropout > 0.0:
-            keep = 1.0 - cfg.dropout
-            mask = np.hstack([((rngs[i].random((g.n_nodes, hid)) < keep) / keep)[p.nb]
-                              for i in live])
-        loss, g1, g2 = _loss_and_grads(p, h, w1, w2, cfg.weight_decay, mask)
+        loss, g1, g2 = _loss_and_grads(p, h, w2)
         diverged = ~np.isfinite(loss)
         for i in live[diverged]:
             errors[int(i)] = f"non-finite training loss at epoch {epoch}"
@@ -357,8 +335,7 @@ def poisoning_eval(g_attacked: AttributedGraph, split: DataSplit, targets,
     Per target we report the mean margin and the fraction of runs whose
     margin was positive (thresholded per run, then averaged).
     """
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
+    require_int("runs", runs, 1)
     rows = _target_rows(g_attacked, targets)
     ahat, x = normalized_adjacency_matrix(g_attacked), g_attacked.feature_matrix()
     models = _fit(g_attacked, split, [base_seed + r for r in range(runs)],

@@ -124,18 +124,13 @@ def brute_cooccurrence(g: AttributedGraph) -> set[tuple[int, int]]:
 
 def gcn_loss_and_grads(w1: np.ndarray, w2: np.ndarray, ahat: sp.csr_matrix,
                        x: sp.csr_matrix, y: np.ndarray, idx: np.ndarray,
-                       weight_decay: float = 0.0,
-                       hidden_mask: np.ndarray | None = None,
                        ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy over `idx` plus explicit weight gradients.
 
     The loss and gradient of one model through the code that training runs.
-    `hidden_mask` (N, H), when given, multiplies the hidden activations
-    (dropout).
     """
     p = _Problem(ahat, x, y, idx, np.empty(0, dtype=np.int64))
-    mask = None if hidden_mask is None else hidden_mask[p.nb]
-    loss, grad_w1, grad_w2 = _loss_and_grads(p, p.layer1(w1), w1, w2[None], weight_decay, mask)
+    loss, grad_w1, grad_w2 = _loss_and_grads(p, p.layer1(w1), w2[None])
     return float(loss[0]), grad_w1, grad_w2[0]
 
 

@@ -195,18 +195,16 @@ def test_criterion_5_victim_gradient_check():
     idx = np.array([0, 2, 5, 7])
     w1 = rng.normal(scale=0.5, size=(6, 4))
     w2 = rng.normal(scale=0.5, size=(4, 3))
-    _, g1, g2 = gcn_loss_and_grads(w1, w2, ahat, x, y, idx, weight_decay=0.01)
+    _, g1, g2 = gcn_loss_and_grads(w1, w2, ahat, x, y, idx)
     eps = 1e-6
     worst = 0.0
     for w, gw in ((w1, g1), (w2, g2)):
         for a in range(w.shape[0]):
             for b in range(w.shape[1]):
                 w[a, b] += eps
-                lp, _, _ = gcn_loss_and_grads(w1, w2, ahat, x, y, idx,
-                                              weight_decay=0.01)
+                lp, _, _ = gcn_loss_and_grads(w1, w2, ahat, x, y, idx)
                 w[a, b] -= 2 * eps
-                lm, _, _ = gcn_loss_and_grads(w1, w2, ahat, x, y, idx,
-                                              weight_decay=0.01)
+                lm, _, _ = gcn_loss_and_grads(w1, w2, ahat, x, y, idx)
                 w[a, b] += eps
                 fd = (lp - lm) / (2 * eps)
                 worst = max(worst, abs(fd - gw[a, b])

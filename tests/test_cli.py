@@ -152,7 +152,8 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "synth-negative-nodes", "synth-no-classes",
                                   "split-negative-seed", "evaluate-negative-seed",
                                   "evasion-clean-fewer-classes",
-                                  "evasion-clean-other-features"])
+                                  "evasion-clean-other-features", "targets-past-int64",
+                                  "split-id-past-int64", "meta-count-past-int64"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
     root, path, g = bundle
     out = tmp_path / "x.json"
@@ -186,10 +187,12 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
                                      "weights": [0.0] * (3 * g.n_features), "n_classes": 3,
                                      "epochs_run": "ten"},
         "targets-not-integers": [1, "5"],
+        "targets-past-int64": [1, 10 ** 20],
         "split-out-of-range": {**split, "validation_ids": [3, 4, 999]},
         "split-overlap": {**split, "validation_ids": [2, 3, 4]},
         "split-missing-key": {k: v for k, v in split.items() if k != "train_ids"},
         "split-empty-train": {**split, "train_ids": []},
+        "split-id-past-int64": {**split, "train_ids": [0, 1, 10 ** 20]},
         "plan-no-dataset": {"out_dir": str(tmp_path / "out")},
         "plan-dataset-a-number": {**plan, "dataset": 5},
         "plan-out-dir-a-number": {**plan, "out_dir": 7},
@@ -203,7 +206,9 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
              "meta-string-count": {"n_nodes": g.n_nodes, "n_features": g.n_features,
                                    "n_classes": "3"},
              "meta-bool-count": {"n_nodes": g.n_nodes, "n_features": g.n_features,
-                                 "n_classes": True}}
+                                 "n_classes": True},
+             "meta-count-past-int64": {"n_nodes": g.n_nodes, "n_features": 10 ** 20,
+                                       "n_classes": 3}}
     if case in metas:
         shutil.copytree(path, tmp_path / "bad")
         (tmp_path / "bad" / "meta.json").write_text(json.dumps(metas[case]))
@@ -255,6 +260,12 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "model-epochs-not-integer": (attack, "'epochs_run'"),
         "targets-not-integers": (evaluate + ["--split", str(tmp_path / "split.json"),
                                              "--targets", str(data)], "--targets"),
+        "targets-past-int64": (evaluate + ["--split", str(tmp_path / "split.json"),
+                                           "--targets", str(data)],
+                               "--targets node ids must fit in int64, got 100000000000000000000"),
+        "split-id-past-int64": (["train-surrogate", "--in", str(path), "--split", str(data),
+                                 "--out", str(out)],
+                                "split train_ids node ids must fit in int64"),
         "split-out-of-range": (["train-surrogate", "--in", str(path), "--split", str(data),
                                 "--out", str(out)], "999"),
         "split-overlap": (["attack", "--in", str(path), "--split", str(data),
@@ -269,6 +280,7 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "meta-float-count": (lcc, "meta.json counts must be integers"),
         "meta-string-count": (lcc, "meta.json counts must be integers"),
         "meta-bool-count": (lcc, "meta.json counts must be integers"),
+        "meta-count-past-int64": (lcc, "meta.json counts must fit in int64"),
         "plan-no-dataset": (["experiment", "--plan", str(data)], "missing key 'dataset'"),
         "plan-dataset-a-number": (["experiment", "--plan", str(data)], "dataset"),
         "plan-out-dir-a-number": (["experiment", "--plan", str(data)], "out_dir"),

@@ -36,15 +36,15 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     w1 = rng.normal(scale=0.5, size=(6, 4))
     w2 = rng.normal(scale=0.5, size=(4, 3))
-    _, g1, g2 = gcn_loss_and_grads(w1, w2, ahat, x, y, idx, weight_decay=0.01)
+    _, g1, g2 = gcn_loss_and_grads(w1, w2, ahat, x, y, idx)
     eps = 1e-6
     for w, gw in ((w1, g1), (w2, g2)):
         for a in range(w.shape[0]):
             for b in range(w.shape[1]):
                 w[a, b] += eps
-                lp, _, _ = gcn_loss_and_grads(w1, w2, ahat, x, y, idx, weight_decay=0.01)
+                lp, _, _ = gcn_loss_and_grads(w1, w2, ahat, x, y, idx)
                 w[a, b] -= 2 * eps
-                lm, _, _ = gcn_loss_and_grads(w1, w2, ahat, x, y, idx, weight_decay=0.01)
+                lm, _, _ = gcn_loss_and_grads(w1, w2, ahat, x, y, idx)
                 w[a, b] += eps
                 fd = (lp - lm) / (2 * eps)
                 assert abs(fd - gw[a, b]) / max(1e-8, abs(fd), abs(gw[a, b])) < 1e-5
@@ -56,9 +56,7 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("graph", ["random-10", "random-11", "random-12", "desk",
                                    "ten-train-rows"])
-@pytest.mark.parametrize("weight_decay, dropout", [(0.0, 0.0), (5e-4, 0.0), (0.0, 0.3),
-                                                   (5e-4, 0.3)])
-def test_layer1_matches_dense_ax_w1_form(graph, weight_decay, dropout):
+def test_layer1_matches_dense_ax_w1_form(graph):
     # Â·(X·W₁) and its gradient against the (Â·X)·W₁ form, computed densely
     # over all N rows in both layers; training computes layer 2 only at the
     # training rows.
@@ -71,33 +69,30 @@ def test_layer1_matches_dense_ax_w1_form(graph, weight_decay, dropout):
     rng = np.random.default_rng(3)
     w1 = rng.normal(scale=0.5, size=(g.n_features, 16))
     w2 = rng.normal(scale=0.5, size=(16, g.n_classes))
-    mask = (rng.random((g.n_nodes, 16)) >= dropout) / (1.0 - dropout) if dropout else None
     idx = split.train_ids
     y = g.labels - 1
 
     a = dense_normalized(g)
     ax = a @ g.feature_matrix().toarray()
     h_pre = ax @ w1
-    h = np.maximum(h_pre, 0.0) * (1.0 if mask is None else mask)
+    h = np.maximum(h_pre, 0.0)
     m2 = a @ h
     probs = softmax(m2 @ w2)
     loss = -np.mean(np.log(probs[idx, y[idx]] + 1e-12))
-    loss += 0.5 * weight_decay * (np.sum(w1 * w1) + np.sum(w2 * w2))
     grad_logits = np.zeros_like(probs)
     grad_logits[idx] = probs[idx]
     grad_logits[idx, y[idx]] -= 1.0
     grad_logits /= len(idx)
-    grad_h = (a.T @ (grad_logits @ w2.T)) * (1.0 if mask is None else mask)
-    g1 = ax.T @ (grad_h * (h_pre > 0.0)) + weight_decay * w1
-    g2 = m2.T @ grad_logits + weight_decay * w2
+    grad_h = a.T @ (grad_logits @ w2.T)
+    g1 = ax.T @ (grad_h * (h_pre > 0.0))
+    g2 = m2.T @ grad_logits
 
     ahat, x = normalized_adjacency_matrix(g), g.feature_matrix()
-    got_loss, got_g1, got_g2 = gcn_loss_and_grads(w1, w2, ahat, x, y, idx, weight_decay, mask)
+    got_loss, got_g1, got_g2 = gcn_loss_and_grads(w1, w2, ahat, x, y, idx)
     assert got_loss == pytest.approx(loss, rel=1e-12, abs=0)
     assert_close(got_g1, g1)
     assert_close(got_g2, g2)
-    if mask is None:
-        assert_close(gcn_forward(GcnModel(w1=w1, w2=w2), ahat, x), probs)
+    assert_close(gcn_forward(GcnModel(w1=w1, w2=w2), ahat, x), probs)
 
 
 def test_two_cliques_fully_learned():
@@ -241,6 +236,13 @@ def test_poisoning_eval_rejects_zero_runs():
         poisoning_eval(g, make_split(g, seed=2), [1], runs=0)
 
 
+@pytest.mark.parametrize("runs", [2.5, "3", True])
+def test_poisoning_eval_rejects_runs_that_are_not_integers(runs):
+    g = random_graph(20, 0.25, seed=7)
+    with pytest.raises(ValueError, match=f"^runs must be an integer of at least 1, got {runs!r}$"):
+        poisoning_eval(g, make_split(g, seed=2), [1], runs=runs)
+
+
 def test_margin_helper_on_model():
     # Evasion reads only the target rows; its margins must equal those of
     # the full-graph pass bit for bit, on the clean graph and on graphs
@@ -265,14 +267,6 @@ def test_margin_helper_on_model():
     assert any(h != g for h in graphs[1:])
 
 
-def test_weight_decay_and_dropout_flags_run():
-    g = random_graph(15, 0.25, seed=9)
-    split = make_split(g, seed=1)
-    cfg = GcnConfig(weight_decay=5e-4, dropout=0.2, max_epochs=30)
-    model = train_gcn(g, split, seed=2, config=cfg)
-    assert np.all(np.isfinite(model.w1)) and np.all(np.isfinite(model.w2))
-
-
 def test_report_serialization():
     rep = MarginReport(targets=[TargetMargin(node=3, margin=0.4, correct_fraction=1.0)])
     d = rep.to_dict()
@@ -283,10 +277,7 @@ def test_report_serialization():
 @pytest.mark.parametrize("field, value", [
     ("hidden", 0), ("hidden", 2.5), ("max_epochs", 0), ("patience", 0),
     ("learning_rate", 0.0), ("learning_rate", float("inf")), ("learning_rate", "fast"),
-    ("dropout", 1.0), ("dropout", -0.1), ("weight_decay", -1e-4),
-    ("weight_decay", float("nan")), ("weight_decay", float("inf")),
-    ("hidden", True), ("max_epochs", True), ("patience", True),
-    ("learning_rate", True), ("dropout", False), ("weight_decay", False),
+    ("hidden", True), ("max_epochs", True), ("patience", True), ("learning_rate", True),
 ])
 def test_config_rejects_settings_that_cannot_train(field, value):
     with pytest.raises(ValueError, match=f"GcnConfig.{field} must be"):
@@ -302,14 +293,10 @@ def sequential_fit(g, split, seed, cfg):
     ahat, x = normalized_adjacency_matrix(g), g.feature_matrix()
     y = g.labels - 1
     train, val = split.train_ids, split.validation_ids
-    wd = cfg.weight_decay
 
-    def forward(w1, w2, rows, mask=None):
+    def forward(w1, w2, rows):
         h_pre = ahat @ (x @ w1)
-        h = np.maximum(h_pre, 0.0)
-        if mask is not None:
-            h = h * mask
-        m2 = (ahat @ h)[rows]
+        m2 = (ahat @ np.maximum(h_pre, 0.0))[rows]
         return h_pre, m2, softmax(m2 @ w2)
 
     def mean_loss(probs, idx):
@@ -318,24 +305,14 @@ def sequential_fit(g, split, seed, cfg):
     m_w1, v_w1, m_w2, v_w2 = (np.zeros_like(w) for w in (w1, w1, w2, w2))
     best, best_val, stale, epoch = (w1.copy(), w2.copy()), np.inf, 0, 0
     for epoch in range(1, cfg.max_epochs + 1):
-        mask = None
-        if cfg.dropout > 0.0:
-            keep = 1.0 - cfg.dropout
-            mask = (rng.random((g.n_nodes, cfg.hidden)) < keep) / keep
-        h_pre, m2, probs = forward(w1, w2, train, mask)
+        h_pre, m2, probs = forward(w1, w2, train)
         loss = mean_loss(probs, train)
-        if wd:
-            loss += 0.5 * wd * (float(np.sum(w1 * w1)) + float(np.sum(w2 * w2)))
         grad_logits = probs.copy()
         grad_logits[np.arange(len(train)), y[train]] -= 1.0
         grad_logits /= len(train)
         g2 = m2.T @ grad_logits
         grad_h = ahat[train].T @ (grad_logits @ w2.T)
-        if mask is not None:
-            grad_h = grad_h * mask
         g1 = x.T @ (ahat.T @ (grad_h * (h_pre > 0.0)))
-        if wd:
-            g1, g2 = g1 + wd * w1, g2 + wd * w2
         m_w1 = 0.9 * m_w1 + (1 - 0.9) * g1
         v_w1 = 0.999 * v_w1 + (1 - 0.999) * g1 * g1
         m_w2 = 0.9 * m_w2 + (1 - 0.9) * g2
@@ -367,14 +344,12 @@ def no_validation(split):
                      unlabeled_ids=split.unlabeled_ids, rng_seed=split.rng_seed)
 
 
-@pytest.mark.parametrize("case", ["staggered-stops", "dropout-decay", "no-validation"])
+@pytest.mark.parametrize("case", ["staggered-stops", "no-validation"])
 def test_batched_fit_bit_identical_to_sequential(case):
     g, split = ten_train_rows()
     cfg, seeds = {
         "staggered-stops": (GcnConfig(patience=3, max_epochs=80), [5, 6, 7, 8]),
-        "dropout-decay": (GcnConfig(dropout=0.3, weight_decay=5e-4, max_epochs=60), [1, 2, 3]),
-        "no-validation": (GcnConfig(weight_decay=1e-3, learning_rate=0.05, patience=5,
-                                    max_epochs=60), [4, 9]),
+        "no-validation": (GcnConfig(learning_rate=0.05, patience=5, max_epochs=60), [4, 9]),
     }[case]
     if case == "no-validation":
         split = no_validation(split)

@@ -10,6 +10,10 @@ class also counts through a bare name or an import. References inside the
 definition itself (recursion) do not count, and dunders are exempt. A
 dataclass field counts as read through an attribute read or such a string
 constant (`getattr(plan, name)` over a tuple of field names).
+
+Each field of a `*Config` dataclass must also be set somewhere in the
+program, as a keyword argument of that name: a setting that only its
+default ever takes selects a path that only the tests run.
 """
 
 from __future__ import annotations
@@ -82,22 +86,27 @@ class _References(ast.NodeVisitor):
         self._add(self.module, node.name.rsplit(".", 1)[-1])
 
 
-def _fields(tree: ast.Module) -> list[str]:
-    """Names of the fields of each class decorated with `dataclass`."""
+def _fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) of the fields of each class decorated with `dataclass`."""
     names = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(
                 "dataclass" in ast.unparse(d) for d in node.decorator_list):
-            names += [f.target.id for f in node.body
+            names += [(node.name, f.target.id) for f in node.body
                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
     return names
 
 
+def _program_trees(root: Path) -> list[ast.Module]:
+    return [ast.parse(path.read_text(), str(path))
+            for top in ("src", "scripts", "perfbench")
+            for path in sorted((root / top).rglob("*.py"))]
+
+
 def _program_references(root: Path) -> _References:
     refs = _References()
-    for top in ("src", "scripts", "perfbench"):
-        for path in sorted((root / top).rglob("*.py")):
-            refs.visit(ast.parse(path.read_text(), str(path)))
+    for tree in _program_trees(root):
+        refs.visit(tree)
     return refs
 
 
@@ -119,8 +128,19 @@ def unread_fields(root: Path) -> list[str]:
     refs = _program_references(root)
     return sorted(f"{path.name}:{name}"
                   for path in sorted((root / "src" / "nettack").glob("*.py"))
-                  for name in _fields(ast.parse(path.read_text(), str(path)))
+                  for _, name in _fields(ast.parse(path.read_text(), str(path)))
                   if name not in refs.members)
+
+
+def unset_config_fields(root: Path) -> list[str]:
+    """Sorted "file:Class.field" of each field of a `*Config` dataclass in
+    `root/src/nettack` that no program file passes as a keyword argument."""
+    keywords = {node.arg for tree in _program_trees(root) for node in ast.walk(tree)
+                if isinstance(node, ast.keyword)}
+    return sorted(f"{path.name}:{cls}.{name}"
+                  for path in sorted((root / "src" / "nettack").glob("*.py"))
+                  for cls, name in _fields(ast.parse(path.read_text(), str(path)))
+                  if cls.endswith("Config") and name not in keywords)
 
 
 def test_every_library_name_has_a_program_caller():
@@ -129,3 +149,7 @@ def test_every_library_name_has_a_program_caller():
 
 def test_every_dataclass_field_has_a_program_reader():
     assert unread_fields(ROOT) == []
+
+
+def test_every_config_field_is_set_by_the_program():
+    assert unset_config_fields(ROOT) == []
