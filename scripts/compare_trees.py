@@ -8,9 +8,9 @@ and records:
 - sweep: the attack results of a fixed sweep on the desk LCC and on
   perfbench's sampler graph of seed 1 (loaded by path; it imports nothing
   from the program). Per target it runs Nettack direct, influencer,
-  unconstrained, structure-only and features-only at tau = 0.004 and
-  1e-6, plus FGSM and RND, and the clean victim's evasion margin on each
-  attacked graph;
+  unconstrained, structure-only, features-only, influencer unconstrained
+  and influencer structure-only at tau = 0.004 and 1e-6, plus FGSM and
+  RND, and the clean victim's evasion margin on each attacked graph;
 - epochs_run: the epochs of every surrogate and victim fit in call order
   (the 1-worker desk run, then the sweep).
 
@@ -115,7 +115,9 @@ def _sweep_attacks(target: int, budget: int):
     variants = {"direct": {}, "influencer": {"mode": INFLUENCER},
                 "unconstrained": {"constrained": False},
                 "structure": {"perturb_features": False},
-                "features": {"perturb_structure": False}}
+                "features": {"perturb_structure": False},
+                "influencer-unconstrained": {"mode": INFLUENCER, "constrained": False},
+                "influencer-structure": {"mode": INFLUENCER, "perturb_features": False}}
     for tau in TAUS:
         for name, over in variants.items():
             yield (f"nettack-{name}/tau={tau}", run_nettack,

@@ -1,8 +1,8 @@
 """Greedy targeted perturbation search plus random and gradient baselines.
 
-Each greedy step scores every structurally admissible edge flip in one
-closed-form array pass over the target's logits (constant work per
-candidate) and the feature flips of all attackers in one more, through
+Each greedy step scores every structurally admissible edge flip on an
+attacker x node grid in closed form (constant work per candidate) and
+the feature flips of all attackers in one more pass, through
 their exact (linear) effect on the target's logits, then applies the
 single best flip; near-ties among edge flips are settled on the exact row
 update of the squared normalized adjacency, which also commits the winner.
@@ -10,10 +10,11 @@ Both passes are class-major (the K classes on the outer axis), and the
 loss is one max over the other classes per candidate. Admissibility
 combines the attacker locality rule, the budget, and (in constrained
 mode) the co-occurrence gate and, after scoring, the degree gate, asked
-only about the degree triples that can still win. The structural
-candidate set is built once per run and follows the committed edge flips;
-the rules that change within a run (the isolation guard, the degree gate)
-set a candidate's loss to -inf.
+only about the degree triples that can still win. The candidate grid
+and the co-occurrence masks are built once per run; the grid follows
+the committed edge flips, and its invalid cells and the rules that
+change within a run (the isolation guard, the degree gate) set a
+candidate's loss to -inf.
 
 All three attacks take (graph, surrogate, config, context) and advance
 one running state (`_Run`): the graph, the target's squared-adjacency
@@ -34,7 +35,7 @@ from .constraints import (DegreeTestState, build_cooccurrence, lambda_statistic,
 from .data import write_json
 from .graph import (EDGE, FEATURE, AttributedGraph, GraphError, Perturbation,
                     check_target, is_finite_number, is_int, nan_to_none, require_int)
-from .surrogate import (NormalizedAdjacency, SurrogateModel, edge_flip_logits, margin,
+from .surrogate import (NormalizedAdjacency, SurrogateModel, edge_flip_grid, margin,
                         updated_square_row_from)
 
 DIRECT = "direct"
@@ -138,55 +139,52 @@ def resolve_attackers(g: AttributedGraph, cfg: AttackConfig) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EdgeCandidates:
-    """Admissible edge flips: sorted (m, n) rows with m < n, and whether
-    each pair is currently an edge (the flip removes it) or not.
-    `run_nettack` builds one per run and sets `is_edge` of each edge flip
-    it commits."""
+    """Admissible edge flips on an attacker x node grid, cell (j, x) at flat
+    index j N + x: the pair (m, n), m < n, of `attackers[j]` and node x,
+    whether it is a candidate, and whether it is an edge (the flip removes
+    it). `run_nettack` builds one per run and sets `is_edge` of each edge
+    flip it commits."""
 
-    pairs: np.ndarray    # (M, 2) int
-    is_edge: np.ndarray  # (M,) bool
+    attackers: np.ndarray  # (A,) int
+    pairs: np.ndarray      # (A N, 2) int
+    valid: np.ndarray      # (A, N) bool
+    is_edge: np.ndarray    # (A, N) bool
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return int(np.count_nonzero(self.valid))
 
 
 def candidate_edges(g: AttributedGraph, cfg: AttackConfig,
                     attackers: tuple[int, ...]) -> EdgeCandidates:
-    """Structurally admissible edge flips, sorted by (m, n) with m < n.
+    """Structurally admissible edge flips, one row per attacker.
 
     A pair is a candidate when one endpoint is an attacker and - in
     influencer mode - it does not touch the target: the rules that hold for
-    a whole run. The ones that change as flips are committed act on the
+    a whole run. A pair of two attackers is kept only in the row of its
+    smaller end. The rules that change as flips are committed act on the
     scores: `run_nettack` sets -inf on the target's last edge (removing it
     would isolate the target) and `gate_from_top` applies the degree test.
     """
-    v0, n_nodes = cfg.target, g.n_nodes
-    att, others = np.asarray(attackers)[:, None], np.arange(n_nodes)[None, :]
-    is_attacker = np.zeros(n_nodes, dtype=bool)
+    att, nodes = np.asarray(attackers)[:, None], np.arange(g.n_nodes)
+    is_attacker = np.zeros(g.n_nodes, dtype=bool)
     is_attacker[att] = True
-    # Each pair once: a pair of two attackers only from its smaller end.
-    once = ~is_attacker[others] | (others > att)
-    lo, hi = np.minimum(att, others)[once], np.maximum(att, others)[once]
-    is_edge = np.zeros((len(attackers), n_nodes), dtype=bool)
+    valid = ~is_attacker | (nodes > att)
+    if cfg.mode == INFLUENCER:
+        valid[:, cfg.target] = False
+    is_edge = np.zeros(valid.shape, dtype=bool)
     for row, a in zip(is_edge, attackers):
         row[g.neighbors(a)] = True
-    is_edge = is_edge[once]
-    if len(attackers) > 1:  # one attacker's pairs already ascend
-        order = np.argsort(lo * n_nodes + hi)
-        lo, hi, is_edge = lo[order], hi[order], is_edge[order]
-    if cfg.mode == INFLUENCER:
-        keep = (lo != v0) & (hi != v0)
-        lo, hi, is_edge = lo[keep], hi[keep], is_edge[keep]
-    return EdgeCandidates(pairs=np.c_[lo, hi], is_edge=is_edge)
+    pairs = np.stack([np.minimum(att, nodes).ravel(), np.maximum(att, nodes).ravel()], axis=1)
+    return EdgeCandidates(attackers=att[:, 0], pairs=pairs, valid=valid, is_edge=is_edge)
 
 
 def gate_from_top(g: AttributedGraph, cands: EdgeCandidates, losses: np.ndarray,
                   degree_state: DegreeTestState) -> np.ndarray:
-    """`losses` with -inf where the degree test rejects a candidate or is not
-    asked. It is asked once per (deg m, deg n, a_mn) triple, from the best
-    loss down, until a triple's best loss falls below the best admitted loss
-    minus `NEAR_TIE`: the band that the greedy step rescores is the one that
-    gating every pair would leave.
+    """`losses`, flat over the grid, with -inf where the degree test rejects
+    a candidate or is not asked. It is asked once per (deg m, deg n, a_mn)
+    triple, from the best loss down, until a triple's best loss falls below
+    the best admitted loss minus `NEAR_TIE`: the band that the greedy step
+    rescores is the one that gating every pair would leave.
     """
     degs = g.degrees
     d_m, d_n = degs[cands.pairs[:, 0]], degs[cands.pairs[:, 1]]
@@ -196,7 +194,7 @@ def gate_from_top(g: AttributedGraph, cands: EdgeCandidates, losses: np.ndarray,
     present[d_m], present[d_n] = True, True
     values, rank = np.flatnonzero(present), np.cumsum(present) - 1
     k = len(values)
-    code = (rank[d_m] * k + rank[d_n]) * 2 + cands.is_edge
+    code = (rank[d_m] * k + rank[d_n]) * 2 + cands.is_edge.ravel()
     best = np.full(2 * k * k, -np.inf)
     np.maximum.at(best, code, losses)
     triples = np.flatnonzero(best > -np.inf)
@@ -326,32 +324,34 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
     attackers = resolve_attackers(g0, cfg)
     run = _Run(g0, model, cfg, na, attackers, cfg.constrained)
     g, v0, c_old = run.g, run.v0, run.c_old
-    allowed_add = (np.array([run.na.cooc.allowed_additions(a) for a in attackers])
+    allowed_add = (run.na.cooc.allowed_additions(list(attackers))
                    if cfg.constrained else None)
     cands = candidate_edges(g, cfg, attackers) if cfg.perturb_structure else None
 
     while len(run.result.perturbations) < cfg.budget:
-        best = best_row = best_i = None
+        best = best_row = None
 
         if cands is not None and len(cands):
-            losses = _loss(edge_flip_logits(run.row, g, run.cvals, v0,
-                                            cands.pairs, cands.is_edge), c_old)
+            losses = _loss(edge_flip_grid(run.row, g, run.cvals, v0, cands.attackers,
+                                          cands.pairs, cands.is_edge), c_old)
+            losses[~cands.valid] = -np.inf
             if cfg.mode == DIRECT and g.degree(v0) == 1:
                 # Every direct pair is at the target, and only its last
                 # edge is an edge: removing it would isolate the target.
                 losses[cands.is_edge] = -np.inf
+            losses = losses.ravel()
             if cfg.constrained:
                 losses = gate_from_top(g, cands, losses, run.degree_state)
-            # Settle the winner on the exact row: near-ties are rescored
-            # in sorted pair order, so an exact tie goes to the smaller pair.
-            # Gated-off candidates (-inf) are never rescored.
+            # Settle the winner on the exact row; an exact tie goes to the
+            # smaller pair (`_beats`). Gated-off candidates (-inf) are never
+            # rescored.
             for i in np.flatnonzero((losses >= losses.max() - NEAR_TIE) & (losses > -np.inf)):
                 m, n = cands.pairs[i].tolist()
                 new_row = updated_square_row_from(run.row, g, m, n, v0)
-                cand = Perturbation(kind=EDGE, u=m, v=n, insert=not cands.is_edge[i],
+                cand = Perturbation(kind=EDGE, u=m, v=n, insert=not cands.is_edge.flat[i],
                                     score=run.loss(new_row))
                 if _beats(cand, best):
-                    best, best_row, best_i = cand, new_row, i
+                    best, best_row = cand, new_row
 
         if cfg.perturb_features:
             present = np.zeros((len(attackers), g.n_features), dtype=bool)
@@ -381,7 +381,8 @@ def run_nettack(g0: AttributedGraph, model: SurrogateModel, cfg: AttackConfig,
                  "i": int(best.v), "insert": bool(best.insert), "test": check})
         run.commit(best, best_row)
         if best.kind == EDGE:
-            cands.is_edge[best_i] = best.insert
+            cands.is_edge[cands.attackers == best.u, best.v] = best.insert
+            cands.is_edge[cands.attackers == best.v, best.u] = best.insert
 
     return run.result
 
@@ -521,7 +522,7 @@ def replay_constraints(g0: AttributedGraph, result: AttackResult,
             if lam >= tau:
                 violations.append({"step": step, "kind": EDGE, "lambda": lam})
         else:
-            if p.insert and not coidx.allowed_additions(p.u)[p.v]:
+            if p.insert and not coidx.allowed_additions([p.u])[0, p.v]:
                 violations.append({"step": step, "kind": FEATURE,
                                    "u": p.u, "i": p.v})
             g.flip_feature_inplace(p.u, p.v)

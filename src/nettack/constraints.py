@@ -156,18 +156,16 @@ class CooccurrenceIndex:
     sigma: np.ndarray            # per-node acceptance threshold
     walk_rows: sp.csr_matrix     # cooc with row j scaled by 1/degree(j)
 
-    def allowed_additions(self, u: int) -> np.ndarray:
-        """Boolean mask over the features that may be set on node u: its
-        original features, and those a walk from them reaches above sigma[u].
-        A node with no original features admits no additions (the walk has
-        nowhere to start). Removals are not gated and never reach this check."""
-        idx = self.features[u].indices
-        if not len(idx):
-            return np.zeros(self.cooc.shape[0], dtype=bool)
-        reach = np.asarray(self.walk_rows[idx].sum(axis=0)).ravel() / len(idx)
-        mask = reach > self.sigma[u]
-        mask[idx] = True
-        return mask
+    def allowed_additions(self, nodes: list[int] | np.ndarray) -> np.ndarray:
+        """Boolean masks (len(nodes), D) over the features that may be set on
+        each node: its original features, and those a walk from them reaches
+        above its sigma, all from one sparse product. A node with no
+        original features admits no additions (the walk has nowhere to
+        start). Removals are not gated and never reach this check."""
+        own = self.features[nodes]
+        n_own = np.maximum(np.diff(own.indptr), 1)[:, None]
+        reach = (own @ self.walk_rows).toarray() / n_own
+        return (reach > self.sigma[nodes][:, None]) | own.toarray()
 
 
 def build_cooccurrence(g0: AttributedGraph) -> CooccurrenceIndex:

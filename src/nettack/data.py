@@ -163,6 +163,8 @@ def load_bundle_stats(path: str | Path) -> tuple[AttributedGraph, LoadStats]:
         raise BundleError(f"meta.json counts must be integers, got {counts}")
     if not all(INT64.min <= c <= INT64.max for c in counts.values()):
         raise BundleError(f"meta.json counts must fit in int64, got {counts}")
+    if min(counts.values()) < 0:
+        raise BundleError(f"meta.json counts must be at least 0, got {counts}")
     n_nodes, n_features, n_classes = counts.values()
 
     node = ("node", n_nodes)

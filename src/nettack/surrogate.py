@@ -8,10 +8,12 @@ function takes. S is never formed: an attack reads one row of it
 (`square_row`), the fit the rows of S X it trains on. A single
 symmetric edge flip changes a node's row of S by five weights, derived
 once (`_flip_weights`). The attack applies them to the node's logits for
-all candidates in one class-major array pass (`edge_flip_logits`, K x M,
-so that each pass runs along the candidates), with constant work per
+many flips in one class-major array pass (`edge_flip_logits`, K x M, so
+that each pass runs along the candidates), with constant work per
 candidate, and to the row itself (`updated_square_row_from`) to settle
-near-ties and commit flips. This module owns both, the one margin rule
+near-ties and commit flips. On the attack's attacker x node grid
+(`edge_flip_grid`) the weights of a far insertion reduce to a vector per
+attacker and two K x N tables. This module owns these, the one margin rule
 (`margin`, which returns the value only) that the attack loss, target
 selection and victim evaluation share, and the one cross-entropy
 (`mean_cross_entropy`) that the surrogate and victim fits minimise.
@@ -147,6 +149,52 @@ def edge_flip_logits(row: np.ndarray, g: AttributedGraph, cvals: np.ndarray,
         np.take(table, k, axis=1, out=term)
         term *= weight
         out += term
+    return out
+
+
+def edge_flip_grid(row: np.ndarray, g: AttributedGraph, cvals: np.ndarray, u: int,
+                   attackers: np.ndarray, pairs: np.ndarray,
+                   is_edge: np.ndarray) -> np.ndarray:
+    """Logits of node `u` after each edge flip of an attacker x node grid,
+    class-major: (K, A, N). Cell (j, x) flips `pairs[j N + x]`, the pair of
+    `attackers[j]` and x, an edge where `is_edge` is set; the cells
+    x = attackers[j] are no flips and hold finite filler.
+
+    A far insertion (a, x) is a non-edge with u not an endpoint and
+    (A + I)[u, x] = 0. `_flip_weights` gives it s = 1, c_x = 0, c_a and w_a
+    of a alone, and w_x = p_x + g_a q_x with q_x = 1 / sqrt(d_x + 1),
+    p_x = row[x] sqrt(d_x) (q_x - 1 / sqrt(d_x)) and g_a = (A + I)[u, a] /
+    ((d_a + 1) sqrt(d_u)): its logits are a K-vector per attacker plus
+    column x of p C and g_a times column x of q C. When u is no attacker,
+    the columns x that are not u, a neighbour of u, an attacker or an
+    attacker's neighbour hold far insertions only. `edge_flip_logits`
+    scores every other cell and the cells of one far column x0, off which
+    each attacker's vector is read.
+    """
+    att, shape = np.asarray(attackers), (cvals.shape[1],) + is_edge.shape
+    if u in att:  # direct mode: every pair touches u
+        return edge_flip_logits(row, g, cvals, u, pairs, is_edge.ravel()).reshape(shape)
+    a_u = g.adjacency_row(u)
+    a_u[u] = 1.0
+    far_col = (a_u == 0.0) & ~is_edge.any(axis=0)
+    far_col[att] = False
+    x0 = int(np.argmax(far_col))
+    cols = np.flatnonzero(~far_col | (np.arange(len(far_col)) == x0))
+    cells = (np.arange(len(att))[:, None] * len(far_col) + cols).ravel()
+    logits = edge_flip_logits(row, g, cvals, u, pairs[cells],
+                              is_edge.ravel()[cells]).reshape(-1, len(att), len(cols))
+    if not far_col.any():
+        return logits
+    d = g.degrees + 1.0
+    q = 1.0 / np.sqrt(d + 1.0)
+    pc = np.multiply(cvals.T, row * np.sqrt(d) * (q - 1.0 / np.sqrt(d)), order="C")
+    qc = np.multiply(cvals.T, q, order="C")
+    g_a = a_u[att] / (d[att] + 1.0) / np.sqrt(d[u])
+    out = qc[:, None, :] * g_a[:, None]
+    out += pc[:, None, :]
+    out += (logits[:, :, np.searchsorted(cols, x0)] - pc[:, x0, None]
+            - g_a * qc[:, x0, None])[:, :, None]
+    out[:, :, cols] = logits
     return out
 
 

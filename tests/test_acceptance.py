@@ -283,7 +283,7 @@ def test_criterion_8_constraint_soundness(desk_scale):
             coidx = build_cooccurrence(g)
             for p in res["perturbations"]:
                 if p["kind"] == "feature" and p["insert"]:
-                    assert coidx.allowed_additions(p["u"])[p["v"]]
+                    assert coidx.allowed_additions([p["u"]])[0][p["v"]]
         elif payload["attack"] == "nettack-u":
             n_uncon += 1
             n_exceed += audit["final_lambda"] > TAU

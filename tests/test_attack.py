@@ -28,15 +28,30 @@ def edge_score(g, na, model, v0, c_old, m, n):
     return float(-margin(row @ (g.feature_matrix() @ model.weights), c_old))
 
 
+def cells(cands):
+    """Flat grid index, pair (m, n) and is_edge of every valid cell, in
+    grid order."""
+    idx = np.flatnonzero(cands.valid)
+    return idx, list(map(tuple, cands.pairs[idx].tolist())), cands.is_edge.ravel()[idx]
+
+
 def pair_set(cands):
-    return set(map(tuple, cands.pairs.tolist()))
+    return set(cells(cands)[1])
+
+
+def flat_losses(cands, values):
+    """Grid losses: `values` on the valid cells in grid order, -inf elsewhere."""
+    losses = np.full(cands.valid.size, -np.inf)
+    losses[cells(cands)[0]] = values
+    return losses
 
 
 def admitted(g, cands, state):
     """The candidates the degree test admits: with equal losses the gate
     asks every triple."""
-    keep = gate_from_top(g, cands, np.zeros(len(cands)), state) > -np.inf
-    return EdgeCandidates(pairs=cands.pairs[keep], is_edge=cands.is_edge[keep])
+    keep = gate_from_top(g, cands, flat_losses(cands, 0.0), state) > -np.inf
+    return EdgeCandidates(attackers=cands.attackers, pairs=cands.pairs,
+                          valid=keep.reshape(cands.valid.shape), is_edge=cands.is_edge)
 
 
 def run_steps(monkeypatch, g, model, cfg):
@@ -44,18 +59,23 @@ def run_steps(monkeypatch, g, model, cfg):
     rescores on the exact row every candidate whose loss is finite before
     the degree gate. Returns the result and, per step, the run's graph, the
     candidates scored ({pair: is_edge}) and the pairs rescored."""
-    steps = []
+    steps, grids = [], []
 
-    def equal_logits(row, g_run, cvals, u, pairs, a_mn):
-        scored = dict(zip(map(tuple, pairs.tolist()), np.asarray(a_mn, dtype=bool).tolist()))
-        steps.append((g_run.copy(), scored, set()))
-        return np.zeros((cvals.shape[1], len(pairs)))
+    def built(*args):
+        grids.append(candidate_edges(*args))
+        return grids[-1]
+
+    def equal_logits(row, g_run, cvals, u, attackers, pairs, is_edge):
+        _, pairs, edges = cells(grids[-1])
+        steps.append((g_run.copy(), dict(zip(pairs, edges.tolist())), set()))
+        return np.zeros((cvals.shape[1],) + is_edge.shape)
 
     def rescored(row, g_run, m, n, node):
         steps[-1][2].add((m, n))
         return updated_square_row_from(row, g_run, m, n, node)
 
-    monkeypatch.setattr(attack, "edge_flip_logits", equal_logits)
+    monkeypatch.setattr(attack, "candidate_edges", built)
+    monkeypatch.setattr(attack, "edge_flip_grid", equal_logits)
     monkeypatch.setattr(attack, "updated_square_row_from", rescored)
     return run_nettack(g, model, cfg, NormalizedAdjacency.build(g)), steps
 
@@ -137,7 +157,7 @@ def test_candidate_edges_match_scratch_filter():
     for cfg, attackers in ((AttackConfig(target=v0, budget=1), (v0,)),
                            (AttackConfig(target=v0, budget=1, mode=INFLUENCER),
                             (a, b, nbrs[0]))):
-        cands = admitted(g, candidate_edges(g, cfg, attackers), state)
+        _, pairs, edges = cells(admitted(g, candidate_edges(g, cfg, attackers), state))
         want = set()
         for att in attackers:
             for x in range(100):
@@ -150,8 +170,8 @@ def test_candidate_edges_match_scratch_filter():
                     continue
                 if lambda_statistic(g.degrees, g.flip_edge(*pair).degrees, 2) < 0.004:
                     want.add(pair)
-        assert cands.pairs.tolist() == [list(p) for p in sorted(want)]  # each once
-        assert cands.is_edge.tolist() == [p[1] in g.neighbors(p[0]) for p in sorted(want)]
+        assert sorted(pairs) == sorted(want) and len(pairs) == len(want)  # each once
+        assert edges.tolist() == [p[1] in g.neighbors(p[0]) for p in pairs]
 
 
 def test_candidate_edges_influencer_excludes_target():
@@ -217,14 +237,17 @@ def test_gate_from_top_matches_per_pair_filter(seed, tau, influencer):
         cfg = AttackConfig(target=int(rng.integers(30)), budget=1, tau=tau)
         attackers = (cfg.target,)
     cands = candidate_edges(g, cfg, attackers)
+    idx, pairs, edges = cells(cands)
     levels = rng.normal(size=rng.integers(1, 4))
     jitter = np.array([0.0, 0.0, 0.4, -0.4, 0.9, 3.0]) * NEAR_TIE
     losses = rng.choice(levels, size=len(cands)) + rng.choice(jitter, size=len(cands))
     gate = CountingGate(DegreeTestState.from_graph(g, d_min=2, tau=tau))
-    gated = gate_from_top(g, cands, losses, gate)
+    gated = gate_from_top(g, cands, flat_losses(cands, losses), gate)
+    assert (gated[np.setdiff1d(np.arange(gated.size), idx)] == -np.inf).all()
+    gated = gated[idx]
 
     ok = np.array([lambda_statistic(g.degrees, g.flip_edge(m, n).degrees, 2) < tau
-                   for m, n in cands.pairs.tolist()], dtype=bool)
+                   for m, n in pairs], dtype=bool)
     want = np.where(ok, losses, -np.inf)
     finite = gated > -np.inf
     assert np.array_equal(gated[finite], losses[finite]) and ok[finite].all()
@@ -236,8 +259,7 @@ def test_gate_from_top_matches_per_pair_filter(seed, tau, influencer):
         assert np.array_equal(np.flatnonzero(gated >= top - NEAR_TIE),
                               np.flatnonzero(want >= top - NEAR_TIE))
     degs = g.degrees
-    triples = set(zip(degs[cands.pairs[:, 0]].tolist(), degs[cands.pairs[:, 1]].tolist(),
-                      cands.is_edge.astype(int).tolist()))
+    triples = {(int(degs[m]), int(degs[n]), int(e)) for (m, n), e in zip(pairs, edges)}
     assert len(gate.asked) == len(set(gate.asked)) and set(gate.asked) <= triples
 
 
@@ -247,9 +269,10 @@ def test_gate_from_top_asks_once_for_a_clear_winner():
     cands = candidate_edges(g, cfg, (cfg.target,))
     state = DegreeTestState.from_graph(g, d_min=2)
     degs = g.degrees
-    win = next(i for i, (m, n) in enumerate(cands.pairs.tolist())
-               if state.edge_allowed(int(degs[m]), int(degs[n]), int(cands.is_edge[i])))
-    losses = np.zeros(len(cands))
+    idx, pairs, edges = cells(cands)
+    win = next(i for i, (m, n), e in zip(idx, pairs, edges)
+               if state.edge_allowed(int(degs[m]), int(degs[n]), int(e)))
+    losses = flat_losses(cands, 0.0)
     losses[win] = 1.0
     gate = CountingGate(state)
     gated = gate_from_top(g, cands, losses, gate)
@@ -261,12 +284,12 @@ def test_candidate_features_rules():
     g = random_graph(10, 0.2, seed=9, n_features=6, p_feat=0.3)
     coidx = build_cooccurrence(g)
     a = 4
-    cands = candidate_features(feature_mask(g, a), coidx.allowed_additions(a))
+    cands = candidate_features(feature_mask(g, a), coidx.allowed_additions([a])[0])
     for i in range(6):
         if i in g.features_of(a):
             assert cands[i]  # removal always legal
         else:
-            assert cands[i] == coidx.allowed_additions(a)[i]
+            assert cands[i] == coidx.allowed_additions([a])[0][i]
 
 
 def test_candidate_features_unconstrained_full_grid():
@@ -497,7 +520,7 @@ def exhaustive_best_single_flip(g, model, cfg, c_old):
                 best = loss
         for i in range(g.n_features):
             if i not in g.features_of(a) and cfg.constrained and \
-                    not coidx.allowed_additions(a)[i]:
+                    not coidx.allowed_additions([a])[0][i]:
                 continue
             loss = surrogate_loss_scratch(flipped_feature(g, a, i), model.weights, v0, c_old)
             if best is None or loss > best:
@@ -866,7 +889,7 @@ def test_context_cooccurrence_matches_fresh_build():
                  (got.features, want.features)):
         assert (a != b).nnz == 0
     for u in range(g.n_nodes):
-        assert np.array_equal(got.allowed_additions(u), want.allowed_additions(u))
+        assert np.array_equal(got.allowed_additions([u])[0], want.allowed_additions([u])[0])
 
 
 def test_result_json_round_trip(tmp_path):

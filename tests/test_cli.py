@@ -153,7 +153,8 @@ def test_attack_out_of_range_target_clean_error(bundle, tmp_path):
                                   "split-negative-seed", "evaluate-negative-seed",
                                   "evasion-clean-fewer-classes",
                                   "evasion-clean-other-features", "targets-past-int64",
-                                  "split-id-past-int64", "meta-count-past-int64"])
+                                  "split-id-past-int64", "meta-count-past-int64",
+                                  "meta-negative-nodes", "meta-negative-features"])
 def test_bad_input_clean_error(case, bundle, tmp_path):
     root, path, g = bundle
     out = tmp_path / "x.json"
@@ -208,10 +209,16 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
              "meta-bool-count": {"n_nodes": g.n_nodes, "n_features": g.n_features,
                                  "n_classes": True},
              "meta-count-past-int64": {"n_nodes": g.n_nodes, "n_features": 10 ** 20,
-                                       "n_classes": 3}}
+                                       "n_classes": 3},
+             "meta-negative-nodes": {"n_nodes": -5, "n_features": g.n_features, "n_classes": 3},
+             "meta-negative-features": {"n_nodes": g.n_nodes, "n_features": -5,
+                                        "n_classes": 3}}
     if case in metas:
         shutil.copytree(path, tmp_path / "bad")
         (tmp_path / "bad" / "meta.json").write_text(json.dumps(metas[case]))
+    if case == "meta-negative-nodes":  # empty tables: no id to blame instead
+        for name in ("edges.tsv", "features.tsv", "labels.tsv"):
+            (tmp_path / "bad" / name).write_text("")
     (tmp_path / "split.json").write_text(json.dumps(split))
     # Evasion trains on the clean bundle and reads the attacked one (`path`).
     cleans = {"evasion-clean-fewer-classes": (g.n_features, (g.labels - 1) % 2 + 1, 2),
@@ -281,6 +288,8 @@ def test_bad_input_clean_error(case, bundle, tmp_path):
         "meta-string-count": (lcc, "meta.json counts must be integers"),
         "meta-bool-count": (lcc, "meta.json counts must be integers"),
         "meta-count-past-int64": (lcc, "meta.json counts must fit in int64"),
+        "meta-negative-nodes": (lcc, "meta.json counts must be at least 0"),
+        "meta-negative-features": (lcc, "meta.json counts must be at least 0"),
         "plan-no-dataset": (["experiment", "--plan", str(data)], "missing key 'dataset'"),
         "plan-dataset-a-number": (["experiment", "--plan", str(data)], "dataset"),
         "plan-out-dir-a-number": (["experiment", "--plan", str(data)], "out_dir"),

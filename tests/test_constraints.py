@@ -209,7 +209,7 @@ def test_cooccurrence_gate_matches_loop_reference():
     inv = {i: 1.0 / len(s) if s else 0.0 for i, s in nbrs.items()}
     for u in range(g.n_nodes):
         s = g.features_of(u).tolist()
-        mask = idx.allowed_additions(u)
+        mask = idx.allowed_additions([u])[0]
         if not s:
             assert idx.sigma[u] == 0.0 and not mask.any()
             continue
@@ -223,10 +223,29 @@ def test_cooccurrence_gate_matches_loop_reference():
                 assert mask[i] == (reach > sigma)
 
 
+def test_allowed_additions_batch_matches_per_node_rule():
+    # The rule one node at a time: the walk from the node's own features,
+    # summed row by row, against its sigma; no additions without features.
+    g = random_graph(40, 0.0, seed=22, n_features=30, p_feat=0.06)
+    idx = build_cooccurrence(g)
+    got = idx.allowed_additions(np.arange(g.n_nodes))
+    featureless = 0
+    for u in range(g.n_nodes):
+        own = g.features_of(u)
+        want = np.zeros(g.n_features, dtype=bool)
+        if len(own):
+            reach = np.asarray(idx.walk_rows[own].sum(axis=0)).ravel() / len(own)
+            want = reach > idx.sigma[u]
+            want[own] = True
+        featureless += not len(own)
+        assert np.array_equal(got[u], want)
+    assert featureless and got.any(axis=1).sum() < g.n_nodes
+
+
 def test_feature_addition_original_always_allowed():
     g = AttributedGraph.from_edges(2, 4, [], [(0, 1), (0, 2), (1, 3)])
     idx = build_cooccurrence(g)
-    assert idx.allowed_additions(0)[1]
+    assert idx.allowed_additions([0])[0][1]
 
 
 def test_feature_addition_full_cooccurrence_allowed():
@@ -235,26 +254,26 @@ def test_feature_addition_full_cooccurrence_allowed():
     g = AttributedGraph.from_edges(3, 4, [], [(0, 0), (0, 1),
                                               (1, 0), (1, 3), (2, 1), (2, 3)])
     idx = build_cooccurrence(g)
-    assert idx.allowed_additions(0)[3]
+    assert idx.allowed_additions([0])[0][3]
 
 
 def test_feature_addition_disconnected_feature_blocked():
     g = AttributedGraph.from_edges(2, 4, [], [(0, 0), (0, 1), (1, 2), (1, 3)])
     idx = build_cooccurrence(g)
     # features 2,3 never co-occur with node 0's originals {0,1}
-    assert not idx.allowed_additions(0)[2]
-    assert not idx.allowed_additions(0)[3]
+    assert not idx.allowed_additions([0])[0][2]
+    assert not idx.allowed_additions([0])[0][3]
 
 
 def test_feature_addition_empty_set_blocked():
     g = AttributedGraph.from_edges(2, 3, [], [(1, 0), (1, 1)])
     idx = build_cooccurrence(g)
-    assert not idx.allowed_additions(0)[0]
+    assert not idx.allowed_additions([0])[0][0]
 
 
 def test_allowed_additions_frozen_against_graph_changes():
     g = random_graph(10, 0.0, seed=30, n_features=12, p_feat=0.3)
     idx = build_cooccurrence(g)
-    before = idx.allowed_additions(3).copy()
+    before = idx.allowed_additions([3])[0].copy()
     g.flip_feature_inplace(3, 0)  # mutating the graph must not move the gate
-    assert np.array_equal(idx.allowed_additions(3), before)
+    assert np.array_equal(idx.allowed_additions([3])[0], before)

@@ -69,7 +69,7 @@ def test_compare_trees_script(tmp_path):
     assert same.returncode == 0, same.stderr
     report = strict_json(tmp_path / "same.json")
     assert report["verdict"] == "identical"
-    assert report["sweep"]["n_results"] == 2 * 12  # two targets, twelve attacks
+    assert report["sweep"]["n_results"] == 2 * 16  # two targets, sixteen attacks
     assert report["desk"]["desk-1"]["files"]["results/manifest.json"]
 
     # A copy whose feature flips break exact ties toward the last maximum.

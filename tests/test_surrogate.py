@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nettack.attack import AttackConfig, _Run, run_nettack
+from nettack.attack import (AttackConfig, INFLUENCER, _Run, candidate_edges,
+                            resolve_attackers, run_nettack)
 from nettack.data import make_split
 from nettack.graph import AttributedGraph
 from nettack.surrogate import (MAX_EPOCHS, PATIENCE, STEP, NormalizedAdjacency,
-                               SurrogateModel, TrainingError, edge_flip_logits,
+                               SurrogateModel, TrainingError, edge_flip_grid,
+                               edge_flip_logits,
                                margin, softmax, surrogate_logits,
                                train_surrogate, updated_square_row_from)
 from helpers import dense_normalized, dense_square, random_graph
@@ -182,6 +184,84 @@ def test_edge_flip_losses_match_row_update_influencers():
     got, want, a_mn = batched_and_loop_losses(g, w, v0, pairs, c_old=1)
     assert a_mn.any()
     assert np.abs(got - want).max() < 1e-12
+
+
+def grid_against_pairs(g, w, cfg, attackers, row=None):
+    """The grid's logits at its valid cells, `edge_flip_logits` on the same
+    pairs, the pairs, and whether each cell is a far insertion (u not an
+    endpoint, x no neighbour of u)."""
+    v0 = cfg.target
+    cands = candidate_edges(g, cfg, attackers)
+    row = NormalizedAdjacency.build(g).square_row(v0) if row is None else row
+    cvals = g.feat @ w
+    idx = np.flatnonzero(cands.valid)
+    pairs, a_mn = cands.pairs[idx], cands.is_edge.ravel()[idx]
+    grid = edge_flip_grid(row, g, cvals, v0, cands.attackers, cands.pairs, cands.is_edge)
+    want = edge_flip_logits(row, g, cvals, v0, pairs, a_mn)
+    x = idx % g.n_nodes
+    att = cands.attackers[idx // g.n_nodes]
+    far = (att != v0) & ~a_mn & (x != v0) & ~np.isin(x, g.neighbors(v0))
+    return grid.reshape(len(grid), -1)[:, idx], want, pairs, far
+
+
+def test_edge_flip_grid_matches_pairs_across_two_hop_moves():
+    # Target 0 has two neighbours, so the five attackers are topped up from
+    # its two-hop ring; some attackers are adjacent. Each committed flip
+    # moves a node into or out of the target's two hops.
+    g = random_graph(40, 0.0, seed=9, n_features=8)
+    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 4)]
+    edges += [(k, k + 1) for k in range(5, 39)]
+    for m, n in edges:
+        g.flip_edge_inplace(m, n)
+    w = np.random.default_rng(9).normal(size=(8, 3))
+    cfg = AttackConfig(target=0, budget=1, mode=INFLUENCER, n_influencers=5)
+    attackers = resolve_attackers(g, cfg)
+    assert attackers == (1, 2, 3, 4, 5) and 4 in g.neighbors(3)
+    row = NormalizedAdjacency.build(g).square_row(0)
+    for flip in (None, (1, 20), (2, 5), (3, 30), (1, 20)):  # 20 in, 5 out, 30 stays out, 20 out
+        if flip is not None:
+            row = updated_square_row_from(row, g, *flip, 0)
+            g.flip_edge_inplace(*flip)
+        got, want, pairs, far = grid_against_pairs(g, w, cfg, attackers, row)
+        assert np.abs(got - want).max() < 1e-12
+        assert far.any() and not far.all()
+        assert (3, 4) in map(tuple, pairs.tolist())  # a pair of two attackers
+    assert 20 not in g.neighbors(1) and 5 not in g.neighbors(2)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_edge_flip_grid_matches_pairs_influencer(seed, n_attackers, drawn):
+    # Attackers as the attack picks them, or any nodes but the target (so
+    # an attacker may lie outside the target's two hops).
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(7, 40))
+    g = random_graph(n, float(rng.uniform(0.05, 0.4)), seed=seed % 997, n_features=5)
+    w = rng.normal(size=(5, 3))
+    v0 = int(rng.integers(n))
+    cfg = AttackConfig(target=v0, budget=1, mode=INFLUENCER, n_influencers=n_attackers,
+                       seed=seed)
+    if drawn:
+        attackers = tuple(sorted(rng.choice(np.setdiff1d(np.arange(n), [v0]), n_attackers,
+                                            replace=False).tolist()))
+    elif g.degree(v0):
+        attackers = resolve_attackers(g, cfg)
+    else:
+        return
+    got, want, _, _ = grid_against_pairs(g, w, cfg, attackers)
+    assert np.abs(got - want).max() < 1e-12
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_edge_flip_grid_direct_is_the_pair_pass(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    g = random_graph(n, float(rng.uniform(0.05, 0.4)), seed=seed % 997, n_features=5)
+    w = rng.normal(size=(5, 3))
+    v0 = int(rng.integers(n))
+    got, want, _, far = grid_against_pairs(g, w, AttackConfig(target=v0, budget=1), (v0,))
+    assert not far.any() and np.array_equal(got, want)
 
 
 @given(st.integers(0, 10 ** 6))
